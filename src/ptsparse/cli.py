@@ -12,12 +12,12 @@ import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .harness import (MetricsRow, StageError, load_dataset, prepare_teacher, report,
-                      run_experiment, run_single, select_distribution, write_metrics,
-                      _flatten_if_mlp)
+from .harness import (MetricsRow, StageError, load_dataset, oneshot_prune,
+                      prepare_teacher, report, run_experiment, run_single,
+                      select_distribution, write_metrics, _flatten_if_mlp)
 from .data import CalibrationSet, sample_calibration
 from .nn import load_network, save_network
-from .sparsity import NMPattern, mask_summary, nm_mask, save_masks
+from .sparsity import load_masks, mask_summary, save_masks
 
 
 def _add_common(p):
@@ -99,16 +99,8 @@ def cmd_search(args) -> int:
 def cmd_prune(args) -> int:
     cfg, out = _setup(args)
     splits, teacher, calib = _teacher_and_calib(cfg, cfg.seeds[0])
-    student = teacher.copy()
-    if cfg.nm_pattern:
-        nm = NMPattern.parse(cfg.nm_pattern)
-        masks = {i: nm_mask(student.layers[i].weight, nm)
-                 for i in student.prunable_indices()}
-    else:
-        dist, _ = select_distribution(cfg, teacher, calib, cfg.seeds[0], out_dir=out)
-        masks = dist.build_masks(student)
-    for i, m in masks.items():
-        student.layers[i].weight *= m
+    dist, _ = select_distribution(cfg, teacher, calib, cfg.seeds[0], out_dir=out)
+    student, masks = oneshot_prune(cfg, teacher, dist)
     save_network(student, os.path.join(out, "student.ckpt"))
     save_masks(masks, os.path.join(out, "masks.bin"))
     print(mask_summary(masks))
@@ -132,13 +124,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, _ = _setup(args)
     splits = load_dataset(cfg)
-    net = load_network(args.checkpoint)
-    masks = None
-    if args.masks:
-        from .sparsity import load_masks
-        masks = load_masks(args.masks)
-    eval_x = _flatten_if_mlp(cfg, splits.eval_x)
-    top1 = net.accuracy(eval_x, splits.eval_y, masks=masks)
+    try:
+        net = load_network(args.checkpoint)
+        masks = load_masks(args.masks) if args.masks else None
+        top1 = net.accuracy(_flatten_if_mlp(cfg, splits.eval_x), splits.eval_y,
+                            masks=masks)
+    except (ValueError, OSError) as exc:
+        raise StageError("eval", str(exc)) from exc
     print(f"top1={top1:.6f}")
     return 0
 

@@ -22,8 +22,8 @@ from .nn import Network, build_preset, load_network, save_network
 from .objectives import cross_entropy
 from .search import SearchConfig, evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
-                       save_masks, topk_mask, uniform_distribution)
-from .training import TrainConfig, cosine_lr, run_training
+                       save_masks, uniform_distribution)
+from .training import TrainConfig, build_masks, cosine_lr, mask_rates, run_training
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -134,6 +134,19 @@ def select_distribution(cfg: ExperimentConfig, teacher: Network,
     return uniform_distribution(teacher, cfg.sparsity, exclude or None), None
 
 
+def oneshot_prune(cfg: ExperimentConfig, teacher: Network,
+                  distribution: SparsityDistribution | None):
+    """Magnitude-prune a teacher copy without training: the configured N:M
+    pattern on every layer not excluded, or the distribution's top-k."""
+    nm = NMPattern.parse(cfg.nm_pattern) if cfg.nm_pattern else None
+    student = teacher.copy()
+    masks = build_masks(student, mask_rates(student, distribution, nm,
+                                            set(cfg.exclude_layers)), nm)
+    for i, m in masks.items():
+        student.layers[i].weight *= m
+    return student, masks
+
+
 def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
                seed: int, out_dir: str) -> MetricsRow:
     started = time.monotonic()
@@ -151,15 +164,7 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
     target = nm.sparsity if nm else cfg.sparsity
     try:
         if cfg.method == "oneshot":
-            student = teacher.copy()
-            if nm is not None:
-                from .sparsity import nm_mask
-                masks = {i: nm_mask(student.layers[i].weight, nm)
-                         for i in student.prunable_indices()}
-            else:
-                masks = distribution.build_masks(student)
-            for i, m in masks.items():
-                student.layers[i].weight *= m
+            student, masks = oneshot_prune(cfg, teacher, distribution)
             history = []
         else:
             tcfg = TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
@@ -171,7 +176,8 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
                                objective=("layerwise_mse"
                                           if cfg.method == "pot-baseline"
                                           else cfg.objective))
-            result = run_training(teacher, distribution, calib, tcfg, nm=nm)
+            result = run_training(teacher, distribution, calib, tcfg, nm=nm,
+                                  exclude=set(cfg.exclude_layers))
             student, masks, history = result.student, result.masks, result.history
     except ValueError as exc:
         raise StageError("train", str(exc)) from exc

@@ -20,7 +20,7 @@ MAGIC = b"PTSNET01"
 
 
 class CheckpointError(ValueError):
-    pass
+    """A container file that is truncated, corrupt or inconsistent."""
 
 
 def save_network(net: Network, path) -> None:
@@ -46,24 +46,55 @@ def save_network(net: Network, path) -> None:
             f.write(b)
 
 
-def load_network(path) -> Network:
+def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
+    """Split a ``magic | u64 length | JSON | payload`` file into its header
+    and payload; any mismatch or truncation raises CheckpointError."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode())
-        payload = f.read()
-    net = Network([layer_from_spec(s) for s in header["layers"]])
-    for rec in header["arrays"]:
-        raw = payload[rec["offset"]:rec["offset"] + rec["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f8").reshape(rec["shape"]).copy()
-        layer = net.layers[rec["layer"]]
-        if rec["name"] not in layer.params():
-            raise CheckpointError(f"unknown param {rec['name']} for layer {rec['layer']}")
-        setattr(layer, _attr_name(rec["name"]), arr)
+        data = f.read()
+    if data[:len(magic)] != magic:
+        raise CheckpointError(f"bad magic {data[:len(magic)]!r}")
+    start = len(magic) + 8
+    if len(data) < start:
+        raise CheckpointError("truncated header length")
+    (hlen,) = struct.unpack("<Q", data[len(magic):start])
+    if len(data) < start + hlen:
+        raise CheckpointError(f"truncated header: {len(data) - start} of {hlen} bytes")
+    try:
+        header = json.loads(data[start:start + hlen].decode())
+    except ValueError as exc:
+        raise CheckpointError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
+    return header, memoryview(data)[start + hlen:]
+
+
+def payload_slice(payload: memoryview, rec: dict) -> memoryview:
+    """The bytes one header record points at; raises CheckpointError when
+    the payload ends early."""
+    offset, nbytes = int(rec["offset"]), int(rec["nbytes"])
+    if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
+        raise CheckpointError(f"record at {offset}+{nbytes} exceeds the "
+                              f"{len(payload)}-byte payload")
+    return payload[offset:offset + nbytes]
+
+
+def load_network(path) -> Network:
+    header, payload = read_container(path, MAGIC)
+    try:
+        net = Network([layer_from_spec(s) for s in header["layers"]])
+        for rec in header["arrays"]:
+            layer = net.layers[rec["layer"]]
+            if rec["name"] not in layer.params():
+                raise CheckpointError(
+                    f"unknown param {rec['name']} for layer {rec['layer']}")
+            shape = layer.params()[rec["name"]].shape
+            if tuple(rec["shape"]) != shape:
+                raise CheckpointError(f"layer {rec['layer']} {rec['name']}: shape "
+                                      f"{tuple(rec['shape'])}, spec wants {shape}")
+            arr = np.frombuffer(payload_slice(payload, rec), dtype="<f8")
+            setattr(layer, rec["name"], arr.reshape(shape).copy())
+    except CheckpointError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     return net
-
-
-def _attr_name(param_name: str) -> str:
-    return param_name

@@ -44,6 +44,8 @@ class DecaySchedule:
 def _check_rows(p: np.ndarray, name: str) -> None:
     if p.ndim != 2:
         raise ValueError(f"{name} must be batch x classes")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has non-finite entries")
     sums = p.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
         raise ValueError(f"{name} rows not normalized (max dev "

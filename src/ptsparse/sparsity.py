@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nn.checkpoint import CheckpointError, payload_slice, read_container
 from .nn.network import Network
 
 MAGIC = b"PTSMSK01"
@@ -21,17 +22,31 @@ MAGIC = b"PTSMSK01"
 def topk_mask(weights: np.ndarray, rate: float) -> np.ndarray:
     """Keep the floor((1-rate)*S) largest-magnitude entries.
 
-    Ties break stably by ascending flat index among equal magnitudes.
+    Ties break stably by ascending flat index among equal magnitudes: every
+    entry above the k-th largest magnitude is kept, and the remaining places
+    go to the entries equal to it in ascending flat index. Linear in S.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate {rate} outside [0,1]")
-    s = weights.size
+    mag = _magnitudes(weights).ravel()
+    s = mag.size
     k = math.floor((1.0 - rate) * s)
-    mask = np.zeros(s)
-    if k > 0:
-        order = np.argsort(-np.abs(weights).ravel(), kind="stable")
-        mask[order[:k]] = 1.0
-    return mask.reshape(weights.shape)
+    if k == 0:
+        return np.zeros(weights.shape)
+    if k == s:
+        return np.ones(weights.shape)
+    threshold = np.partition(mag, s - k)[s - k]
+    keep = mag > threshold
+    ties = np.flatnonzero(mag == threshold)
+    keep[ties[:k - np.count_nonzero(keep)]] = True
+    return keep.astype(np.float64).reshape(weights.shape)
+
+
+def _magnitudes(weights: np.ndarray) -> np.ndarray:
+    mag = np.abs(weights)
+    if not np.isfinite(mag).all():
+        raise ValueError("non-finite weights cannot be ranked by magnitude")
+    return mag
 
 
 @dataclass(frozen=True)
@@ -61,16 +76,29 @@ class NMPattern:
 
 def nm_mask(weights: np.ndarray, pattern: NMPattern) -> np.ndarray:
     """Per length-m group along the reduction axis, keep the n largest
-    magnitudes. A short trailing group keeps min(n, len) weights."""
-    rows = weights.reshape(weights.shape[0], -1)
-    mask = np.zeros_like(rows)
+    magnitudes, ties to the lower index. A short trailing group keeps
+    min(n, len) weights.
+
+    An entry's rank is the number of entries in its group that are larger
+    plus the number that are equal and sit at a lower index; entries ranked
+    below n are kept. The trailing group is padded with -1, which ranks
+    below every magnitude. Linear in the weight count for a fixed m.
+    """
+    rows = _magnitudes(weights).reshape(weights.shape[0], -1)
+    r, c = rows.shape
     m = pattern.m
-    for start in range(0, rows.shape[1], m):
-        block = rows[:, start:start + m]
-        keep = min(pattern.n, block.shape[1])
-        order = np.argsort(-np.abs(block), axis=1, kind="stable")[:, :keep]
-        np.put_along_axis(mask[:, start:start + m], order, 1.0, axis=1)
-    return mask.reshape(weights.shape)
+    groups = -(-c // m)
+    mag = np.full((r, groups * m), -1.0)
+    mag[:, :c] = rows
+    mag = mag.reshape(r, groups, m)
+    rank = np.zeros(mag.shape, dtype=np.intp)
+    for i in range(m):
+        for j in range(i + 1, m):
+            later_wins = mag[..., j] > mag[..., i]
+            rank[..., i] += later_wins
+            rank[..., j] += ~later_wins
+    keep = (rank < pattern.n).reshape(r, groups * m)[:, :c]
+    return keep.astype(np.float64).reshape(weights.shape)
 
 
 def apply_mask(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -108,10 +136,6 @@ class SparsityDistribution:
     def weighted_rate(self, numels: list[int]) -> float:
         return float(np.dot(self.rates, numels) / np.sum(numels))
 
-    def build_masks(self, net: Network) -> dict[int, np.ndarray]:
-        idxs = self.layer_indices or net.prunable_indices()
-        return {i: topk_mask(net.layers[i].weight, r) for i, r in zip(idxs, self.rates)}
-
     def summary(self, numels: list[int] | None = None) -> str:
         lines = [f"target global sparsity: {self.target:.4f}",
                  f"{'layer':>6} {'rate':>8}" + ("" if numels is None else f" {'numel':>10}")]
@@ -138,7 +162,7 @@ class SparsityDistribution:
 
 def uniform_distribution(net: Network, p: float,
                          exclude: set[int] | None = None) -> SparsityDistribution:
-    idxs = _included(net, exclude)
+    idxs = included_layers(net, exclude)
     return SparsityDistribution(rates=[p] * len(idxs), target=p, layer_indices=idxs)
 
 
@@ -147,7 +171,7 @@ def erk_distribution(net: Network, p: float,
     """Per-layer density proportional to sum(dims)/prod(dims), rescaled so the
     parameter-weighted density hits 1-p; densities above 1 are frozen dense and
     the rest renormalized, iterated to a fixpoint."""
-    idxs = _included(net, exclude)
+    idxs = included_layers(net, exclude)
     shapes = [net.layers[i].weight.shape for i in idxs]
     numels = np.array([net.layers[i].weight.size for i in idxs], dtype=float)
     raw = np.array([sum(s) / np.prod(s) for s in shapes])
@@ -170,7 +194,8 @@ def erk_distribution(net: Network, p: float,
     return SparsityDistribution(rates=rates, target=p, layer_indices=idxs)
 
 
-def _included(net: Network, exclude: set[int] | None) -> list[int]:
+def included_layers(net: Network, exclude: set[int] | None = None) -> list[int]:
+    """Prunable layer indices not in `exclude`; raises when none are left."""
     exclude = exclude or set()
     idxs = [i for i in net.prunable_indices() if i not in exclude]
     if not idxs:
@@ -204,19 +229,24 @@ def save_masks(masks: dict[int, np.ndarray], path) -> None:
 
 
 def load_masks(path) -> dict[int, np.ndarray]:
-    with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise ValueError("bad mask file magic")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode())
-        payload = f.read()
+    """Masks written by save_masks; a corrupt or truncated file raises
+    CheckpointError."""
+    header, payload = read_container(path, MAGIC)
     masks = {}
-    for rec in header["masks"]:
-        packed = np.frombuffer(payload[rec["offset"]:rec["offset"] + rec["nbytes"]],
-                               dtype=np.uint8)
-        size = int(np.prod(rec["shape"]))
-        bits = np.unpackbits(packed)[:size]
-        masks[rec["layer"]] = bits.astype(np.float64).reshape(rec["shape"])
+    try:
+        for rec in header["masks"]:
+            shape = tuple(int(d) for d in rec["shape"])
+            size = math.prod(shape)
+            packed = np.frombuffer(payload_slice(payload, rec), dtype=np.uint8)
+            if packed.size != -(-size // 8):
+                raise CheckpointError(f"layer {rec['layer']}: {packed.size} packed "
+                                      f"bytes for {size} mask bits")
+            bits = np.unpackbits(packed)[:size]
+            masks[int(rec["layer"])] = bits.astype(np.float64).reshape(shape)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed mask header: {exc!r}") from exc
     return masks
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .nn.network import Network, predict_distribution
 from .objectives import DecaySchedule, base_decayed_kl, cross_entropy, kl_loss
-from .sparsity import NMPattern, SparsityDistribution, nm_mask, topk_mask
+from .sparsity import (NMPattern, SparsityDistribution, included_layers, nm_mask,
+                       topk_mask)
 
 OBJECTIVES = ("base_decayed_kl", "kl", "ce", "layerwise_mse")
 
@@ -68,6 +69,17 @@ def cosine_lr(iteration: int, total: int, lr0: float) -> float:
     if total <= 0:
         return lr0
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * iteration / total))
+
+
+def mask_rates(net: Network, distribution: SparsityDistribution | None,
+               nm: NMPattern | None = None,
+               exclude: set[int] | None = None) -> dict[int, float]:
+    """Per-layer rates: the N:M rate on every prunable layer not excluded,
+    or the distribution's rates on its layers."""
+    if nm is not None:
+        return {i: nm.sparsity for i in included_layers(net, exclude)}
+    idxs = distribution.layer_indices or net.prunable_indices()
+    return dict(zip(idxs, distribution.rates))
 
 
 def build_masks(net: Network, rates: dict[int, float],
@@ -170,22 +182,22 @@ def _realized_sparsity(masks):
 
 
 def run_training(teacher: Network, distribution: SparsityDistribution | None,
-                 calib, cfg: TrainConfig, nm: NMPattern | None = None) -> RunResult:
+                 calib, cfg: TrainConfig, nm: NMPattern | None = None,
+                 exclude: set[int] | None = None) -> RunResult:
     """Train a sparse student from a teacher copy on the calibration set.
 
     Either a per-layer sparsity distribution or an N:M pattern selects the
-    masks. The returned student has its final masks applied destructively, so
-    exported weights are genuinely sparse.
+    masks; N:M masks every prunable layer not in `exclude`. The returned
+    student has its final masks applied destructively, so exported weights
+    are genuinely sparse. A ValueError raised by a DST step (a non-finite
+    loss input or weight) names the step.
     """
     if len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
     if (distribution is None) == (nm is None):
         raise ValueError("exactly one of distribution / nm must be given")
     student = teacher.copy()
-    if nm is not None:
-        rates = {i: nm.sparsity for i in student.prunable_indices()}
-    else:
-        rates = dict(zip(distribution.layer_indices, distribution.rates))
+    rates = mask_rates(student, distribution, nm, exclude)
     masks = build_masks(student, rates, nm)
     if cfg.objective == "layerwise_mse":
         return _run_layerwise_reconstruction(teacher, student, masks, calib, cfg)
@@ -195,7 +207,12 @@ def run_training(teacher: Network, distribution: SparsityDistribution | None,
     history = []
     for batch in _batch_stream(calib.inputs, calib.labels, cfg.batch_size,
                                cfg.iterations, rng):
-        loss, churn = train_step(state, teacher, batch, cfg, sched, len(calib.inputs))
+        step = state.iteration + 1
+        try:
+            loss, churn = train_step(state, teacher, batch, cfg, sched,
+                                     len(calib.inputs))
+        except ValueError as exc:
+            raise ValueError(f"DST iteration {step}: {exc}") from exc
         if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:
             history.append({
                 "iter": state.iteration, "loss": loss, "lr": state.lr,

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ptsparse.nn import Dense, Network, build_preset
+
+# Property tests draw the same examples on every run, so the suite is
+# deterministic; tests that set max_examples themselves keep their count.
+settings.register_profile("ptsparse", derandomize=True, database=None,
+                          max_examples=100, deadline=None)
+settings.load_profile("ptsparse")
 
 
 @pytest.fixture

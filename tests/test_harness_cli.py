@@ -6,7 +6,9 @@ import pytest
 from ptsparse.cli import main
 from ptsparse.config import (OUT_ROOT_ENV, ConfigError, ExperimentConfig,
                              parse_config)
-from ptsparse.harness import METRICS_HEADER, read_metrics
+from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
+                              read_metrics, run_single)
+from ptsparse.sparsity import load_masks
 
 BASE = """
 # tiny end-to-end configuration
@@ -228,3 +230,78 @@ class TestOtherCommands:
         monkeypatch.setenv(OUT_ROOT_ENV, str(tmp_path / "root"))
         assert run_cli("teacher", "-c", cfg_file(), "-o", "out_dir=sub") == 0
         assert (tmp_path / "root" / "sub" / "teacher.ckpt").exists()
+
+
+class TestExcludeLayersOnNM:
+    """Excluded layers get no N:M mask on any path, as on the unstructured one."""
+
+    NM = ("-o", "nm_pattern=2:4", "-o", "exclude_layers=0")
+
+    def test_dst_run(self, cfg_file, tmp_path):
+        out = tmp_path / "nm-dst"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}", *self.NM) == 0
+        assert 0 not in load_masks(out / "seed0" / "masks.bin")
+        assert not any(line.split()[0] == "0" for line in
+                       (out / "seed0" / "masks.txt").read_text().splitlines()[1:])
+
+    def test_oneshot_run(self, cfg_file, tmp_path):
+        out = tmp_path / "nm-oneshot"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", "method=oneshot", *self.NM) == 0
+        masks = load_masks(out / "seed0" / "masks.bin")
+        assert masks and 0 not in masks
+
+    def test_prune_command(self, cfg_file, tmp_path):
+        out = tmp_path / "nm-prune"
+        assert run_cli("prune", "-c", cfg_file(), "-o", f"out_dir={out}", *self.NM) == 0
+        masks = load_masks(out / "masks.bin")
+        assert masks and 0 not in masks
+
+
+class TestNonFiniteTeacher:
+    @pytest.mark.parametrize("param,message", [("weight", "non-finite"),
+                                               ("bias", "DST iteration 1: ")])
+    def test_run_single_fails_train_stage(self, cfg_file, tmp_path, param, message):
+        cfg = parse_config(cfg_file())
+        splits = load_dataset(cfg)
+        teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
+        getattr(teacher.layers[teacher.prunable_indices()[-1]], param).flat[0] = np.nan
+        out = tmp_path / "nan"
+        with pytest.raises(StageError, match=message) as info:
+            run_single(cfg, splits, teacher, 0, str(out))
+        assert info.value.stage == "train"
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "student.ckpt").exists()
+
+
+class TestEvalCorruptInputs:
+    @pytest.fixture
+    def pruned(self, cfg_file, tmp_path):
+        out = tmp_path / "pruned"
+        assert run_cli("prune", "-c", cfg_file(), "-o", f"out_dir={out}") == 0
+        return out
+
+    @staticmethod
+    def corrupt(path, how, rng):
+        if how == "random":
+            path.write_bytes(rng.bytes(100))
+        else:
+            raw = path.read_bytes()
+            path.write_bytes(raw[:len(raw) - 7])
+
+    def eval_exit(self, cfg_file, pruned, capsys):
+        code = run_cli("eval", "-c", cfg_file(), "-o", f"out_dir={pruned}",
+                       "--checkpoint", str(pruned / "student.ckpt"),
+                       "--masks", str(pruned / "masks.bin"))
+        err = capsys.readouterr().err
+        return code, err
+
+    @pytest.mark.parametrize("how", ["random", "truncated"])
+    @pytest.mark.parametrize("name", ["student.ckpt", "masks.bin"])
+    def test_stage_failure_exit_two(self, cfg_file, pruned, capsys, rng, name, how):
+        assert self.eval_exit(cfg_file, pruned, capsys)[0] == 0
+        self.corrupt(pruned / name, how, rng)
+        code, err = self.eval_exit(cfg_file, pruned, capsys)
+        assert code == 2
+        assert err.startswith("stage failure: [eval] ")
+        assert len(err.strip().splitlines()) == 1

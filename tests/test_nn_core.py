@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, tiny_conv, tiny_mlp
-from ptsparse.nn import (Dense, Network, ShapeMismatchError, build_preset,
-                         load_network, predict_distribution, save_network)
+from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
+                         build_preset, load_network, predict_distribution,
+                         save_network)
 from ptsparse.nn.layers import BatchNorm
 from ptsparse.sparsity import topk_mask
 
@@ -201,6 +202,31 @@ class TestPresetsAndCheckpoint:
         loaded = load_network(path)
         assert loaded.param_hash() == net.param_hash()
         assert [l.spec() for l in loaded.layers] == [l.spec() for l in net.layers]
+
+    def test_random_bytes_raise_checkpoint_error(self, tmp_path, rng):
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(rng.bytes(100))
+        with pytest.raises(CheckpointError):
+            load_network(path)
+
+    @given(st.data())
+    def test_any_truncation_raises_checkpoint_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("trunc") / "net.ckpt"
+        save_network(tiny_conv(), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(CheckpointError):
+            load_network(path)
+
+    def test_array_shape_checked_against_layer_spec(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_network(tiny_mlp(), path)
+        raw = path.read_bytes()
+        # the 5x6 Dense weight recorded as 6x5: same byte count and header
+        # length, so only the check against the layer spec can catch it
+        path.write_bytes(raw.replace(b'"shape": [5, 6]', b'"shape": [6, 5]', 1))
+        with pytest.raises(CheckpointError, match="spec wants"):
+            load_network(path)
 
     def test_teacher_immutable_under_student_training(self, rng):
         from ptsparse.data import CalibrationSet

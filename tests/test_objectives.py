@@ -65,6 +65,16 @@ class TestKLLoss:
         with pytest.raises(ValueError):
             kl_loss(good, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        uniform = np.full((2, 3), 1 / 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            kl_loss(uniform, np.full((2, 3), bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            kl_loss(np.full((2, 3), bad), uniform)
+        with pytest.raises(ValueError, match="non-finite"):
+            cross_entropy(np.full((2, 3), bad), np.array([0, 1]))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_non_negative(self, seed):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import tiny_conv, tiny_mlp
-from ptsparse.nn import build_preset
+from mask_reference import nm_mask_reference, topk_mask_reference
+from ptsparse.nn import CheckpointError, build_preset
 from ptsparse.sparsity import (NMPattern, SparsityDistribution, apply_mask,
                                erk_distribution, global_sparsity, load_masks,
                                mask_summary, nm_mask, save_masks, topk_mask,
@@ -16,6 +17,67 @@ from ptsparse.sparsity import (NMPattern, SparsityDistribution, apply_mask,
 weight_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
     elements=st.floats(-10, 10, allow_nan=False))
+
+
+@st.composite
+def kernel_weights(draw, max_side=7):
+    """1-D, 2-D or 4-D weights, either continuous or small integers whose
+    magnitudes tie heavily (zeros and +-v pairs included)."""
+    ndim = draw(st.sampled_from([1, 2, 4]))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1,
+                                  max_side=max_side))
+    elements = draw(st.sampled_from([
+        st.floats(-10, 10),
+        st.integers(-3, 3).map(float),
+        st.integers(-1, 1).map(float),
+    ]))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=200)
+    @given(kernel_weights(), st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0])))
+    def test_topk_equals_stable_sort(self, w, rate):
+        np.testing.assert_array_equal(topk_mask(w, rate), topk_mask_reference(w, rate))
+
+    @given(kernel_weights(max_side=5).filter(lambda w: w.size <= 64))
+    def test_topk_every_k(self, w):
+        # every k from 0 to S, so k also lands inside each run of tied magnitudes
+        s = w.size
+        for j in range(s + 1):
+            rate = j / s
+            np.testing.assert_array_equal(topk_mask(w, rate),
+                                          topk_mask_reference(w, rate))
+
+    def test_topk_k_inside_tie_run(self):
+        # magnitudes 3, 1, 1, 1, 1, 0; k = 3 keeps the 3 and the first two 1s
+        w = np.array([-3.0, 1.0, -1.0, 1.0, -1.0, 0.0])
+        np.testing.assert_array_equal(topk_mask(w, 0.5), [1, 1, 1, 0, 0, 0])
+
+    @settings(max_examples=200)
+    @given(kernel_weights(), st.integers(2, 8).flatmap(
+        lambda m: st.tuples(st.integers(1, m), st.just(m))))
+    def test_nm_equals_stable_sort(self, w, nm):
+        n, m = nm
+        np.testing.assert_array_equal(nm_mask(w, NMPattern(n, m)),
+                                      nm_mask_reference(w, n, m))
+
+    @pytest.mark.parametrize("n,m", [(2, 4), (1, 4), (4, 4), (1, 2), (3, 8)])
+    @pytest.mark.parametrize("cols", [1, 3, 6, 10])
+    def test_nm_short_trailing_group_on_ties(self, n, m, cols):
+        w = np.array([[1.0, -1.0, 0.0, 2.0, -2.0, 1.0, 0.0, -1.0, 2.0, 1.0][:cols]] * 3)
+        np.testing.assert_array_equal(nm_mask(w, NMPattern(n, m)),
+                                      nm_mask_reference(w, n, m))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        w = np.ones((4, 8))
+        w[2, 5] = bad
+        for rate in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="non-finite"):
+                topk_mask(w, rate)
+        with pytest.raises(ValueError, match="non-finite"):
+            nm_mask(w, NMPattern(2, 4))
 
 
 class TestTopkMask:
@@ -220,3 +282,20 @@ class TestMaskExport:
         text = mask_summary(masks)
         for i in masks:
             assert str(i) in text
+
+    def test_random_bytes_raise_typed_error(self, tmp_path, rng):
+        path = tmp_path / "masks.bin"
+        path.write_bytes(rng.bytes(100))
+        with pytest.raises(CheckpointError):
+            load_masks(path)
+
+    @given(st.data())
+    def test_any_truncation_raises_typed_error(self, tmp_path_factory, data):
+        net = tiny_conv()
+        masks = {i: topk_mask(net.layers[i].weight, 0.7) for i in net.prunable_indices()}
+        path = tmp_path_factory.mktemp("trunc") / "masks.bin"
+        save_masks(masks, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(CheckpointError):
+            load_masks(path)

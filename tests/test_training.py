@@ -226,6 +226,22 @@ class TestRunTraining:
                     g = rows[r, start:start + pat.m]
                     assert g.sum() == min(pat.n, len(g))
 
+    def test_nm_skips_excluded_layers(self):
+        teacher = tiny_mlp(seed=2)
+        first, last = teacher.prunable_indices()
+        res = run_training(teacher, None, make_calib(seed=2),
+                           TrainConfig(iterations=4, batch_size=16),
+                           nm=NMPattern(2, 4), exclude={first})
+        assert set(res.masks) == {last}
+        assert np.count_nonzero(res.student.layers[first].weight == 0.0) == 0
+
+    def test_non_finite_step_names_iteration(self):
+        teacher = tiny_mlp(seed=2)
+        teacher.layers[-1].bias[0] = np.nan  # not a masked weight: the loss sees it
+        with pytest.raises(ValueError, match="DST iteration 1: .*non-finite"):
+            run_training(teacher, uniform_distribution(teacher, 0.5),
+                         make_calib(seed=2), TrainConfig(iterations=4, batch_size=16))
+
     def test_layerwise_mse_improves_reconstruction(self):
         # single dense layer: the reconstruction objective is exactly the
         # output MSE, so tuning must beat one-shot pruning
