@@ -100,12 +100,19 @@ def cmd_prune(args) -> int:
     cfg, out = _setup(args)
     splits, teacher, calib = _teacher_and_calib(cfg, cfg.seeds[0])
     dist, _ = select_distribution(cfg, teacher, calib, cfg.seeds[0], out_dir=out)
-    student, masks = oneshot_prune(cfg, teacher, dist)
+    try:
+        student, masks = oneshot_prune(cfg, teacher, dist)
+    except ValueError as exc:
+        raise StageError("prune", str(exc)) from exc
+    try:
+        top1 = student.accuracy(_flatten_if_mlp(cfg, splits.eval_x), splits.eval_y,
+                                masks=masks)
+    except ValueError as exc:
+        raise StageError("eval", str(exc)) from exc
     save_network(student, os.path.join(out, "student.ckpt"))
     save_masks(masks, os.path.join(out, "masks.bin"))
     print(mask_summary(masks))
-    eval_x = _flatten_if_mlp(cfg, splits.eval_x)
-    print(f"one-shot top-1: {student.accuracy(eval_x, splits.eval_y, masks=masks):.4f}")
+    print(f"one-shot top-1: {top1:.4f}")
     return 0
 
 

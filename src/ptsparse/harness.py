@@ -114,24 +114,28 @@ def _flatten_if_mlp(cfg, x):
 
 def select_distribution(cfg: ExperimentConfig, teacher: Network,
                         calib: CalibrationSet, seed: int, out_dir=None):
-    """Distribution per method; None for N:M runs."""
+    """Distribution per method; None for N:M runs. A ValueError, such as
+    every prunable layer excluded, raises StageError("search")."""
     if cfg.nm_pattern:
         return None, None
     exclude = set(cfg.exclude_layers)
-    if cfg.method == "unipts":
-        scfg = SearchConfig(p=cfg.sparsity, population=cfg.population,
-                            generations=cfg.generations, tournament=cfg.tournament,
-                            crossover_rate=cfg.crossover_rate,
-                            mutation_std=cfg.mutation_std, elites=cfg.elites,
-                            noise_std=cfg.noise_std, batch_size=cfg.batch_size,
-                            seed=seed, exclude_layers=tuple(exclude))
-        log_path = os.path.join(out_dir, "search.log") if out_dir else None
-        best, history = evolve(teacher, calib, scfg, log_path=log_path)
-        return best.distribution, history
-    if cfg.method == "erk+dst":
-        return erk_distribution(teacher, cfg.sparsity, exclude or None), None
-    # uniform for uniform+dst, pot-baseline, and oneshot
-    return uniform_distribution(teacher, cfg.sparsity, exclude or None), None
+    try:
+        if cfg.method == "unipts":
+            scfg = SearchConfig(p=cfg.sparsity, population=cfg.population,
+                                generations=cfg.generations, tournament=cfg.tournament,
+                                crossover_rate=cfg.crossover_rate,
+                                mutation_std=cfg.mutation_std, elites=cfg.elites,
+                                noise_std=cfg.noise_std, batch_size=cfg.batch_size,
+                                seed=seed, exclude_layers=tuple(exclude))
+            log_path = os.path.join(out_dir, "search.log") if out_dir else None
+            best, history = evolve(teacher, calib, scfg, log_path=log_path)
+            return best.distribution, history
+        if cfg.method == "erk+dst":
+            return erk_distribution(teacher, cfg.sparsity, exclude or None), None
+        # uniform for uniform+dst, pot-baseline, and oneshot
+        return uniform_distribution(teacher, cfg.sparsity, exclude or None), None
+    except ValueError as exc:
+        raise StageError("search", str(exc)) from exc
 
 
 def oneshot_prune(cfg: ExperimentConfig, teacher: Network,
@@ -155,10 +159,7 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
                                balanced=cfg.calib_balanced)
     calib = CalibrationSet(inputs=_flatten_if_mlp(cfg, calib.inputs),
                            labels=calib.labels, seed=calib.seed)
-    try:
-        distribution, _ = select_distribution(cfg, teacher, calib, seed, out_dir)
-    except ValueError as exc:
-        raise StageError("search", str(exc)) from exc
+    distribution, _ = select_distribution(cfg, teacher, calib, seed, out_dir)
 
     nm = NMPattern.parse(cfg.nm_pattern) if cfg.nm_pattern else None
     target = nm.sparsity if nm else cfg.sparsity

@@ -161,7 +161,8 @@ class BatchNorm(Layer):
 
     eval mode normalizes with stored running statistics; train mode uses batch
     statistics and folds them into the running values with momentum 0.1.
-    Recalibration is driven externally through reset_stats/accumulate_stats.
+    recal mode also uses batch statistics and folds them into exact streaming
+    moments over every batch since the last reset_stats.
     """
 
     kind = "BatchNorm"
@@ -194,12 +195,11 @@ class BatchNorm(Layer):
         self.running_var = np.zeros(self.num_features)
         self._acc = (0, np.zeros(self.num_features), np.zeros(self.num_features))
 
-    def accumulate_stats(self, x):
-        # Chan parallel combine of (count, mean, M2); exact streaming moments.
-        axes = self._axes(x)
-        nb = int(np.prod([x.shape[a] for a in axes]))
-        mb = x.mean(axis=axes)
-        m2b = x.var(axis=axes) * nb
+    def accumulate_stats(self, nb, mb, vb):
+        """Fold one batch's count, mean and biased variance into the
+        recalibration moments (Chan parallel combine of (count, mean, M2);
+        exact streaming moments)."""
+        m2b = vb * nb
         n, m, m2 = self._acc
         tot = n + nb
         delta = mb - m
@@ -218,19 +218,23 @@ class BatchNorm(Layer):
             xhat = (x - mean.reshape(shp)) * invstd.reshape(shp)
             y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
             return y, {"xhat": xhat, "invstd": invstd, "mode": mode}
+        # One reduction for the mean; the centred tensor d serves both the
+        # variance and xhat. Same bits as np.mean / np.var, one pass fewer.
         axes = self._axes(x)
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        n = int(np.prod([x.shape[a] for a in axes]))
+        mean_b = x.sum(axis=axes, keepdims=True) / n
+        d = x - mean_b
+        mean = mean_b.reshape(-1)
+        var = (d * d).sum(axis=axes) / n
         if mode == "recal":
-            self.accumulate_stats(x)
+            self.accumulate_stats(n, mean, var)
         else:
             m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         invstd = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean.reshape(shp)) * invstd.reshape(shp)
+        xhat = np.multiply(d, invstd.reshape(shp), out=d)  # d is not read again
         y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
-        n = int(np.prod([x.shape[a] for a in axes]))
         return y, {"xhat": xhat, "invstd": invstd, "mode": mode, "n": n}
 
     def backward(self, gy, cache):
@@ -284,10 +288,19 @@ class AvgPool(Layer):
 
     def forward(self, x, mode="eval", weff=None):
         k = self.kernel_size
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % k or w % k:
             raise ValueError(f"AvgPool input {h}x{w} not divisible by {k}")
-        y = x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        # Sum the k*k strided views: each kernel row left to right, then the
+        # row sums top to bottom. This is numpy's order for reshape + mean
+        # over (3, 5) whenever the output is at least 2 wide.
+        acc = None
+        for i in range(k):
+            row = x[:, :, i::k, 0::k]
+            for j in range(1, k):
+                row = row + x[:, :, i::k, j::k]
+            acc = row if acc is None else acc + row
+        y = acc / (k * k)
         return y, {"shape": x.shape}
 
     def backward(self, gy, cache):

@@ -10,6 +10,8 @@ import numpy as np
 
 from .layers import BatchNorm, Layer, ShapeMismatchError
 
+EVAL_CHUNK = 256  # rows per eval-mode forward in predict and accuracy
+
 
 @dataclass
 class ForwardTrace:
@@ -117,13 +119,26 @@ class Network:
 
     # -- inference helpers ----------------------------------------------
 
-    def predict(self, x, masks=None):
-        return predict_distribution(self.forward(x, masks=masks, mode="eval").logits)
-
-    def accuracy(self, x, y, masks=None, batch_size=256) -> float:
-        correct = 0
+    def _eval_logits(self, x, masks, batch_size):
+        """(start row, eval-mode logits) per batch_size rows of x: one chunk
+        loop for predict and accuracy, so no forward grows with len(x)."""
+        if len(x) == 0:
+            raise ValueError("no rows to evaluate")
         for start in range(0, len(x), batch_size):
-            logits = self.forward(x[start:start + batch_size], masks=masks, mode="eval").logits
+            yield start, self.forward(x[start:start + batch_size], masks=masks,
+                                      mode="eval").logits
+
+    def predict(self, x, masks=None):
+        return predict_distribution(np.concatenate(
+            [logits for _, logits in self._eval_logits(x, masks, EVAL_CHUNK)]))
+
+    def accuracy(self, x, y, masks=None, batch_size=EVAL_CHUNK) -> float:
+        """Top-1 share of the rows of x. Non-finite logits raise ValueError:
+        a NaN column would otherwise win every argmax."""
+        correct = 0
+        for start, logits in self._eval_logits(x, masks, batch_size):
+            if not np.isfinite(logits).all():
+                raise ValueError("non-finite logits")
             correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + batch_size]))
         return correct / len(x)
 

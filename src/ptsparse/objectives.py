@@ -75,6 +75,8 @@ def layerwise_mse(y: np.ndarray, y_hat: np.ndarray):
     w.r.t. the sparse output."""
     if y.shape != y_hat.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {y_hat.shape}")
+    if not (np.isfinite(y).all() and np.isfinite(y_hat).all()):
+        raise ValueError("layer outputs have non-finite entries")
     diff = y_hat - y
     return float(np.sum(diff * diff)), 2.0 * diff
 

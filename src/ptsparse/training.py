@@ -106,12 +106,12 @@ def _objective_grad(cfg: TrainConfig, sched, z, logits_hat, labels, t):
     raise ValueError(f"objective {cfg.objective!r} has no global gradient")
 
 
-def train_step(state: TrainState, teacher: Network, batch, cfg: TrainConfig,
+def train_step(state: TrainState, batch, cfg: TrainConfig,
                sched: DecaySchedule, calib_size: int):
-    """One update: masked forward, STE backward, decayed update of
-    pruned entries, then a mask refresh when the interval divides."""
-    x, labels = batch
-    z = teacher.predict(x)
+    """One update on batch = (x, labels, teacher probability rows or None
+    for ce): masked forward, STE backward, decayed update of pruned
+    entries, then a mask refresh when the interval divides."""
+    x, labels, z = batch
     trace = state.student.forward(x, masks=state.masks, mode="train")
     if cfg.schedule_unit == "epoch":
         t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
@@ -161,17 +161,16 @@ class RunResult:
     final_sparsity: float
 
 
-def _batch_stream(inputs, labels, batch_size, iterations, rng):
-    """Cycle the calibration set with a fresh permutation each epoch."""
-    n = len(inputs)
+def _batch_stream(n, batch_size, iterations, rng):
+    """Row selections cycling n calibration rows, with a fresh permutation
+    each epoch."""
     produced = 0
     while produced < iterations:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             if produced >= iterations:
                 return
-            sel = order[start:start + batch_size]
-            yield inputs[sel], labels[sel]
+            yield order[start:start + batch_size]
             produced += 1
 
 
@@ -191,6 +190,10 @@ def run_training(teacher: Network, distribution: SparsityDistribution | None,
     student has its final masks applied destructively, so exported weights
     are genuinely sparse. A ValueError raised by a DST step (a non-finite
     loss input or weight) names the step.
+
+    The teacher is frozen and the calibration rows are fixed, so its
+    probability rows are computed once, before the first step, in the
+    256-row chunks of Network.predict; ce never reads them.
     """
     if len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
@@ -205,12 +208,14 @@ def run_training(teacher: Network, distribution: SparsityDistribution | None,
     sched = cfg.schedule()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []
-    for batch in _batch_stream(calib.inputs, calib.labels, cfg.batch_size,
-                               cfg.iterations, rng):
+    n = len(calib.inputs)
+    z = (teacher.predict(calib.inputs)
+         if cfg.iterations and cfg.objective != "ce" else None)
+    for sel in _batch_stream(n, cfg.batch_size, cfg.iterations, rng):
         step = state.iteration + 1
+        batch = (calib.inputs[sel], calib.labels[sel], None if z is None else z[sel])
         try:
-            loss, churn = train_step(state, teacher, batch, cfg, sched,
-                                     len(calib.inputs))
+            loss, churn = train_step(state, batch, cfg, sched, n)
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
         if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:
@@ -243,8 +248,8 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunRes
     history = []
     step_count = 0
     for li in idxs:
-        for x, _ in _batch_stream(calib.inputs, calib.labels, cfg.batch_size,
-                                  per_layer, rng):
+        for sel in _batch_stream(len(calib.inputs), cfg.batch_size, per_layer, rng):
+            x = calib.inputs[sel]
             t_trace = teacher.forward(x, mode="eval")
             s_trace = student.forward(x, masks=masks, mode="train")
             # reconstruct this layer's pre-activation output

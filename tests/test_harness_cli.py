@@ -273,6 +273,39 @@ class TestNonFiniteTeacher:
         assert not (out / "metrics.csv").exists()
         assert not (out / "student.ckpt").exists()
 
+    # a NaN first-layer bias reaches the reconstruction loss at once; a NaN
+    # head bias first shows in the calibration accuracy of a history row
+    @pytest.mark.parametrize("layer,message", [(0, "layer outputs have non-finite"),
+                                               (-1, "non-finite logits")])
+    def test_pot_baseline_fails_train_stage(self, cfg_file, tmp_path, layer, message):
+        cfg = parse_config(cfg_file("method = pot-baseline\n"))
+        splits = load_dataset(cfg)
+        teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
+        teacher.layers[teacher.prunable_indices()[layer]].bias[0] = np.nan
+        out = tmp_path / "nan-pot"
+        with pytest.raises(StageError, match=message) as info:
+            run_single(cfg, splits, teacher, 0, str(out))
+        assert info.value.stage == "train"
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "student.ckpt").exists()
+
+
+class TestEveryLayerExcluded:
+    """Excluding every prunable layer of mlp3 is one stage failure, exit 2."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("prune", ()), ("prune", ("-o", "nm_pattern=2:4")), ("search", ()),
+        ("run", ())])
+    def test_one_stage_failure_line(self, cfg_file, tmp_path, capsys, command, extra):
+        out = tmp_path / command
+        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", "exclude_layers=0,3,6", *extra)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("stage failure:")
+        assert "no prunable layers left after exclusion" in err[0]
+        assert not (out / "student.ckpt").exists()
+
 
 class TestEvalCorruptInputs:
     @pytest.fixture

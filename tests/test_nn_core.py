@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, tiny_conv, tiny_mlp
+from layer_reference import BatchNormReference, avgpool_reference
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, load_network, predict_distribution,
                          save_network)
-from ptsparse.nn.layers import BatchNorm
+from ptsparse.nn.layers import AvgPool, BatchNorm
 from ptsparse.sparsity import topk_mask
 
 
@@ -161,6 +162,96 @@ class TestBNRecalibrate:
         one.bn_recalibrate(list(batches))
         two.bn_recalibrate(list(batches))
         assert one.param_hash() == two.param_hash()
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+class TestLayersMatchReference:
+    """The strided AvgPool and the single-pass BN moments against the
+    reshape-mean and two-pass np.mean/np.var oracles in layer_reference."""
+
+    @given(k=st.integers(1, 4), oh=st.integers(1, 4), ow=st.integers(1, 4),
+           b=st.integers(1, 3), c=st.integers(1, 3), seed=SEEDS, scale=SCALES)
+    def test_avgpool(self, k, oh, ow, b, c, seed, scale):
+        x = np.random.default_rng(seed).standard_normal((b, c, oh * k, ow * k)) * scale
+        got, _ = AvgPool(k).forward(x)
+        ref = avgpool_reference(x, k)
+        if ow >= 2:
+            assert_same_bits(got, ref)
+        else:
+            # numpy merges the kernel axes of a 1-wide output into one
+            # contiguous run and sums it in another order: ~1 ulp apart
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(x).max())
+
+    @pytest.mark.parametrize("shape,k", [((64, 8, 16, 16), 2), ((64, 16, 8, 8), 2)])
+    def test_avgpool_preset_shapes(self, shape, k, rng):
+        x = rng.standard_normal(shape)
+        assert_same_bits(AvgPool(k).forward(x)[0], avgpool_reference(x, k))
+
+    @given(shape=st.one_of(
+               st.tuples(st.integers(1, 70), st.integers(1, 8)),
+               st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 6),
+                         st.integers(1, 6))),
+           mode=st.sampled_from(["train", "recal"]), batches=st.integers(1, 3),
+           seed=SEEDS, scale=SCALES)
+    @example(shape=(1, 4), mode="train", batches=2, seed=1, scale=1.0)
+    @example(shape=(1, 4), mode="recal", batches=2, seed=1, scale=1.0)
+    @example(shape=(5, 3, 1, 1), mode="train", batches=2, seed=2, scale=1.0)
+    @example(shape=(5, 3, 1, 1), mode="recal", batches=3, seed=2, scale=1.0)
+    @example(shape=(1, 2, 1, 1), mode="recal", batches=2, seed=3, scale=1.0)
+    @example(shape=(1, 2, 3, 3), mode="train", batches=1, seed=4, scale=1e3)
+    def test_batchnorm(self, shape, mode, batches, seed, scale):
+        r = np.random.default_rng(seed)
+        c = shape[1]
+        fast, ref = BatchNorm(c), BatchNormReference(c)
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            value = r.uniform(0.5, 2.0, c)
+            setattr(fast, name, value.copy())
+            setattr(ref, name, value.copy())
+        if mode == "recal":
+            fast.reset_stats()
+            ref.reset_stats()
+        for _ in range(batches):
+            x = r.standard_normal(shape) * scale + r.standard_normal()
+            y, cache = fast.forward(x, mode=mode)
+            y_ref, cache_ref = ref.forward(x, mode=mode)
+            assert_same_bits(y, y_ref)
+            assert_same_bits(cache["xhat"], cache_ref["xhat"])
+            assert_same_bits(cache["invstd"], cache_ref["invstd"])
+            assert cache["n"] == cache_ref["n"]
+            assert_same_bits(fast.running_mean, ref.running_mean)
+            assert_same_bits(fast.running_var, ref.running_var)
+
+
+class TestAccuracy:
+    def test_nan_logits_rejected(self, rng):
+        net = tiny_mlp(seed=5)
+        net.layers[-1].bias[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            net.accuracy(rng.standard_normal((300, 6)), np.zeros(300, dtype=int))
+
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            tiny_mlp().accuracy(np.zeros((0, 6)), np.zeros(0, dtype=int))
+
+    def test_chunked_predict_matches_accuracy(self, rng):
+        # 600 rows: three forwards of at most 256 rows behind both helpers
+        net = tiny_mlp(seed=6)
+        x = rng.standard_normal((600, 6))
+        y = rng.integers(0, 3, 600)
+        p = net.predict(x)
+        assert p.shape == (600, 3)
+        assert net.accuracy(x, y) == np.mean(np.argmax(p, axis=1) == y)
+        np.testing.assert_allclose(p, predict_distribution(net.forward(x).logits),
+                                   rtol=0, atol=1e-14)
 
 
 class TestPredictDistribution:

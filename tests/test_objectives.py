@@ -150,6 +150,14 @@ class TestLayerwiseMSE:
         with pytest.raises(ValueError):
             layerwise_mse(rng.standard_normal((2, 3)), rng.standard_normal((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_rejected(self, rng, bad, side):
+        pair = [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]
+        pair[side][1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            layerwise_mse(*pair)
+
 
 class TestCrossEntropy:
     def test_mean_nll(self):

@@ -108,10 +108,10 @@ class TestUpdateRule:
         rng = np.random.default_rng(0)
         for it in range(cfg.iterations):
             sel = rng.permutation(len(calib.inputs))[:cfg.batch_size]
-            batch = (calib.inputs[sel], calib.labels[sel])
-            train_step(state, teacher, batch, cfg, sched, len(calib.inputs))
-            z = teacher.predict(batch[0])
-            trace = ref.forward(batch[0], mode="train")
+            x = calib.inputs[sel]
+            z = teacher.predict(x)
+            train_step(state, (x, calib.labels[sel], z), cfg, sched, len(calib.inputs))
+            trace = ref.forward(x, mode="train")
             _, gl = kl_loss(z, predict_distribution(trace.logits))
             grads = ref.backward(trace, gl, ste=True)
             lr = cosine_lr(it, cfg.iterations, cfg.lr)
@@ -241,6 +241,54 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="DST iteration 1: .*non-finite"):
             run_training(teacher, uniform_distribution(teacher, 0.5),
                          make_calib(seed=2), TrainConfig(iterations=4, batch_size=16))
+
+    @pytest.mark.parametrize("n,iterations", [(60, 1), (60, 9), (256, 5),
+                                              (257, 5), (600, 3), (600, 40)])
+    @pytest.mark.parametrize("objective", ["base_decayed_kl", "kl", "ce"])
+    def test_teacher_forward_once_per_run(self, monkeypatch, n, iterations, objective):
+        # the frozen teacher's targets come from ceil(n/256) forwards of at
+        # most 256 rows, however many steps run; ce never reads them
+        teacher = tiny_mlp(seed=4)
+        rows = []
+        forward = Network.forward
+
+        def counting(self, x, *args, **kwargs):
+            if self is teacher:
+                rows.append(len(x))
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(seed=4, n=n),
+                     TrainConfig(iterations=iterations, batch_size=16, objective=objective))
+        if objective == "ce":
+            assert rows == []
+        else:
+            assert len(rows) == math.ceil(n / 256)
+            assert sum(rows) == n and max(rows) <= 256
+
+    def test_steps_train_on_cached_targets(self):
+        # oracle: the same batch order, with targets sliced from one
+        # whole-set predict, through train_step by hand
+        teacher = tiny_mlp(seed=9)
+        calib = make_calib(seed=9, n=40)
+        dist = uniform_distribution(teacher, 0.5)
+        cfg = TrainConfig(iterations=7, batch_size=16, objective="kl", seed=3)
+        res = run_training(teacher, dist, calib, cfg)
+
+        net = teacher.copy()
+        rates = {i: 0.5 for i in net.prunable_indices()}
+        state = TrainState(student=net, masks=build_masks(net, rates), rates=rates)
+        z = teacher.predict(calib.inputs)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
+        orders = [rng.permutation(40) for _ in range(3)]  # 3 batches per epoch
+        for it in range(cfg.iterations):
+            epoch, start = divmod(it, 3)
+            sel = orders[epoch][16 * start:16 * (start + 1)]
+            train_step(state, (calib.inputs[sel], calib.labels[sel], z[sel]), cfg,
+                       cfg.schedule(), 40)
+        for i, m in state.masks.items():
+            net.layers[i].weight *= m
+        assert net.param_hash() == res.student.param_hash()
 
     def test_layerwise_mse_improves_reconstruction(self):
         # single dense layer: the reconstruction objective is exactly the
