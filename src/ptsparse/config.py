@@ -7,7 +7,10 @@ schema. CLI ``--override key=value`` entries are applied on top.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+
+from .search import SearchConfig
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -113,11 +116,34 @@ class ExperimentConfig:
             raise ConfigError(f"teacher_checkpoint not found: {self.teacher_checkpoint!r}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        try:  # the stage settings this method will build, checked before any work
+            if self.method == "unipts" and not self.nm_pattern:
+                self.search_config(seed=0)
+            if self.method != "oneshot":
+                self.train_config(seed=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
+
+    def search_config(self, seed: int) -> SearchConfig:
+        """The distribution search's settings: P is the sparsity target."""
+        return _derive(SearchConfig, self, p=self.sparsity, seed=seed)
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """The sparse training's settings; pot-baseline always trains on the
+        layerwise reconstruction objective."""
+        objective = "layerwise_mse" if self.method == "pot-baseline" else self.objective
+        return _derive(TrainConfig, self, objective=objective, seed=seed)
 
     def resolved_out_dir(self) -> str:
         root = os.environ.get(OUT_ROOT_ENV, "")
         return os.path.join(root, self.out_dir) if root else self.out_dir
+
+
+def _derive(cls, cfg: ExperimentConfig, **given):
+    """cls from every field of cfg that cls names too, then the given ones."""
+    shared = {f.name for f in fields(cls)} & {f.name for f in fields(cfg)}
+    return cls(**{**{name: getattr(cfg, name) for name in shared}, **given})
 
 
 _PARSERS = {int: int, float: float, str: str, bool: _bool, tuple: _int_list}

@@ -18,12 +18,12 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import CalibrationSet, Splits, idx_splits, sample_calibration, synthetic_splits
-from .nn import Network, build_preset, load_network, save_network
+from .nn import Network, build_preset, load_network, predict_distribution, save_network
 from .objectives import cross_entropy
-from .search import SearchConfig, evolve
+from .search import evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
                        save_masks, uniform_distribution)
-from .training import TrainConfig, build_masks, cosine_lr, mask_rates, run_training
+from .training import build_masks, cosine_lr, mask_rates, run_training
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -94,7 +94,6 @@ def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Net
         for start in range(0, len(x), 64):
             sel = order[start:start + 64]
             trace = net.forward(x[sel], mode="train")
-            from .nn.network import predict_distribution
             z_hat = predict_distribution(trace.logits)
             _, grad = cross_entropy(z_hat, y[sel])
             grads = net.backward(trace, grad)
@@ -121,14 +120,9 @@ def select_distribution(cfg: ExperimentConfig, teacher: Network,
     exclude = set(cfg.exclude_layers)
     try:
         if cfg.method == "unipts":
-            scfg = SearchConfig(p=cfg.sparsity, population=cfg.population,
-                                generations=cfg.generations, tournament=cfg.tournament,
-                                crossover_rate=cfg.crossover_rate,
-                                mutation_std=cfg.mutation_std, elites=cfg.elites,
-                                noise_std=cfg.noise_std, batch_size=cfg.batch_size,
-                                seed=seed, exclude_layers=tuple(exclude))
             log_path = os.path.join(out_dir, "search.log") if out_dir else None
-            best, history = evolve(teacher, calib, scfg, log_path=log_path)
+            best, history = evolve(teacher, calib, cfg.search_config(seed),
+                                   log_path=log_path)
             return best.distribution, history
         if cfg.method == "erk+dst":
             return erk_distribution(teacher, cfg.sparsity, exclude or None), None
@@ -168,17 +162,8 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
             student, masks = oneshot_prune(cfg, teacher, distribution)
             history = []
         else:
-            tcfg = TrainConfig(iterations=cfg.iterations, batch_size=cfg.batch_size,
-                               lr=cfg.lr, alpha=cfg.alpha,
-                               weight_decay=cfg.weight_decay, delta_t=cfg.delta_t,
-                               gamma=cfg.gamma, schedule_unit=cfg.schedule_unit,
-                               clamp_min=cfg.clamp_min, momentum=cfg.momentum,
-                               seed=seed, metrics_every=cfg.metrics_every,
-                               objective=("layerwise_mse"
-                                          if cfg.method == "pot-baseline"
-                                          else cfg.objective))
-            result = run_training(teacher, distribution, calib, tcfg, nm=nm,
-                                  exclude=set(cfg.exclude_layers))
+            result = run_training(teacher, distribution, calib, cfg.train_config(seed),
+                                  nm=nm, exclude=set(cfg.exclude_layers))
             student, masks, history = result.student, result.masks, result.history
     except ValueError as exc:
         raise StageError("train", str(exc)) from exc

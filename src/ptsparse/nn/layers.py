@@ -8,6 +8,7 @@ Only Dense and Conv2d carry prunable weight tensors.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatchError(ValueError):
@@ -31,8 +32,9 @@ class Layer:
     def forward(self, x, mode="eval", weff=None):
         raise NotImplementedError
 
-    def backward(self, gy, cache):
-        """Returns (grad_input, {param_name: grad})."""
+    def backward(self, gy, cache, input_grad=True):
+        """Returns (grad_input, {param_name: grad}); grad_input is None when
+        input_grad is false (the first layer of a network)."""
         raise NotImplementedError
 
 
@@ -60,24 +62,24 @@ class Dense(Layer):
 
     def forward(self, x, mode="eval", weff=None):
         w = self.weight if weff is None else weff
-        y = x @ w.T + self.bias
-        return y, {"x": x}
+        y = x @ w.T
+        y += self.bias
+        return y, {"x": x, "weff": weff}
 
-    def backward(self, gy, cache):
+    def backward(self, gy, cache, input_grad=True):
         x = cache["x"]
-        gw = gy.T @ x
-        gb = gy.sum(axis=0)
-        gx = gy @ (self.weight if cache.get("weff") is None else cache["weff"])
-        return gx, {"weight": gw, "bias": gb}
+        grads = {"weight": gy.T @ x, "bias": gy.sum(axis=0)}
+        if not input_grad:
+            return None, grads
+        w = self.weight if cache["weff"] is None else cache["weff"]
+        return gy @ w, grads
 
 
 def _im2col(x, kh, kw, stride, oh, ow):
+    """(b, c*kh*kw, oh*ow) patch matrix: one copy out of the window view."""
     b, c, _, _ = x.shape
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(b, c * kh * kw, oh * ow)
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
 
 
 def _col2im(gcols, x_shape, kh, kw, stride, oh, ow):
@@ -126,18 +128,21 @@ class Conv2d(Layer):
         w = self.weight if weff is None else weff
         k, s, p = self.kernel_size, self.stride, self.padding
         if p:
-            x_p = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            b, c, h, wd = x.shape
+            x_p = np.zeros((b, c, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+            x_p[:, :, p:-p, p:-p] = x
         else:
             x_p = x
         oh, ow = self._out_hw(x.shape[2], x.shape[3])
         cols = _im2col(x_p, k, k, s, oh, ow)
         wmat = w.reshape(self.out_channels, -1)
-        y = np.matmul(wmat, cols) + self.bias[:, None]
+        y = np.matmul(wmat, cols)
+        y += self.bias[:, None]
         y = y.reshape(x.shape[0], self.out_channels, oh, ow)
         return y, {"cols": cols, "x_shape": x.shape, "xp_shape": x_p.shape,
                    "oh": oh, "ow": ow, "weff": weff}
 
-    def backward(self, gy, cache):
+    def backward(self, gy, cache, input_grad=True):
         k, s, p = self.kernel_size, self.stride, self.padding
         b = gy.shape[0]
         oh, ow = cache["oh"], cache["ow"]
@@ -145,7 +150,9 @@ class Conv2d(Layer):
         cols = cache["cols"]
         gw = np.einsum("bol,bkl->ok", gy_mat, cols).reshape(self.weight.shape)
         gb = gy_mat.sum(axis=(0, 2))
-        w = self.weight if cache.get("weff") is None else cache["weff"]
+        if not input_grad:
+            return None, {"weight": gw, "bias": gb}
+        w = self.weight if cache["weff"] is None else cache["weff"]
         wmat = w.reshape(self.out_channels, -1)
         gcols = np.matmul(wmat.T, gy_mat)
         gxp = _col2im(gcols, cache["xp_shape"], k, k, s, oh, ow)
@@ -215,8 +222,10 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
             invstd = 1.0 / np.sqrt(var + self.EPS)
-            xhat = (x - mean.reshape(shp)) * invstd.reshape(shp)
-            y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
+            xhat = x - mean.reshape(shp)
+            xhat *= invstd.reshape(shp)
+            y = self.gamma.reshape(shp) * xhat
+            y += self.beta.reshape(shp)
             return y, {"xhat": xhat, "invstd": invstd, "mode": mode}
         # One reduction for the mean; the centred tensor d serves both the
         # variance and xhat. Same bits as np.mean / np.var, one pass fewer.
@@ -234,15 +243,18 @@ class BatchNorm(Layer):
             self.running_var = (1 - m) * self.running_var + m * var
         invstd = 1.0 / np.sqrt(var + self.EPS)
         xhat = np.multiply(d, invstd.reshape(shp), out=d)  # d is not read again
-        y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
+        y = self.gamma.reshape(shp) * xhat
+        y += self.beta.reshape(shp)
         return y, {"xhat": xhat, "invstd": invstd, "mode": mode, "n": n}
 
-    def backward(self, gy, cache):
+    def backward(self, gy, cache, input_grad=True):
         shp = self._bshape(gy)
         axes = self._axes(gy)
         xhat, invstd = cache["xhat"], cache["invstd"]
         ggamma = (gy * xhat).sum(axis=axes)
         gbeta = gy.sum(axis=axes)
+        if not input_grad:
+            return None, {"gamma": ggamma, "beta": gbeta}
         gxhat = gy * self.gamma.reshape(shp)
         if cache["mode"] == "eval":
             gx = gxhat * invstd.reshape(shp)
@@ -261,8 +273,8 @@ class ReLU(Layer):
         y = np.maximum(x, 0.0)
         return y, {"pos": x > 0}
 
-    def backward(self, gy, cache):
-        return gy * cache["pos"], {}
+    def backward(self, gy, cache, input_grad=True):
+        return (gy * cache["pos"] if input_grad else None), {}
 
 
 class Flatten(Layer):
@@ -271,8 +283,8 @@ class Flatten(Layer):
     def forward(self, x, mode="eval", weff=None):
         return x.reshape(x.shape[0], -1), {"shape": x.shape}
 
-    def backward(self, gy, cache):
-        return gy.reshape(cache["shape"]), {}
+    def backward(self, gy, cache, input_grad=True):
+        return (gy.reshape(cache["shape"]) if input_grad else None), {}
 
 
 class AvgPool(Layer):
@@ -293,20 +305,29 @@ class AvgPool(Layer):
             raise ValueError(f"AvgPool input {h}x{w} not divisible by {k}")
         # Sum the k*k strided views: each kernel row left to right, then the
         # row sums top to bottom. This is numpy's order for reshape + mean
-        # over (3, 5) whenever the output is at least 2 wide.
-        acc = None
+        # over (3, 5) whenever the output is at least 2 wide. Two buffers of
+        # the output's size take every partial sum in place.
+        y = np.empty(x.shape[:2] + (h // k, w // k))
+        row = np.empty_like(y) if k > 1 else None
         for i in range(k):
-            row = x[:, :, i::k, 0::k]
+            acc = y if i == 0 else row
+            acc[...] = x[:, :, i::k, 0::k]
             for j in range(1, k):
-                row = row + x[:, :, i::k, j::k]
-            acc = row if acc is None else acc + row
-        y = acc / (k * k)
+                acc += x[:, :, i::k, j::k]
+            if i:
+                y += row
+        y /= k * k
         return y, {"shape": x.shape}
 
-    def backward(self, gy, cache):
+    def backward(self, gy, cache, input_grad=True):
+        if not input_grad:
+            return None, {}
         k = self.kernel_size
-        b, c, h, w = cache["shape"]
-        gx = np.repeat(np.repeat(gy, k, axis=2), k, axis=3) / (k * k)
+        gx = np.empty(cache["shape"])
+        share = gy / (k * k)
+        for i in range(k):
+            for j in range(k):
+                gx[:, :, i::k, j::k] = share
         return gx, {}
 
 

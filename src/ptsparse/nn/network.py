@@ -15,10 +15,10 @@ EVAL_CHUNK = 256  # rows per eval-mode forward in predict and accuracy
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches from one forward pass, enough for an exact backward."""
+    """Per-layer caches from one forward pass: what an exact backward reads,
+    and nothing else."""
 
     caches: list = field(default_factory=list)
-    activations: list = field(default_factory=list)  # input, then each layer's output
     logits: np.ndarray | None = None
     masks: dict | None = None
     net_id: int = 0
@@ -28,6 +28,8 @@ class Network:
     """Ordered layer stack. Masks are passed per call, keyed by layer index."""
 
     def __init__(self, layers: list[Layer]):
+        if not layers:
+            raise ValueError("a network needs at least one layer")
         self.layers = layers
         self.mode = "eval"
 
@@ -67,12 +69,13 @@ class Network:
                 raise ShapeMismatchError(
                     idx, f"mask shape {m.shape} != weight shape {self.layers[idx].weight.shape}")
 
-    def forward(self, x, masks: dict | None = None, mode: str | None = None) -> ForwardTrace:
+    def forward_layers(self, x, masks: dict | None = None, mode: str | None = None):
+        """(index, output, cache) of each layer in turn: the one forward loop.
+        A consumer that keeps neither the output nor the cache lets both go
+        once the next layer has run."""
         mode = self.mode if mode is None else mode
         self._check_masks(masks)
-        trace = ForwardTrace(masks=masks, net_id=id(self))
         h = np.asarray(x, dtype=np.float64)
-        trace.activations.append(h)
         for i, layer in enumerate(self.layers):
             weff = None
             if layer.prunable and masks and i in masks:
@@ -81,15 +84,19 @@ class Network:
                 h, cache = layer.forward(h, mode=mode, weff=weff)
             except ValueError as exc:
                 raise ShapeMismatchError(i, str(exc)) from exc
-            cache["weff"] = weff
+            yield i, h, cache
+
+    def forward(self, x, masks: dict | None = None, mode: str | None = None) -> ForwardTrace:
+        trace = ForwardTrace(masks=masks, net_id=id(self))
+        for _, logits, cache in self.forward_layers(x, masks, mode):
             trace.caches.append(cache)
-            trace.activations.append(h)
-        trace.logits = h
+        trace.logits = logits
         return trace
 
     def backward(self, trace: ForwardTrace, grad_logits: np.ndarray,
                  masks: dict | None = None, ste: bool = False) -> dict[int, dict]:
-        """Gradients per layer index. With ste, masked weights still get grads."""
+        """Gradients per layer index. With ste, masked weights still get grads.
+        Nothing reads the input gradient of layer 0, so it is not computed."""
         if trace.net_id != id(self) or len(trace.caches) != len(self.layers):
             raise ValueError("trace does not belong to this network")
         masks = trace.masks if masks is None else masks
@@ -97,7 +104,7 @@ class Network:
         g = grad_logits
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            g, pg = layer.backward(g, trace.caches[i])
+            g, pg = layer.backward(g, trace.caches[i], input_grad=i > 0)
             if pg:
                 if layer.prunable and masks and i in masks and not ste:
                     pg["weight"] = pg["weight"] * masks[i]
@@ -112,7 +119,8 @@ class Network:
                 layer.reset_stats()
         for batch in batches:
             seen = True
-            self.forward(batch, masks=masks, mode="recal")
+            for _ in self.forward_layers(batch, masks, "recal"):
+                pass
         if not seen:
             raise ValueError("bn_recalibrate: empty batch stream")
         return self
@@ -121,12 +129,15 @@ class Network:
 
     def _eval_logits(self, x, masks, batch_size):
         """(start row, eval-mode logits) per batch_size rows of x: one chunk
-        loop for predict and accuracy, so no forward grows with len(x)."""
+        loop for predict and accuracy, so no forward grows with len(x). No
+        trace is kept: each layer's arrays go once the next one has run."""
         if len(x) == 0:
             raise ValueError("no rows to evaluate")
         for start in range(0, len(x), batch_size):
-            yield start, self.forward(x[start:start + batch_size], masks=masks,
-                                      mode="eval").logits
+            for _, logits, _ in self.forward_layers(x[start:start + batch_size],
+                                                    masks, "eval"):
+                pass
+            yield start, logits
 
     def predict(self, x, masks=None):
         return predict_distribution(np.concatenate(

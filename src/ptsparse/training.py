@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn.network import Network, predict_distribution
-from .objectives import DecaySchedule, base_decayed_kl, cross_entropy, kl_loss
+from .objectives import (DecaySchedule, base_decayed_kl, cross_entropy, kl_loss,
+                         layerwise_mse)
 from .sparsity import (NMPattern, SparsityDistribution, included_layers, nm_mask,
                        topk_mask)
 
@@ -239,27 +240,29 @@ def _hard_mask(net: Network, masks):
 def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunResult:
     """POT-style baseline: static one-shot masks, then each prunable layer is
     tuned in order to reconstruct the dense layer's output under MSE; only
-    surviving weights move."""
-    from .objectives import layerwise_mse
-
+    surviving weights move. The teacher's eval forward has no side effects,
+    so it stops at the tuned layer; the student's train forward runs every
+    layer, because train-mode BN updates its running statistics."""
     idxs = [i for i in student.prunable_indices() if i in masks]
     per_layer = max(cfg.iterations // max(len(idxs), 1), 1) if cfg.iterations else 0
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []
     step_count = 0
     for li in idxs:
+        layer = student.layers[li]
         for sel in _batch_stream(len(calib.inputs), cfg.batch_size, per_layer, rng):
             x = calib.inputs[sel]
-            t_trace = teacher.forward(x, mode="eval")
-            s_trace = student.forward(x, masks=masks, mode="train")
             # reconstruct this layer's pre-activation output
-            y_dense = _layer_output(t_trace, teacher, li, x)
-            y_sparse = _layer_output(s_trace, student, li, x)
+            for i, y_dense, _ in teacher.forward_layers(x, mode="eval"):
+                if i == li:
+                    break
+            for i, y, cache in student.forward_layers(x, masks, mode="train"):
+                if i == li:
+                    y_sparse, s_cache = y, cache
             loss, gy = layerwise_mse(y_dense, y_sparse)
             gy = gy / y_dense.size  # per-element normalization keeps steps sane
-            _, pg = student.layers[li].backward(gy, s_trace.caches[li])
+            _, pg = layer.backward(gy, s_cache, input_grad=False)
             lr = cosine_lr(step_count, cfg.iterations, cfg.lr)
-            layer = student.layers[li]
             layer.weight -= lr * pg["weight"] * masks[li]
             layer.bias -= lr * pg["bias"]
             step_count += 1
@@ -272,8 +275,3 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunRes
     _hard_mask(student, masks)
     return RunResult(student=student, masks=masks, history=history,
                      final_sparsity=_realized_sparsity(masks))
-
-
-def _layer_output(trace, net, layer_index, x):
-    """Output of layer `layer_index` during the traced forward."""
-    return trace.activations[layer_index + 1]

@@ -1,10 +1,14 @@
-"""Reference layer forwards: the reshape-mean AvgPool and the two-pass
-BatchNorm moments, kept as the oracle for the strided-sum AvgPool and the
-single-pass moments in ptsparse.nn.layers."""
+"""Reference layer kernels and a full-trace network loop, kept as the oracle
+of the fast paths in ptsparse.nn: the reshape-mean and out-of-place strided
+AvgPool, the np.repeat AvgPool backward, the two-pass BatchNorm moments, the
+out-of-place bias and BN epilogues, the loop im2col and the np.pad padding,
+and a forward that keeps every activation and cache."""
+
+import copy
 
 import numpy as np
 
-from ptsparse.nn.layers import BatchNorm
+from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d, Dense
 
 
 def avgpool_reference(x: np.ndarray, k: int) -> np.ndarray:
@@ -12,9 +16,61 @@ def avgpool_reference(x: np.ndarray, k: int) -> np.ndarray:
     return x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
 
+def avgpool_strided_reference(x: np.ndarray, k: int) -> np.ndarray:
+    """The k*k strided views summed out of place, in AvgPool's order."""
+    acc = None
+    for i in range(k):
+        row = x[:, :, i::k, 0::k]
+        for j in range(1, k):
+            row = row + x[:, :, i::k, j::k]
+        acc = row if acc is None else acc + row
+    return acc / (k * k)
+
+
+def avgpool_backward_reference(gy: np.ndarray, k: int) -> np.ndarray:
+    return np.repeat(np.repeat(gy, k, axis=2), k, axis=3) / (k * k)
+
+
+def im2col_reference(x, kh, kw, stride, oh, ow):
+    b, c, _, _ = x.shape
+    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(b, c * kh * kw, oh * ow)
+
+
+class DenseReference(Dense):
+    def forward(self, x, mode="eval", weff=None):
+        w = self.weight if weff is None else weff
+        return x @ w.T + self.bias, {"x": x, "weff": weff}
+
+
+class Conv2dReference(Conv2d):
+    def forward(self, x, mode="eval", weff=None):
+        w = self.weight if weff is None else weff
+        k, s, p = self.kernel_size, self.stride, self.padding
+        x_p = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        oh, ow = self._out_hw(x.shape[2], x.shape[3])
+        cols = im2col_reference(x_p, k, k, s, oh, ow)
+        y = np.matmul(w.reshape(self.out_channels, -1), cols) + self.bias[:, None]
+        y = y.reshape(x.shape[0], self.out_channels, oh, ow)
+        return y, {"cols": cols, "x_shape": x.shape, "xp_shape": x_p.shape,
+                   "oh": oh, "ow": ow, "weff": weff}
+
+
+class AvgPoolReference(AvgPool):
+    def forward(self, x, mode="eval", weff=None):
+        return avgpool_strided_reference(x, self.kernel_size), {"shape": x.shape}
+
+    def backward(self, gy, cache, input_grad=True):
+        return avgpool_backward_reference(gy, self.kernel_size), {}
+
+
 class BatchNormReference(BatchNorm):
     """BatchNorm whose train/recal forward reduces x with np.mean and np.var,
-    and whose recalibration reduces x again for the batch moments."""
+    whose recalibration reduces x again for the batch moments, and whose
+    epilogues are out of place."""
 
     def accumulate_stats(self, x):
         axes = self._axes(x)
@@ -31,9 +87,12 @@ class BatchNormReference(BatchNorm):
         self.running_var = m2_new / tot
 
     def forward(self, x, mode="eval", weff=None):
-        if mode == "eval":
-            return super().forward(x, mode, weff)
         shp = self._bshape(x)
+        if mode == "eval":
+            invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
+            xhat = (x - self.running_mean.reshape(shp)) * invstd.reshape(shp)
+            y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
+            return y, {"xhat": xhat, "invstd": invstd, "mode": mode}
         axes = self._axes(x)
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
@@ -48,3 +107,58 @@ class BatchNormReference(BatchNorm):
         y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
         n = int(np.prod([x.shape[a] for a in axes]))
         return y, {"xhat": xhat, "invstd": invstd, "mode": mode, "n": n}
+
+
+REFERENCE_KINDS = {Dense: DenseReference, Conv2d: Conv2dReference,
+                   AvgPool: AvgPoolReference, BatchNorm: BatchNormReference}
+
+
+def reference_layer(layer):
+    """A deep copy of layer that runs the reference kernels."""
+    ref = copy.deepcopy(layer)
+    ref.__class__ = REFERENCE_KINDS.get(type(layer), type(layer))
+    return ref
+
+
+def reference_network(net):
+    """A deep copy of net whose layers run the reference kernels."""
+    ref = copy.deepcopy(net)
+    ref.layers = [reference_layer(layer) for layer in ref.layers]
+    return ref
+
+
+def full_trace_forward(net, x, masks=None, mode=None):
+    """The forward loop that keeps everything: (caches, activations), where
+    activations are the input, then each layer's output."""
+    mode = net.mode if mode is None else mode
+    h = np.asarray(x, dtype=np.float64)
+    caches, activations = [], [h]
+    for i, layer in enumerate(net.layers):
+        weff = None
+        if layer.prunable and masks and i in masks:
+            weff = layer.weight * masks[i]
+        h, cache = layer.forward(h, mode=mode, weff=weff)
+        caches.append(cache)
+        activations.append(h)
+    return caches, activations
+
+
+def full_trace_logits(net, x, masks=None, batch_size=256):
+    """Eval logits of x, one full-trace forward per batch_size rows."""
+    return np.concatenate([full_trace_forward(net, x[s:s + batch_size], masks, "eval")[1][-1]
+                           for s in range(0, len(x), batch_size)])
+
+
+def full_trace_backward(net, caches, grad_logits, masks=None, ste=False):
+    """Parameter gradients per layer index, with every layer's input
+    gradient computed, layer 0's included."""
+    grads = {}
+    g = grad_logits
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        g, pg = layer.backward(g, caches[i])
+        if pg:
+            if layer.prunable and masks and i in masks and not ste:
+                pg["weight"] = pg["weight"] * masks[i]
+            grads[i] = pg
+    return grads

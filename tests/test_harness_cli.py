@@ -338,3 +338,44 @@ class TestEvalCorruptInputs:
         assert code == 2
         assert err.startswith("stage failure: [eval] ")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestStageSettingsAtParseTime:
+    """Search and training settings the run would reject are config errors:
+    exit 1 before the teacher is trained, with nothing written."""
+
+    @pytest.mark.parametrize("overrides,message", [
+        (("method=unipts", "population=1"), "population must be >= 2"),
+        (("method=unipts", "population=3", "elites=4"), "elites must be in"),
+        (("delta_t=0",), "delta_t must be >= 1"),
+        (("alpha=-0.001",), "alpha must be >= 0"),
+        (("objective=hinge",), "unknown objective"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
+                                   overrides, message):
+        out = tmp_path / "out"
+        args = [arg for ov in overrides for arg in ("-o", ov)]
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert message in err[0]
+        assert not out.exists()
+
+    def test_search_settings_checked_only_when_searching(self, cfg_file):
+        # uniform+dst and N:M runs never build the search settings
+        assert parse_config(cfg_file(), ["population=1"]).population == 1
+        assert parse_config(cfg_file(), ["method=unipts", "nm_pattern=2:4",
+                                         "population=1"]).population == 1
+
+    def test_stage_settings_follow_experiment_fields(self, cfg_file):
+        cfg = parse_config(cfg_file(), ["method=unipts", "exclude_layers=3",
+                                        "momentum=0.5"])
+        scfg, tcfg = cfg.search_config(seed=7), cfg.train_config(seed=7)
+        assert (scfg.p, scfg.population, scfg.elites, scfg.tournament, scfg.seed,
+                scfg.exclude_layers) == (0.5, 4, 1, 2, 7, (3,))
+        assert (tcfg.iterations, tcfg.batch_size, tcfg.momentum, tcfg.seed,
+                tcfg.metrics_every, tcfg.objective) == (8, 16, 0.5, 7, 4,
+                                                         "base_decayed_kl")
+        pot = parse_config(cfg_file(), ["method=pot-baseline", "objective=ce"])
+        assert pot.train_config(seed=0).objective == "layerwise_mse"

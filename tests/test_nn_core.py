@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, tiny_conv, tiny_mlp
-from layer_reference import BatchNormReference, avgpool_reference
+from layer_reference import (BatchNormReference, avgpool_reference, full_trace_backward,
+                             full_trace_forward, full_trace_logits, reference_layer,
+                             reference_network)
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, load_network, predict_distribution,
                          save_network)
-from ptsparse.nn.layers import AvgPool, BatchNorm
+from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d
 from ptsparse.sparsity import topk_mask
 
 
@@ -231,6 +235,212 @@ class TestLayersMatchReference:
             assert_same_bits(fast.running_var, ref.running_var)
 
 
+def check_layer(layer, x, gy, weff=None, mode="eval"):
+    """Forward output, cache arrays, input and parameter gradients of layer
+    bit-equal to its reference kernels; without the input gradient, the same
+    parameter gradients."""
+    ref = reference_layer(layer)
+    y, cache = layer.forward(x, mode=mode, weff=weff)
+    y_ref, cache_ref = ref.forward(x, mode=mode, weff=weff)
+    assert_same_bits(y, y_ref)
+    for key, value in cache_ref.items():
+        if isinstance(value, np.ndarray):
+            assert_same_bits(cache[key], value)
+    gx, grads = layer.backward(gy, cache)
+    gx_ref, grads_ref = ref.backward(gy, cache_ref)
+    assert_same_bits(gx, gx_ref)
+    none, grads_only = layer.backward(gy, cache, input_grad=False)
+    assert none is None
+    for got in (grads, grads_only):
+        assert got.keys() == grads_ref.keys()
+        for name in grads_ref:
+            assert_same_bits(got[name], grads_ref[name])
+
+
+def random_weff(layer, r):
+    return layer.weight * (r.random(layer.weight.shape) < 0.5)
+
+
+# (batch, features in, features out) of mlp3 on 16x16 inputs, and
+# (batch, channels in, channels out, size) of convnet-small's convolutions
+MLP3_DENSE = [(64, 256, 256), (64, 256, 128), (64, 128, 10), (256, 128, 10)]
+CONVNET_CONV = [(64, 1, 8, 16), (64, 8, 16, 8)]
+BN_SHAPES = [(64, 256), (64, 128), (64, 8, 16, 16), (64, 16, 8, 8)]
+
+
+class TestKernelsMatchReference:
+    """In-place epilogues, the window-view im2col, zero-array padding and the
+    strided AvgPool backward against the out-of-place, loop, np.pad and
+    np.repeat oracles in layer_reference."""
+
+    @given(k=st.integers(1, 4), stride=st.integers(1, 2), pad=st.integers(0, 2),
+           b=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
+           dh=st.integers(0, 4), dw=st.integers(0, 4), masked=st.booleans(),
+           seed=SEEDS)
+    def test_conv2d(self, k, stride, pad, b, cin, cout, dh, dw, masked, seed):
+        r = np.random.default_rng(seed)
+        conv = Conv2d(cin, cout, k, stride=stride, padding=pad, rng=r)
+        h, w = max(k - 2 * pad, 1) + dh, max(k - 2 * pad, 1) + dw
+        oh, ow = conv._out_hw(h, w)
+        check_layer(conv, r.standard_normal((b, cin, h, w)),
+                    r.standard_normal((b, cout, oh, ow)),
+                    weff=random_weff(conv, r) if masked else None)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b,cin,cout,size", CONVNET_CONV)
+    def test_conv2d_preset_shapes(self, b, cin, cout, size, k, rng):
+        conv = Conv2d(cin, cout, k, stride=1, padding=(k - 1) // 2, rng=rng)
+        oh, ow = conv._out_hw(size, size)
+        check_layer(conv, rng.standard_normal((b, cin, size, size)),
+                    rng.standard_normal((b, cout, oh, ow)), weff=random_weff(conv, rng))
+
+    @given(b=st.integers(1, 70), fin=st.integers(1, 8), fout=st.integers(1, 8),
+           masked=st.booleans(), seed=SEEDS)
+    def test_dense(self, b, fin, fout, masked, seed):
+        r = np.random.default_rng(seed)
+        dense = Dense(fin, fout, r)
+        check_layer(dense, r.standard_normal((b, fin)), r.standard_normal((b, fout)),
+                    weff=random_weff(dense, r) if masked else None)
+
+    @pytest.mark.parametrize("b,fin,fout", MLP3_DENSE)
+    def test_dense_preset_shapes(self, b, fin, fout, rng):
+        dense = Dense(fin, fout, rng)
+        check_layer(dense, rng.standard_normal((b, fin)), rng.standard_normal((b, fout)),
+                    weff=random_weff(dense, rng))
+
+    @given(shape=st.one_of(
+               st.tuples(st.integers(1, 70), st.integers(1, 8)),
+               st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 6),
+                         st.integers(1, 6))),
+           mode=st.sampled_from(["eval", "train", "recal"]), seed=SEEDS, scale=SCALES)
+    def test_batchnorm_epilogues(self, shape, mode, seed, scale):
+        r = np.random.default_rng(seed)
+        bn = BatchNorm(shape[1])
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            setattr(bn, name, r.uniform(0.5, 2.0, shape[1]))
+        if mode == "recal":
+            bn.reset_stats()
+        check_layer(bn, r.standard_normal(shape) * scale + r.standard_normal(),
+                    r.standard_normal(shape), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("shape", BN_SHAPES)
+    def test_batchnorm_preset_shapes(self, shape, mode, rng):
+        bn = BatchNorm(shape[1])
+        bn.gamma, bn.beta = rng.uniform(0.5, 2.0, (2, shape[1]))
+        check_layer(bn, rng.standard_normal(shape), rng.standard_normal(shape), mode=mode)
+
+    @given(k=st.integers(1, 4), oh=st.integers(1, 4), ow=st.integers(1, 4),
+           b=st.integers(1, 3), c=st.integers(1, 3), seed=SEEDS, scale=SCALES)
+    def test_avgpool(self, k, oh, ow, b, c, seed, scale):
+        # every width: the in-place sums keep the out-of-place order exactly
+        r = np.random.default_rng(seed)
+        x = r.standard_normal((b, c, oh * k, ow * k)) * scale
+        check_layer(AvgPool(k), x, r.standard_normal((b, c, oh, ow)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(64, 8, 16, 16), (64, 16, 8, 8)])
+    def test_avgpool_preset_shapes(self, shape, k, rng):
+        b, c, h, w = shape
+        h, w = h // k * k, w // k * k  # 3 does not divide the preset sizes
+        check_layer(AvgPool(k), rng.standard_normal((b, c, h, w)),
+                    rng.standard_normal((b, c, h // k, w // k)))
+
+
+PRESET_NETS = [("mlp3", (256,)), ("convnet-small", (1, 16, 16))]
+
+
+def preset_and_input(name, in_shape, rows, seed=0):
+    r = np.random.default_rng(seed)
+    net = build_preset(name, in_shape, 10, seed=seed)
+    masks = {i: topk_mask(net.layers[i].weight, 0.8) for i in net.prunable_indices()}
+    # train a few BN steps so running statistics are not the init values
+    for _ in range(2):
+        net.forward(r.standard_normal((32,) + in_shape), mode="train")
+    return net, masks, r.standard_normal((rows,) + in_shape), r.integers(0, 10, rows)
+
+
+class TestTraceFreeForwards:
+    """predict, accuracy and bn_recalibrate keep no trace; their results
+    equal a forward that keeps every activation, on the reference kernels."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
+    def test_predict_and_accuracy(self, name, in_shape, masked):
+        net, masks, x, y = preset_and_input(name, in_shape, 300)
+        masks = masks if masked else None
+        logits = full_trace_logits(reference_network(net), x, masks)
+        assert_same_bits(net.predict(x, masks=masks), predict_distribution(logits))
+        assert net.accuracy(x, y, masks=masks) == np.mean(np.argmax(logits, axis=1) == y)
+        assert_same_bits(net.forward(x[:256], masks=masks, mode="eval").logits,
+                         logits[:256])
+
+    @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
+    def test_bn_recalibrate(self, name, in_shape):
+        net, masks, x, _ = preset_and_input(name, in_shape, 150)
+        ref = reference_network(net)
+        batches = [x[s:s + 64] for s in range(0, len(x), 64)]
+        net.bn_recalibrate(batches, masks=masks)
+        for layer in ref.layers:
+            if isinstance(layer, BatchNorm):
+                layer.reset_stats()
+        for batch in batches:
+            full_trace_forward(ref, batch, masks, "recal")
+        assert net.param_hash() == ref.param_hash()
+
+    @pytest.mark.parametrize("ste", [False, True])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
+    def test_backward_skips_layer0_input_grad(self, name, in_shape, mode, ste):
+        net, masks, x, _ = preset_and_input(name, in_shape, 64)
+        ref = reference_network(net)
+        c = np.random.default_rng(1).standard_normal((64, 10))
+        grads = net.backward(net.forward(x, masks=masks, mode=mode), c, ste=ste)
+        caches, _ = full_trace_forward(ref, x, masks, mode)
+        grads_ref = full_trace_backward(ref, caches, c, masks, ste=ste)
+        assert grads.keys() == grads_ref.keys()
+        for i in grads_ref:
+            assert grads[i].keys() == grads_ref[i].keys()
+            for p in grads_ref[i]:
+                assert_same_bits(grads[i][p], grads_ref[i][p])
+        assert net.param_hash() == ref.param_hash()  # same BN updates in train
+
+    def test_backward_asks_layer0_for_parameter_grads_only(self, monkeypatch):
+        net = tiny_conv(seed=2)
+        asked = []
+        backward = Conv2d.backward
+
+        def spy(self, gy, cache, input_grad=True):
+            asked.append(input_grad)
+            return backward(self, gy, cache, input_grad)
+
+        monkeypatch.setattr(Conv2d, "backward", spy)
+        x = np.random.default_rng(0).standard_normal((2, 1, 6, 6))
+        net.backward(net.forward(x, mode="train"), np.ones((2, 3)))
+        assert asked == [False]
+
+    def test_trace_keeps_caches_only(self):
+        net = tiny_mlp()
+        trace = net.forward(np.zeros((2, 6)))
+        assert len(trace.caches) == len(net.layers)
+        assert not hasattr(trace, "activations")
+
+    def test_eval_peak_memory(self):
+        # one 256-row eval forward of convnet-small holds at most a layer's
+        # arrays and the next one's: 16.6 MiB; with every activation and
+        # cache kept it was 40.8 MiB
+        net = build_preset("convnet-small", (1, 16, 16), 10, seed=0)
+        r = np.random.default_rng(0)
+        x, y = r.standard_normal((256, 1, 16, 16)), r.integers(0, 10, 256)
+        tracemalloc.start()
+        try:
+            net.accuracy(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+
 class TestAccuracy:
     def test_nan_logits_rejected(self, rng):
         net = tiny_mlp(seed=5)
@@ -307,6 +517,17 @@ class TestPresetsAndCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
         with pytest.raises(CheckpointError):
+            load_network(path)
+
+    def test_no_layers_raise_checkpoint_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_network(tiny_mlp(), path)
+        raw = path.read_bytes()
+        start = raw.index(b'"layers": [') + len(b'"layers": [')
+        end = raw.index(b"]}", start)  # the layer list closes the header
+        # the same header length, so only the layer list is wrong
+        path.write_bytes(raw[:start] + b" " * (end - start) + raw[end:])
+        with pytest.raises(CheckpointError, match="at least one layer"):
             load_network(path)
 
     def test_array_shape_checked_against_layer_spec(self, tmp_path):

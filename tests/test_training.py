@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_mlp
+from conftest import tiny_conv, tiny_mlp
+from layer_reference import full_trace_forward
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network
 from ptsparse.sparsity import (NMPattern, global_sparsity, topk_mask,
                                uniform_distribution)
-from ptsparse.training import (TrainConfig, TrainState, build_masks, cosine_lr,
-                               mask_churn, run_training, train_step)
+from ptsparse.objectives import layerwise_mse
+from ptsparse.training import (TrainConfig, TrainState, _batch_stream, build_masks,
+                               cosine_lr, mask_churn, run_training, train_step)
 
 
 def make_calib(seed=0, n=64, n_in=6, classes=3):
@@ -247,17 +249,19 @@ class TestRunTraining:
     @pytest.mark.parametrize("objective", ["base_decayed_kl", "kl", "ce"])
     def test_teacher_forward_once_per_run(self, monkeypatch, n, iterations, objective):
         # the frozen teacher's targets come from ceil(n/256) forwards of at
-        # most 256 rows, however many steps run; ce never reads them
+        # most 256 rows, however many steps run; ce never reads them. Every
+        # forward of the teacher, traced or not, enters its first layer.
         teacher = tiny_mlp(seed=4)
+        first = teacher.layers[0]
         rows = []
-        forward = Network.forward
+        forward = type(first).forward
 
         def counting(self, x, *args, **kwargs):
-            if self is teacher:
+            if self is first:
                 rows.append(len(x))
             return forward(self, x, *args, **kwargs)
 
-        monkeypatch.setattr(Network, "forward", counting)
+        monkeypatch.setattr(type(first), "forward", counting)
         run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(seed=4, n=n),
                      TrainConfig(iterations=iterations, batch_size=16, objective=objective))
         if objective == "ce":
@@ -307,6 +311,40 @@ class TestRunTraining:
             return float(np.mean((net.predict(calib.inputs) - z) ** 2))
 
         assert mse(res.student) < mse(oneshot.student)
+
+    @pytest.mark.parametrize("maker,n_in", [(tiny_mlp, (6,)), (tiny_conv, (1, 6, 6))])
+    def test_layerwise_teacher_forward_stops_at_tuned_layer(self, maker, n_in):
+        # oracle: the reconstruction loop as it was, with the teacher's full
+        # eval forward and both layer outputs read from kept activations
+        teacher = maker(seed=7)
+        r = np.random.default_rng(7)
+        calib = CalibrationSet(inputs=r.standard_normal((40,) + n_in),
+                               labels=r.integers(0, 3, 40), seed=7)
+        dist = uniform_distribution(teacher, 0.6)
+        cfg = TrainConfig(iterations=12, batch_size=16, lr=0.05, metrics_every=5,
+                          objective="layerwise_mse", seed=2)
+        res = run_training(teacher, dist, calib, cfg)
+
+        student = teacher.copy()
+        masks = build_masks(student, dict(zip(student.prunable_indices(), dist.rates)))
+        idxs = student.prunable_indices()
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
+        step = 0
+        for li in idxs:
+            for sel in _batch_stream(40, cfg.batch_size, cfg.iterations // len(idxs), rng):
+                x = calib.inputs[sel]
+                _, t_acts = full_trace_forward(teacher, x, mode="eval")
+                s_caches, s_acts = full_trace_forward(student, x, masks, mode="train")
+                loss, gy = layerwise_mse(t_acts[li + 1], s_acts[li + 1])
+                _, pg = student.layers[li].backward(gy / t_acts[li + 1].size, s_caches[li])
+                lr = cosine_lr(step, cfg.iterations, cfg.lr)
+                student.layers[li].weight -= lr * pg["weight"] * masks[li]
+                student.layers[li].bias -= lr * pg["bias"]
+                step += 1
+        for i, m in masks.items():
+            student.layers[i].weight *= m
+        assert student.param_hash() == res.student.param_hash()
+        assert [row["iter"] for row in res.history] == [5, 10]
 
     def test_history_rows_have_expected_keys(self):
         teacher = tiny_mlp(seed=2)
