@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands map to pipeline stages: teacher, search, prune (one-shot),
-train, eval, report, and run (the full chain). Exit codes: 0 success,
-1 config error, 2 stage failure.
+Subcommands call the pipeline's stage functions in harness and print:
+teacher, search, prune (one-shot), eval, report, and run (the full chain;
+train is the same command). Exit codes: 0 success, 1 config error,
+2 stage failure.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .harness import (MetricsRow, StageError, load_dataset, oneshot_prune,
-                      prepare_teacher, report, run_experiment, run_single,
-                      select_distribution, write_metrics, _flatten_if_mlp)
-from .data import CalibrationSet, sample_calibration
+from .data import sample_calibration
+from .harness import (StageError, evaluate, load_dataset, oneshot_prune, prepare_teacher,
+                      report, run_experiment, select_distribution, stage,
+                      write_artifacts)
 from .nn import load_network, save_network
-from .sparsity import load_masks, mask_summary, save_masks
+from .nn.checkpoint import atomic_write
+from .sparsity import load_masks, mask_summary
 
 
 def _add_common(p):
@@ -36,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("teacher", "build/train the dense teacher and save its checkpoint"),
         ("search", "evolutionary sparsity-distribution search"),
         ("prune", "one-shot magnitude pruning, mask export"),
-        ("train", "dynamic sparse training against the teacher"),
+        ("train", "same as run"),
         ("eval", "evaluate a checkpoint (optionally masked) on the eval split"),
         ("run", "full pipeline: teacher -> (search) -> train -> eval"),
     ]:
@@ -64,31 +66,21 @@ def cmd_teacher(args) -> int:
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     path = os.path.join(out, "teacher.ckpt")
     save_network(teacher, path)
-    eval_x = _flatten_if_mlp(cfg, splits.eval_x)
-    print(f"teacher saved to {path} "
-          f"(eval top-1 {teacher.accuracy(eval_x, splits.eval_y):.4f})")
+    print(f"teacher saved to {path} (eval top-1 {evaluate(teacher, splits):.4f})")
     return 0
-
-
-def _teacher_and_calib(cfg, seed):
-    splits = load_dataset(cfg)
-    teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    calib = sample_calibration(splits, cfg.calib_size, seed,
-                               balanced=cfg.calib_balanced)
-    calib = CalibrationSet(inputs=_flatten_if_mlp(cfg, calib.inputs),
-                           labels=calib.labels, seed=calib.seed)
-    return splits, teacher, calib
 
 
 def cmd_search(args) -> int:
     cfg, out = _setup(args)
     seed = cfg.seeds[0]
-    _, teacher, calib = _teacher_and_calib(cfg, seed)
+    splits = load_dataset(cfg)
+    teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
+    calib = sample_calibration(splits, cfg.calib_size, seed, balanced=cfg.calib_balanced)
     dist, _ = select_distribution(cfg, teacher, calib, seed, out_dir=out)
     if dist is None:
         raise ConfigError("search does not apply to N:M runs")
     path = os.path.join(out, "distribution.json")
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(dist.to_json() + "\n")
     numels = [teacher.layers[i].weight.size for i in dist.layer_indices]
     print(dist.summary(numels))
@@ -98,47 +90,27 @@ def cmd_search(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg, out = _setup(args)
-    splits, teacher, calib = _teacher_and_calib(cfg, cfg.seeds[0])
-    dist, _ = select_distribution(cfg, teacher, calib, cfg.seeds[0], out_dir=out)
-    try:
-        student, masks = oneshot_prune(cfg, teacher, dist)
-    except ValueError as exc:
-        raise StageError("prune", str(exc)) from exc
-    try:
-        top1 = student.accuracy(_flatten_if_mlp(cfg, splits.eval_x), splits.eval_y,
-                                masks=masks)
-    except ValueError as exc:
-        raise StageError("eval", str(exc)) from exc
-    save_network(student, os.path.join(out, "student.ckpt"))
-    save_masks(masks, os.path.join(out, "masks.bin"))
-    print(mask_summary(masks))
-    print(f"one-shot top-1: {top1:.4f}")
-    return 0
-
-
-def cmd_train(args) -> int:
-    cfg, out = _setup(args)
+    seed = cfg.seeds[0]
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    rows = [run_single(cfg, splits, teacher, seed, os.path.join(out, f"seed{seed}"))
-            for seed in cfg.seeds]
-    write_metrics(rows, os.path.join(out, "metrics.csv"))
-    for row in rows:
-        print(",".join(row.as_list()))
+    calib = sample_calibration(splits, cfg.calib_size, seed, balanced=cfg.calib_balanced)
+    dist, _ = select_distribution(cfg, teacher, calib, seed, out_dir=out)
+    with stage("prune"):
+        student, masks = oneshot_prune(cfg, teacher, dist)
+    top1 = evaluate(student, splits, masks)
+    write_artifacts(out, student, masks, dist)
+    print(mask_summary(masks))
+    print(f"one-shot top-1: {top1:.4f}")
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg, _ = _setup(args)
     splits = load_dataset(cfg)
-    try:
+    with stage("eval"):
         net = load_network(args.checkpoint)
         masks = load_masks(args.masks) if args.masks else None
-        top1 = net.accuracy(_flatten_if_mlp(cfg, splits.eval_x), splits.eval_y,
-                            masks=masks)
-    except (ValueError, OSError) as exc:
-        raise StageError("eval", str(exc)) from exc
-    print(f"top1={top1:.6f}")
+    print(f"top1={evaluate(net, splits, masks):.6f}")
     return 0
 
 
@@ -155,7 +127,7 @@ def cmd_report(args) -> int:
     text, csv_text = report(args.dirs)
     print(text)
     if args.csv_out:
-        with open(args.csv_out, "w") as f:
+        with atomic_write(args.csv_out) as f:
             f.write(csv_text)
         print(f"csv written to {args.csv_out}")
     return 0
@@ -165,7 +137,7 @@ COMMANDS = {
     "teacher": cmd_teacher,
     "search": cmd_search,
     "prune": cmd_prune,
-    "train": cmd_train,
+    "train": cmd_run,
     "eval": cmd_eval,
     "run": cmd_run,
     "report": cmd_report,

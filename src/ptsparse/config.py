@@ -146,11 +146,8 @@ def _derive(cls, cfg: ExperimentConfig, **given):
     return cls(**{**{name: getattr(cfg, name) for name in shared}, **given})
 
 
-_PARSERS = {int: int, float: float, str: str, bool: _bool, tuple: _int_list}
-
-
-def _field_map():
-    return {f.name: f for f in fields(ExperimentConfig)}
+# field annotations are strings (postponed evaluation); other types parse as str
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool, "tuple": _int_list}
 
 
 def parse_config(path: str | None = None, overrides=()) -> ExperimentConfig:
@@ -173,16 +170,13 @@ def parse_config(path: str | None = None, overrides=()) -> ExperimentConfig:
         key, value = (s.strip() for s in ov.split("=", 1))
         pairs[key] = value
 
-    fmap = _field_map()
+    types = {f.name: str(f.type) for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in pairs.items():
-        if key not in fmap:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        ftype = fmap[key].type
-        base = {"int": int, "float": float, "str": str, "bool": bool,
-                "tuple": tuple}.get(str(ftype), str)
         try:
-            kwargs[key] = _PARSERS[base](value)
+            kwargs[key] = _PARSERS.get(types[key], str)(value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
     return ExperimentConfig(**kwargs).validate()

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,13 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import CalibrationSet, Splits, idx_splits, sample_calibration, synthetic_splits
 from .nn import Network, build_preset, load_network, predict_distribution, save_network
+from .nn.checkpoint import atomic_write
 from .objectives import cross_entropy
 from .search import evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
-                       save_masks, uniform_distribution)
-from .training import build_masks, cosine_lr, mask_rates, run_training
+                       realized_sparsity, save_masks, uniform_distribution)
+from .training import (_batch_stream, build_masks, cosine_lr, mask_rates, run_training,
+                       zero_pruned)
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -33,6 +36,15 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"[{stage}] {message}")
+
+
+@contextmanager
+def stage(name: str):
+    """Re-raise a ValueError or OSError from inside as StageError(name)."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 @dataclass
@@ -51,64 +63,47 @@ class MetricsRow:
 
 
 def load_dataset(cfg: ExperimentConfig) -> Splits:
-    try:
+    """The configured splits; mlp3 gets one flat feature row per sample
+    (a view, no copy), so no later stage reshapes its inputs."""
+    with stage("data"):
         if cfg.dataset == "synthetic":
-            return synthetic_splits(classes=cfg.classes, image_size=cfg.image_size,
-                                    channels=cfg.channels, train_size=cfg.train_size,
-                                    eval_size=cfg.eval_size, noise=cfg.data_noise,
-                                    blobs_per_class=cfg.data_blobs,
-                                    sigma_min=cfg.data_sigma_min,
-                                    sigma_max=cfg.data_sigma_max,
-                                    offset=cfg.data_offset,
-                                    seed=cfg.data_seed)
-        return idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
-                          cfg.idx_eval_images, cfg.idx_eval_labels,
-                          classes=cfg.classes)
-    except (ValueError, OSError) as exc:
-        raise StageError("data", str(exc)) from exc
-
-
-def teacher_in_shape(cfg: ExperimentConfig, splits: Splits):
+            splits = synthetic_splits(classes=cfg.classes, image_size=cfg.image_size,
+                                      channels=cfg.channels, train_size=cfg.train_size,
+                                      eval_size=cfg.eval_size, noise=cfg.data_noise,
+                                      blobs_per_class=cfg.data_blobs,
+                                      sigma_min=cfg.data_sigma_min,
+                                      sigma_max=cfg.data_sigma_max,
+                                      offset=cfg.data_offset,
+                                      seed=cfg.data_seed)
+        else:
+            splits = idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
+                                cfg.idx_eval_images, cfg.idx_eval_labels,
+                                classes=cfg.classes)
     if cfg.preset == "mlp3":
-        return (int(np.prod(splits.train_x.shape[1:])),)
-    return splits.train_x.shape[1:]
+        splits.train_x = splits.train_x.reshape(len(splits.train_x), -1)
+        splits.eval_x = splits.eval_x.reshape(len(splits.eval_x), -1)
+    return splits
 
 
 def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Network:
     """Load a checkpoint, or train a preset on the full train split."""
     if cfg.teacher_checkpoint:
-        try:
+        with stage("teacher"):
             return load_network(cfg.teacher_checkpoint)
-        except (ValueError, OSError) as exc:
-            raise StageError("teacher", str(exc)) from exc
-    net = build_preset(cfg.preset, teacher_in_shape(cfg, splits), splits.classes,
-                       seed=seed)
+    net = build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed)
     x, y = splits.train_x, splits.train_y
-    if cfg.preset == "mlp3":
-        x = x.reshape(len(x), -1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7EA)))
     total = cfg.teacher_epochs * ((len(x) + 63) // 64)
-    it = 0
-    for _ in range(cfg.teacher_epochs):
-        order = rng.permutation(len(x))
-        for start in range(0, len(x), 64):
-            sel = order[start:start + 64]
-            trace = net.forward(x[sel], mode="train")
-            z_hat = predict_distribution(trace.logits)
-            _, grad = cross_entropy(z_hat, y[sel])
-            grads = net.backward(trace, grad)
-            lr = cosine_lr(it, total, cfg.teacher_lr)
-            for i, pg in grads.items():
-                layer = net.layers[i]
-                for name, g in pg.items():
-                    layer.params()[name] -= lr * g
-            it += 1
+    for it, sel in enumerate(_batch_stream(len(x), 64, total, rng)):
+        trace = net.forward(x[sel], mode="train")
+        _, grad = cross_entropy(predict_distribution(trace.logits), y[sel])
+        grads = net.backward(trace, grad)
+        lr = cosine_lr(it, total, cfg.teacher_lr)
+        for i, pg in grads.items():
+            for name, g in pg.items():
+                net.layers[i].params()[name] -= lr * g
     net.mode = "eval"
     return net
-
-
-def _flatten_if_mlp(cfg, x):
-    return x.reshape(len(x), -1) if cfg.preset == "mlp3" else x
 
 
 def select_distribution(cfg: ExperimentConfig, teacher: Network,
@@ -118,18 +113,16 @@ def select_distribution(cfg: ExperimentConfig, teacher: Network,
     if cfg.nm_pattern:
         return None, None
     exclude = set(cfg.exclude_layers)
-    try:
+    with stage("search"):
         if cfg.method == "unipts":
             log_path = os.path.join(out_dir, "search.log") if out_dir else None
             best, history = evolve(teacher, calib, cfg.search_config(seed),
                                    log_path=log_path)
             return best.distribution, history
         if cfg.method == "erk+dst":
-            return erk_distribution(teacher, cfg.sparsity, exclude or None), None
+            return erk_distribution(teacher, cfg.sparsity, exclude), None
         # uniform for uniform+dst, pot-baseline, and oneshot
-        return uniform_distribution(teacher, cfg.sparsity, exclude or None), None
-    except ValueError as exc:
-        raise StageError("search", str(exc)) from exc
+        return uniform_distribution(teacher, cfg.sparsity, exclude), None
 
 
 def oneshot_prune(cfg: ExperimentConfig, teacher: Network,
@@ -140,9 +133,33 @@ def oneshot_prune(cfg: ExperimentConfig, teacher: Network,
     student = teacher.copy()
     masks = build_masks(student, mask_rates(student, distribution, nm,
                                             set(cfg.exclude_layers)), nm)
-    for i, m in masks.items():
-        student.layers[i].weight *= m
+    zero_pruned(student, masks)
     return student, masks
+
+
+def evaluate(net: Network, splits: Splits, masks=None) -> float:
+    """Top-1 on the eval split; a failure raises StageError("eval")."""
+    with stage("eval"):
+        return net.accuracy(splits.eval_x, splits.eval_y, masks=masks)
+
+
+def write_artifacts(out_dir: str, student: Network, masks,
+                    distribution: SparsityDistribution | None = None,
+                    history=()) -> None:
+    """student.ckpt, masks.bin and masks.txt, plus distribution.json and
+    train_metrics.csv when there is a distribution or a history."""
+    save_network(student, os.path.join(out_dir, "student.ckpt"))
+    save_masks(masks, os.path.join(out_dir, "masks.bin"))
+    with atomic_write(os.path.join(out_dir, "masks.txt")) as f:
+        f.write(mask_summary(masks) + "\n")
+    if distribution is not None:
+        with atomic_write(os.path.join(out_dir, "distribution.json")) as f:
+            f.write(distribution.to_json() + "\n")
+    if history:
+        with atomic_write(os.path.join(out_dir, "train_metrics.csv"), newline="") as f:
+            w = csv.DictWriter(f, fieldnames=list(history[0]))
+            w.writeheader()
+            w.writerows(history)
 
 
 def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
@@ -151,13 +168,11 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
     os.makedirs(out_dir, exist_ok=True)
     calib = sample_calibration(splits, cfg.calib_size, seed,
                                balanced=cfg.calib_balanced)
-    calib = CalibrationSet(inputs=_flatten_if_mlp(cfg, calib.inputs),
-                           labels=calib.labels, seed=calib.seed)
     distribution, _ = select_distribution(cfg, teacher, calib, seed, out_dir)
 
     nm = NMPattern.parse(cfg.nm_pattern) if cfg.nm_pattern else None
     target = nm.sparsity if nm else cfg.sparsity
-    try:
+    with stage("train"):
         if cfg.method == "oneshot":
             student, masks = oneshot_prune(cfg, teacher, distribution)
             history = []
@@ -165,42 +180,21 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
             result = run_training(teacher, distribution, calib, cfg.train_config(seed),
                                   nm=nm, exclude=set(cfg.exclude_layers))
             student, masks, history = result.student, result.masks, result.history
-    except ValueError as exc:
-        raise StageError("train", str(exc)) from exc
 
-    try:
-        eval_x = _flatten_if_mlp(cfg, splits.eval_x)
-        top1 = student.accuracy(eval_x, splits.eval_y, masks=masks)
-    except ValueError as exc:
-        raise StageError("eval", str(exc)) from exc
-
-    realized = 1.0 - sum(float(m.sum()) for m in masks.values()) / \
-        sum(m.size for m in masks.values())
-    os.makedirs(out_dir, exist_ok=True)
-    save_network(student, os.path.join(out_dir, "student.ckpt"))
-    save_masks(masks, os.path.join(out_dir, "masks.bin"))
-    with open(os.path.join(out_dir, "masks.txt"), "w") as f:
-        f.write(mask_summary(masks) + "\n")
-    if distribution is not None:
-        with open(os.path.join(out_dir, "distribution.json"), "w") as f:
-            f.write(distribution.to_json() + "\n")
-    if history:
-        with open(os.path.join(out_dir, "train_metrics.csv"), "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=list(history[0]))
-            w.writeheader()
-            w.writerows(history)
+    top1 = evaluate(student, splits, masks)
+    write_artifacts(out_dir, student, masks, distribution, history)
     elapsed = time.monotonic() - started
-    with open(os.path.join(out_dir, "timing.txt"), "w") as f:
+    with atomic_write(os.path.join(out_dir, "timing.txt")) as f:
         f.write(f"wall_time_s={elapsed:.3f}\n")
     # CSV stays byte-deterministic unless timing is explicitly recorded
     wall = elapsed if cfg.record_timing else 0.0
     return MetricsRow(method=cfg.method, target_sparsity=target,
-                      realized_sparsity=realized, top1=top1, seed=seed,
+                      realized_sparsity=realized_sparsity(masks), top1=top1, seed=seed,
                       wall_time_s=wall)
 
 
 def write_metrics(rows: list[MetricsRow], path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(METRICS_HEADER)
         for row in rows:
@@ -225,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         out_dir = os.path.join(out_root, f"seed{seed}")
         rows.append(run_single(cfg, splits, teacher, seed, out_dir))
     write_metrics(rows, os.path.join(out_root, "metrics.csv"))
-    with open(os.path.join(out_root, "config.json"), "w") as f:
+    with atomic_write(os.path.join(out_root, "config.json")) as f:
         json.dump({k: list(v) if isinstance(v, tuple) else v
                    for k, v in vars(cfg).items()}, f, indent=2, sort_keys=True)
     return rows

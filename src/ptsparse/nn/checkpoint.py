@@ -3,12 +3,16 @@
 Layout: 8-byte magic ``PTSNET01`` | uint64 little-endian header length |
 UTF-8 JSON header | concatenated raw little-endian float64 arrays.
 The header lists layer specs and, per array, (layer, name, shape, offset).
-Round-trips are bit-exact at 64-bit.
+Round-trips are bit-exact at 64-bit. Every file is written to a temporary
+name next to its target and renamed over it, so a reader never sees a
+half-written file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -23,6 +27,32 @@ class CheckpointError(ValueError):
     """A container file that is truncated, corrupt or inconsistent."""
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a temporary file in path's directory; on success it replaces
+    path, on any error it is removed and path keeps its old content."""
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_container(path, magic: bytes, header: dict, blobs) -> None:
+    """``magic | u64 length | JSON | payload``: the inverse of read_container.
+    blobs are bytes-like objects written in order as the payload."""
+    head = json.dumps(header, sort_keys=True).encode()
+    with atomic_write(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<Q", len(head)))
+        f.write(head)
+        for b in blobs:
+            f.write(b)
+
+
 def save_network(net: Network, path) -> None:
     arrays = []
     blobs = []
@@ -34,16 +64,8 @@ def save_network(net: Network, path) -> None:
                            "offset": offset, "nbytes": arr.nbytes})
             blobs.append(arr.tobytes())
             offset += arr.nbytes
-    header = json.dumps({
-        "layers": [l.spec() for l in net.layers],
-        "arrays": arrays,
-    }, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for b in blobs:
-            f.write(b)
+    write_container(path, MAGIC, {"layers": [l.spec() for l in net.layers],
+                                  "arrays": arrays}, blobs)
 
 
 def read_container(path, magic: bytes) -> tuple[dict, memoryview]:

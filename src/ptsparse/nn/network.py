@@ -38,15 +38,6 @@ class Network:
     def prunable_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.prunable]
 
-    def prunable_weights(self) -> dict[int, np.ndarray]:
-        return {i: self.layers[i].weight for i in self.prunable_indices()}
-
-    def numels(self) -> dict[int, int]:
-        return {i: self.layers[i].weight.size for i in self.prunable_indices()}
-
-    def total_prunable(self) -> int:
-        return sum(self.numels().values())
-
     def copy(self) -> "Network":
         return _copy.deepcopy(self)
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nn.checkpoint import atomic_write
 from .nn.network import Network
-from .sparsity import SparsityDistribution, topk_mask
+from .sparsity import SparsityDistribution, included_layers, topk_mask
 
 
 @dataclass
@@ -61,7 +62,7 @@ def decode(genome: np.ndarray, net: Network, cfg: SearchConfig) -> SparsityDistr
     r_l = P_e - T_l / numel(W_l). Layers whose regrow share would push the
     rate below 0 are clamped dense-side and the surplus is redistributed
     proportionally to the remaining softmax weights, to a fixpoint."""
-    idxs = [i for i in net.prunable_indices() if i not in set(cfg.exclude_layers)]
+    idxs = included_layers(net, set(cfg.exclude_layers))
     numels = np.array([net.layers[i].weight.size for i in idxs], dtype=float)
     genome = np.asarray(genome, dtype=np.float64)
     if genome.shape != (len(idxs),):
@@ -146,14 +147,12 @@ def evolve(teacher: Network, calib, cfg: SearchConfig,
     """Tournament selection + uniform crossover + Gaussian mutation with
     elitism. Elites carry their records forward unevaluated, so the running
     best is non-decreasing."""
-    n_layers = len([i for i in teacher.prunable_indices()
-                    if i not in set(cfg.exclude_layers)])
+    n_layers = len(included_layers(teacher, set(cfg.exclude_layers)))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE7)))
     pop = [rng.standard_normal(n_layers) for _ in range(cfg.population)]
     records = [fitness(g, teacher, calib, cfg, seed=_eval_seed(cfg, 0, i))
                for i, g in enumerate(pop)]
     history: list[GenerationStats] = []
-    log_lines: list[str] = []
 
     def record_gen(gen, recs):
         fits = [r.fitness for r in recs]
@@ -162,8 +161,6 @@ def evolve(teacher: Network, calib, cfg: SearchConfig,
                              mean=float(np.mean(fits)), worst=min(fits),
                              elite_rates=list(best.distribution.rates))
         history.append(st)
-        log_lines.append(st.format())
-        return st
 
     record_gen(0, records)
     for gen in range(1, cfg.generations + 1):
@@ -186,8 +183,8 @@ def evolve(teacher: Network, calib, cfg: SearchConfig,
         record_gen(gen, records)
     best = max(records, key=lambda r: r.fitness)
     if log_path is not None:
-        with open(log_path, "w") as f:
-            f.write("\n".join(log_lines) + "\n")
+        with atomic_write(log_path) as f:
+            f.write("\n".join(st.format() for st in history) + "\n")
     return best, history
 
 

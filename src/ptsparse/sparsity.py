@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn.checkpoint import CheckpointError, payload_slice, read_container
+from .nn.checkpoint import (CheckpointError, payload_slice, read_container,
+                            write_container)
 from .nn.network import Network
 
 MAGIC = b"PTSMSK01"
@@ -101,20 +101,11 @@ def nm_mask(weights: np.ndarray, pattern: NMPattern) -> np.ndarray:
     return keep.astype(np.float64).reshape(weights.shape)
 
 
-def apply_mask(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    if weights.shape != mask.shape:
-        raise ValueError(f"mask shape {mask.shape} != weights shape {weights.shape}")
-    return weights * mask
-
-
-def global_sparsity(net: Network, masks: dict[int, np.ndarray]) -> float:
-    """1 - kept/total over prunable parameters; layers without a mask count
-    as fully dense."""
-    total = net.total_prunable()
-    ones = 0.0
-    for i in net.prunable_indices():
-        ones += masks[i].sum() if i in masks else net.layers[i].weight.size
-    return 1.0 - ones / total
+def realized_sparsity(masks: dict[int, np.ndarray]) -> float:
+    """1 - kept/total over the masked layers; 0.0 for no masks."""
+    total = sum(m.size for m in masks.values())
+    ones = sum(float(m.sum()) for m in masks.values())
+    return 1.0 - ones / total if total else 0.0
 
 
 @dataclass
@@ -219,13 +210,7 @@ def save_masks(masks: dict[int, np.ndarray], path) -> None:
                       "offset": offset, "nbytes": packed.nbytes})
         blobs.append(packed.tobytes())
         offset += packed.nbytes
-    header = json.dumps({"masks": index}, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for b in blobs:
-            f.write(b)
+    write_container(path, MAGIC, {"masks": index}, blobs)
 
 
 def load_masks(path) -> dict[int, np.ndarray]:

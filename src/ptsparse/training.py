@@ -18,7 +18,7 @@ from .nn.network import Network, predict_distribution
 from .objectives import (DecaySchedule, base_decayed_kl, cross_entropy, kl_loss,
                          layerwise_mse)
 from .sparsity import (NMPattern, SparsityDistribution, included_layers, nm_mask,
-                       topk_mask)
+                       realized_sparsity, topk_mask)
 
 OBJECTIVES = ("base_decayed_kl", "kl", "ce", "layerwise_mse")
 
@@ -90,6 +90,12 @@ def build_masks(net: Network, rates: dict[int, float],
     return {i: topk_mask(net.layers[i].weight, r) for i, r in rates.items()}
 
 
+def zero_pruned(net: Network, masks: dict[int, np.ndarray]) -> None:
+    """Multiply the masks into the weights, so exported weights are sparse."""
+    for i, m in masks.items():
+        net.layers[i].weight *= m
+
+
 def mask_churn(old: dict[int, np.ndarray], new: dict[int, np.ndarray]) -> float:
     flipped = sum(float(np.sum(old[i] != new[i])) for i in old)
     total = sum(m.size for m in old.values())
@@ -136,8 +142,6 @@ def _apply_update(state, grads, lr, cfg):
     for i, pg in grads.items():
         layer = state.student.layers[i]
         for name, g in pg.items():
-            if name in ("running_mean", "running_var"):
-                continue
             p = layer.params()[name]
             if cfg.momentum > 0:
                 key = (i, name)
@@ -173,12 +177,6 @@ def _batch_stream(n, batch_size, iterations, rng):
                 return
             yield order[start:start + batch_size]
             produced += 1
-
-
-def _realized_sparsity(masks):
-    total = sum(m.size for m in masks.values())
-    ones = sum(float(m.sum()) for m in masks.values())
-    return 1.0 - ones / total if total else 0.0
 
 
 def run_training(teacher: Network, distribution: SparsityDistribution | None,
@@ -223,18 +221,13 @@ def run_training(teacher: Network, distribution: SparsityDistribution | None,
             history.append({
                 "iter": state.iteration, "loss": loss, "lr": state.lr,
                 "churn": churn if churn is not None else 0.0,
-                "sparsity": _realized_sparsity(state.masks),
+                "sparsity": realized_sparsity(state.masks),
                 "calib_acc": state.student.accuracy(calib.inputs, calib.labels,
                                                     masks=state.masks),
             })
-    _hard_mask(state.student, state.masks)
+    zero_pruned(state.student, state.masks)
     return RunResult(student=state.student, masks=state.masks, history=history,
-                     final_sparsity=_realized_sparsity(state.masks))
-
-
-def _hard_mask(net: Network, masks):
-    for i, m in masks.items():
-        net.layers[i].weight *= m
+                     final_sparsity=realized_sparsity(state.masks))
 
 
 def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunResult:
@@ -269,9 +262,9 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunRes
             if step_count % cfg.metrics_every == 0:
                 history.append({"iter": step_count, "loss": loss / x.shape[0],
                                 "lr": lr, "churn": 0.0,
-                                "sparsity": _realized_sparsity(masks),
+                                "sparsity": realized_sparsity(masks),
                                 "calib_acc": student.accuracy(
                                     calib.inputs, calib.labels, masks=masks)})
-    _hard_mask(student, masks)
+    zero_pruned(student, masks)
     return RunResult(student=student, masks=masks, history=history,
-                     final_sparsity=_realized_sparsity(masks))
+                     final_sparsity=realized_sparsity(masks))

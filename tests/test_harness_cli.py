@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from ptsparse.cli import main
 from ptsparse.config import (OUT_ROOT_ENV, ConfigError, ExperimentConfig,
                              parse_config)
+from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
-                              read_metrics, run_single)
+                              read_metrics, run_single, write_metrics)
+from ptsparse.nn import load_network
 from ptsparse.sparsity import load_masks
 
 BASE = """
@@ -218,6 +221,8 @@ class TestOtherCommands:
         out = tmp_path / "tr"
         assert run_cli("train", "-c", cfg_file(), "-o", f"out_dir={out}") == 0
         assert (out / "metrics.csv").exists()
+        # train is run: the teacher checkpoint and the config come along
+        assert (out / "teacher.ckpt").exists() and (out / "config.json").exists()
 
     def test_nm_run(self, cfg_file, tmp_path):
         out = tmp_path / "nm"
@@ -295,7 +300,8 @@ class TestEveryLayerExcluded:
 
     @pytest.mark.parametrize("command,extra", [
         ("prune", ()), ("prune", ("-o", "nm_pattern=2:4")), ("search", ()),
-        ("run", ())])
+        ("run", ()), ("run", ("-o", "method=unipts")),
+        ("search", ("-o", "method=unipts"))])
     def test_one_stage_failure_line(self, cfg_file, tmp_path, capsys, command, extra):
         out = tmp_path / command
         code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
@@ -379,3 +385,127 @@ class TestStageSettingsAtParseTime:
                                                          "base_decayed_kl")
         pot = parse_config(cfg_file(), ["method=pot-baseline", "objective=ce"])
         assert pot.train_config(seed=0).objective == "layerwise_mse"
+
+
+class TestAtomicArtifacts:
+    def test_failed_artifact_write_leaves_old_file_and_no_temporary(
+            self, cfg_file, tmp_path, monkeypatch):
+        cfg = parse_config(cfg_file())
+        splits = load_dataset(cfg)
+        teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
+        out = tmp_path / "job"
+        run_single(cfg, splits, teacher, 0, str(out))
+        before = sorted(p.name for p in out.iterdir())
+        old = (out / "masks.txt").read_bytes()
+
+        def broken(masks):
+            raise RuntimeError("disk gone")
+
+        # fails after masks.txt's temporary file is open
+        monkeypatch.setattr(harness, "mask_summary", broken)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run_single(cfg, splits, teacher, 0, str(out))
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert (out / "masks.txt").read_bytes() == old
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run_single(cfg, splits, teacher, 0, str(tmp_path / "fresh"))
+        assert not (tmp_path / "fresh" / "masks.txt").exists()
+        assert not [p for p in (tmp_path / "fresh").iterdir() if ".tmp" in p.name]
+
+
+# run_single's outputs on BASE for every method path, recorded before the CLI
+# and harness were folded into one pipeline, so a refactor that moves a bit
+# fails here. The bits are those of the float library they were recorded with
+# (numpy 2.4.6, scipy-openblas 0.3.31, x86-64): another numpy or BLAS may
+# round differently, and a mismatch there alone is a platform difference,
+# not a bug.
+GOLDEN_TEACHER = {
+    "mlp3": "c29cae26472f745e5a7d2e6432238de07d3bba2649273fc08b16bc2c89c0bb87",
+    "convnet-small": "96f34cc6da9a919bf36e5d6635a5a796ee7d58e7042b2078473867a22e260fc6",
+}
+GOLDEN = {  # (preset, method[/nm pattern]): (metrics.csv row, masks.bin sha256, student)
+    ("mlp3", "unipts"): (
+        "unipts,0.5000,0.500020,0.616667,0,0.000",
+        "3effe30826a72b50a50f96cb6f33d080d154292f2c6b067e7b2fef17f35bc101",
+        "ad7fbd625177b286e5cfc0161ce7b66763e2d9269645fd8c4b329b5e86a3515b"),
+    ("mlp3", "uniform+dst"): (
+        "uniform+dst,0.5000,0.500000,0.666667,0,0.000",
+        "77afd40b86877ece0b3983c9488eaec6d9e0f4edd6547c6c9e0e2ff78f968f36",
+        "94a2748acf9aec325a719323a30c535be9a726247a28679b44426e58c331854d"),
+    ("mlp3", "erk+dst"): (
+        "erk+dst,0.5000,0.500020,0.600000,0,0.000",
+        "d70f9d9774525a24f613c7b6e2c8ca465aeeac21825f3a62e331997a5067477b",
+        "46c4f860c744e0df07a4c488d83551e03be23436ca096702f541f5a2f8248631"),
+    ("mlp3", "pot-baseline"): (
+        "pot-baseline,0.5000,0.500000,0.633333,0,0.000",
+        "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
+        "c445a526802bab7d3a89e79dc8dfefee78ec56f2b0992461604f4cbbe60251f4"),
+    ("mlp3", "oneshot"): (
+        "oneshot,0.5000,0.500000,0.616667,0,0.000",
+        "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
+        "0007db7c81e3dd5058f67667940e3ca9de360394a0b0ac370ac0cf70ecf67711"),
+    ("mlp3", "uniform+dst/2:4"): (
+        "uniform+dst,0.5000,0.500000,0.466667,0,0.000",
+        "071959fadae9e44a8d06681fa912ad4fead6b3d958550b325401f3b6be7e7190",
+        "69b5cad0e12b821f33c69afc120a483a50a42fc3bebe6f63ac38bd1e73f6df26"),
+    ("convnet-small", "unipts"): (
+        "unipts,0.5000,0.501412,0.533333,0,0.000",
+        "eb0f878d07d887e36c1da329cb1c8cb6799605cd4a5e132488dd5f65da3eb857",
+        "234f15fada922e8fa29ebf760d7b7f80f14a54ef646228f1129a5c7d49247c36"),
+    ("convnet-small", "uniform+dst"): (
+        "uniform+dst,0.5000,0.500000,0.433333,0,0.000",
+        "b200282d6c34732360e65664c1173da5cf91a5a8377d35cf9fa8a0dbe1e99989",
+        "1c0025552a9a11d8ac2870673901e58e8142d5fa72ba03c6850c3d825e64245e"),
+    ("convnet-small", "erk+dst"): (
+        "erk+dst,0.5000,0.500000,0.516667,0,0.000",
+        "70d4cb15360b61c9f2475131fb75e7fb555361e63c537b71e96c93f934fc220e",
+        "88ab18a9745feac1bb16a2e893a54d985fc5c0ac969aaca2b6b0334d477a562d"),
+    ("convnet-small", "pot-baseline"): (
+        "pot-baseline,0.5000,0.500000,0.500000,0,0.000",
+        "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
+        "a2be8a8319db660ce0f6971a1f0cbedc334ede6b2b04a9fdf542b54c5350d3ea"),
+    ("convnet-small", "oneshot"): (
+        "oneshot,0.5000,0.500000,0.433333,0,0.000",
+        "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
+        "49b1952bafcf37293545d999eaa90aa6164898452f48a32725d694b2308cefa0"),
+    ("convnet-small", "uniform+dst/2:4"): (
+        "uniform+dst,0.5000,0.497175,0.266667,0,0.000",
+        "76b0527172c4cfcc1de630ca1deaa984a6b3215ee06131022f25a4f22ce66d53",
+        "45afb4071417a88d5118fcb040bf3cdc947e054400cea27b46bcc14743e65d6a"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_setup(tmp_path_factory):
+    """(config path, splits, teacher) per preset, built once."""
+    path = tmp_path_factory.mktemp("golden") / "exp.cfg"
+    path.write_text(BASE)
+    cache = {}
+
+    def setup(preset):
+        if preset not in cache:
+            cfg = parse_config(str(path), [f"preset={preset}"])
+            splits = load_dataset(cfg)
+            cache[preset] = (str(path), splits,
+                             prepare_teacher(cfg, splits, seed=cfg.data_seed))
+        return cache[preset]
+    return setup
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("preset,method", list(GOLDEN))
+    def test_run_single_bits(self, golden_setup, tmp_path, preset, method):
+        path, splits, teacher = golden_setup(preset)
+        name, _, nm = method.partition("/")
+        cfg = parse_config(path, [f"preset={preset}", f"method={name}"]
+                           + ([f"nm_pattern={nm}"] if nm else []))
+        row_text, masks_sha256, student_hash = GOLDEN[(preset, method)]
+        assert teacher.param_hash() == GOLDEN_TEACHER[preset]
+        write_metrics([run_single(cfg, splits, teacher, 0, str(tmp_path))],
+                      tmp_path / "metrics.csv")
+        assert (tmp_path / "metrics.csv").read_bytes() == (
+            "method,target_sparsity,realized_sparsity,top1,seed,wall_time_s\r\n"
+            f"{row_text}\r\n").encode()
+        assert hashlib.sha256((tmp_path / "masks.bin").read_bytes()).hexdigest() \
+            == masks_sha256
+        assert load_network(tmp_path / "student.ckpt").param_hash() == student_hash

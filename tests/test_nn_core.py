@@ -12,6 +12,7 @@ from layer_reference import (BatchNormReference, avgpool_reference, full_trace_b
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, load_network, predict_distribution,
                          save_network)
+from ptsparse.nn.checkpoint import MAGIC, write_container
 from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d
 from ptsparse.sparsity import topk_mask
 
@@ -539,6 +540,29 @@ class TestPresetsAndCheckpoint:
         path.write_bytes(raw.replace(b'"shape": [5, 6]', b'"shape": [6, 5]', 1))
         with pytest.raises(CheckpointError, match="spec wants"):
             load_network(path)
+
+    @pytest.mark.parametrize("old", [None, b"old checkpoint"])
+    def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, old):
+        path = tmp_path / "net.ckpt"
+        if old is not None:
+            path.write_bytes(old)
+
+        def blobs():  # magic, header and one blob are written before the failure
+            yield b"\x00" * 64
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_container(path, MAGIC, {"layers": []}, blobs())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["net.ckpt"])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_write_replaces_old_file(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"old checkpoint")
+        save_network(tiny_mlp(), path)
+        assert load_network(path).param_hash() == tiny_mlp().param_hash()
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
     def test_teacher_immutable_under_student_training(self, rng):
         from ptsparse.data import CalibrationSet

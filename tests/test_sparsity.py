@@ -9,10 +9,9 @@ from hypothesis.extra import numpy as hnp
 from conftest import tiny_conv, tiny_mlp
 from mask_reference import nm_mask_reference, topk_mask_reference
 from ptsparse.nn import CheckpointError, build_preset
-from ptsparse.sparsity import (NMPattern, SparsityDistribution, apply_mask,
-                               erk_distribution, global_sparsity, load_masks,
-                               mask_summary, nm_mask, save_masks, topk_mask,
-                               uniform_distribution)
+from ptsparse.sparsity import (NMPattern, SparsityDistribution, erk_distribution,
+                               load_masks, mask_summary, nm_mask, realized_sparsity,
+                               save_masks, topk_mask, uniform_distribution)
 
 weight_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
@@ -162,26 +161,6 @@ class TestNMMask:
                 assert g.sum() == min(2, len(g))
 
 
-class TestApplyMask:
-    def test_identity_and_zero(self, rng):
-        w = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(apply_mask(w, np.ones_like(w)), w)
-        np.testing.assert_array_equal(apply_mask(w, np.zeros_like(w)), 0 * w)
-
-    def test_against_scalar_loop(self, rng):
-        w = rng.standard_normal((4, 5))
-        m = (rng.random((4, 5)) > 0.5).astype(float)
-        expected = np.array([[w[i, j] * m[i, j] for j in range(5)] for i in range(4)])
-        np.testing.assert_array_equal(apply_mask(w, m), expected)
-
-    @settings(max_examples=200, deadline=None)
-    @given(weight_arrays, st.floats(0, 1))
-    def test_idempotent(self, w, rate):
-        m = topk_mask(w, rate)
-        once = apply_mask(w, m)
-        np.testing.assert_array_equal(apply_mask(once, m), once)
-
-
 def erk_oracle(shapes, p):
     """Independent scripted evaluation of the ERK allocation formula."""
     numels = [int(np.prod(s)) for s in shapes]
@@ -253,16 +232,16 @@ class TestGlobalSparsity:
         idx = net.prunable_indices()
         ones = {i: np.ones_like(net.layers[i].weight) for i in idx}
         zeros = {i: np.zeros_like(net.layers[i].weight) for i in idx}
-        assert global_sparsity(net, ones) == 0.0
-        assert global_sparsity(net, zeros) == 1.0
+        assert realized_sparsity(ones) == 0.0
+        assert realized_sparsity(zeros) == 1.0
 
     def test_mixed_direct_count(self, rng):
         net = tiny_mlp()
         masks = {i: (rng.random(net.layers[i].weight.shape) > 0.5).astype(float)
                  for i in net.prunable_indices()}
         ones = sum(m.sum() for m in masks.values())
-        total = net.total_prunable()
-        assert global_sparsity(net, masks) == pytest.approx(1.0 - ones / total)
+        total = sum(net.layers[i].weight.size for i in net.prunable_indices())
+        assert realized_sparsity(masks) == pytest.approx(1.0 - ones / total)
 
 
 class TestMaskExport:

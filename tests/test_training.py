@@ -7,7 +7,7 @@ from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network
-from ptsparse.sparsity import (NMPattern, global_sparsity, topk_mask,
+from ptsparse.sparsity import (NMPattern, realized_sparsity, topk_mask,
                                uniform_distribution)
 from ptsparse.objectives import layerwise_mse
 from ptsparse.training import (TrainConfig, TrainState, _batch_stream, build_masks,
@@ -192,7 +192,7 @@ class TestRunTraining:
         res = run_training(teacher, dist, calib,
                            TrainConfig(iterations=10, batch_size=16))
         assert res.final_sparsity == pytest.approx(
-            global_sparsity(res.student, res.masks))
+            realized_sparsity(res.masks))
 
     def test_zero_iterations_is_oneshot(self):
         teacher = tiny_mlp(seed=2)
