@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands call the pipeline's stage functions in harness and print:
-teacher, search, prune (one-shot), eval, report, and run (the full chain;
-train is the same command). Exit codes: 0 success, 1 config error,
-2 stage failure.
+teacher, search, prune (one-shot: the job with zero DST steps), eval, report,
+and run (the full chain; train is the same command). Exit codes: 0 success,
+1 config error, 2 stage failure.
 """
 
 from __future__ import annotations
@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .data import sample_calibration
-from .harness import (StageError, evaluate, load_dataset, oneshot_prune, prepare_teacher,
-                      report, run_experiment, select_distribution, stage,
-                      write_artifacts)
+from .harness import (StageError, calibration_set, evaluate, load_dataset,
+                      prepare_teacher, report, run_experiment, run_single,
+                      select_distribution, stage)
 from .nn import load_network, save_network
 from .nn.checkpoint import atomic_write
-from .sparsity import load_masks, mask_summary
+from .sparsity import load_masks
 
 
 def _add_common(p):
@@ -55,13 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup(args) -> tuple[ExperimentConfig, str]:
     cfg = parse_config(args.config, args.override)
-    out = cfg.resolved_out_dir()
-    os.makedirs(out, exist_ok=True)
-    return cfg, out
+    return cfg, cfg.resolved_out_dir()
 
 
 def cmd_teacher(args) -> int:
     cfg, out = _setup(args)
+    os.makedirs(out, exist_ok=True)
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     path = os.path.join(out, "teacher.ckpt")
@@ -72,13 +71,14 @@ def cmd_teacher(args) -> int:
 
 def cmd_search(args) -> int:
     cfg, out = _setup(args)
+    if cfg.nm_pattern:
+        raise ConfigError("search does not apply to N:M runs")
+    os.makedirs(out, exist_ok=True)
     seed = cfg.seeds[0]
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    calib = sample_calibration(splits, cfg.calib_size, seed, balanced=cfg.calib_balanced)
-    dist, _ = select_distribution(cfg, teacher, calib, seed, out_dir=out)
-    if dist is None:
-        raise ConfigError("search does not apply to N:M runs")
+    calib = calibration_set(cfg, splits, seed)
+    dist = select_distribution(cfg, teacher, calib, seed, out_dir=out)
     path = os.path.join(out, "distribution.json")
     with atomic_write(path) as f:
         f.write(dist.to_json() + "\n")
@@ -90,17 +90,12 @@ def cmd_search(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg, out = _setup(args)
-    seed = cfg.seeds[0]
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    calib = sample_calibration(splits, cfg.calib_size, seed, balanced=cfg.calib_balanced)
-    dist, _ = select_distribution(cfg, teacher, calib, seed, out_dir=out)
-    with stage("prune"):
-        student, masks = oneshot_prune(cfg, teacher, dist)
-    top1 = evaluate(student, splits, masks)
-    write_artifacts(out, student, masks, dist)
-    print(mask_summary(masks))
-    print(f"one-shot top-1: {top1:.4f}")
+    row = run_single(replace(cfg, iterations=0), splits, teacher, cfg.seeds[0], out)
+    with open(os.path.join(out, "masks.txt")) as f:
+        print(f.read(), end="")
+    print(f"one-shot top-1: {row.top1:.4f}")
     return 0
 
 

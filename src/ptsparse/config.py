@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .search import SearchConfig
+from .sparsity import NMPattern
 from .training import TrainConfig
 
 
@@ -99,10 +100,10 @@ class ExperimentConfig:
             raise ConfigError(f"dataset {self.dataset!r} must be synthetic or idx")
         if self.nm_pattern:
             try:
-                n, m = (int(v) for v in self.nm_pattern.split(":"))
+                nm = NMPattern.parse(self.nm_pattern)
             except ValueError as exc:
                 raise ConfigError(f"bad nm_pattern {self.nm_pattern!r}") from exc
-            if not 1 <= n < m:
+            if not nm.n < nm.m:
                 raise ConfigError(f"bad nm_pattern {self.nm_pattern!r} (need n < m)")
         elif not 0.0 < self.sparsity < 1.0:
             raise ConfigError(f"sparsity {self.sparsity} outside (0,1)")
@@ -114,13 +115,16 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} missing or not found: {path!r}")
         if self.teacher_checkpoint and not os.path.exists(self.teacher_checkpoint):
             raise ConfigError(f"teacher_checkpoint not found: {self.teacher_checkpoint!r}")
+        if self.calib_size < 0 or (self.dataset == "synthetic"
+                                   and self.calib_size > self.train_size):
+            raise ConfigError(f"calib_size {self.calib_size} outside 0..{self.train_size} "
+                              "(the train split)")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         try:  # the stage settings this method will build, checked before any work
             if self.method == "unipts" and not self.nm_pattern:
                 self.search_config(seed=0)
-            if self.method != "oneshot":
-                self.train_config(seed=0)
+            self.train_config(seed=0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -131,9 +135,11 @@ class ExperimentConfig:
 
     def train_config(self, seed: int) -> TrainConfig:
         """The sparse training's settings; pot-baseline always trains on the
-        layerwise reconstruction objective."""
+        layerwise reconstruction objective, and oneshot takes no step."""
         objective = "layerwise_mse" if self.method == "pot-baseline" else self.objective
-        return _derive(TrainConfig, self, objective=objective, seed=seed)
+        iterations = 0 if self.method == "oneshot" else self.iterations
+        return _derive(TrainConfig, self, objective=objective, iterations=iterations,
+                       seed=seed)
 
     def resolved_out_dir(self) -> str:
         root = os.environ.get(OUT_ROOT_ENV, "")

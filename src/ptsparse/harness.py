@@ -24,9 +24,8 @@ from .nn.checkpoint import atomic_write
 from .objectives import cross_entropy
 from .search import evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
-                       realized_sparsity, save_masks, uniform_distribution)
-from .training import (_batch_stream, build_masks, cosine_lr, mask_rates, run_training,
-                       zero_pruned)
+                       nm_distribution, save_masks, uniform_distribution)
+from .training import _batch_stream, cosine_lr, run_training
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -107,34 +106,31 @@ def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Net
 
 
 def select_distribution(cfg: ExperimentConfig, teacher: Network,
-                        calib: CalibrationSet, seed: int, out_dir=None):
-    """Distribution per method; None for N:M runs. A ValueError, such as
-    every prunable layer excluded, raises StageError("search")."""
-    if cfg.nm_pattern:
-        return None, None
+                        calib: CalibrationSet, seed: int,
+                        out_dir=None) -> SparsityDistribution:
+    """Which layers are pruned, how, and at what rate: the N:M pattern when
+    one is set, else the method's distribution. A ValueError, such as every
+    prunable layer excluded, raises StageError("search")."""
     exclude = set(cfg.exclude_layers)
     with stage("search"):
+        if cfg.nm_pattern:
+            return nm_distribution(teacher, NMPattern.parse(cfg.nm_pattern), exclude)
         if cfg.method == "unipts":
             log_path = os.path.join(out_dir, "search.log") if out_dir else None
-            best, history = evolve(teacher, calib, cfg.search_config(seed),
-                                   log_path=log_path)
-            return best.distribution, history
+            best, _ = evolve(teacher, calib, cfg.search_config(seed), log_path=log_path)
+            return best.distribution
         if cfg.method == "erk+dst":
-            return erk_distribution(teacher, cfg.sparsity, exclude), None
+            return erk_distribution(teacher, cfg.sparsity, exclude)
         # uniform for uniform+dst, pot-baseline, and oneshot
-        return uniform_distribution(teacher, cfg.sparsity, exclude), None
+        return uniform_distribution(teacher, cfg.sparsity, exclude)
 
 
-def oneshot_prune(cfg: ExperimentConfig, teacher: Network,
-                  distribution: SparsityDistribution | None):
-    """Magnitude-prune a teacher copy without training: the configured N:M
-    pattern on every layer not excluded, or the distribution's top-k."""
-    nm = NMPattern.parse(cfg.nm_pattern) if cfg.nm_pattern else None
-    student = teacher.copy()
-    masks = build_masks(student, mask_rates(student, distribution, nm,
-                                            set(cfg.exclude_layers)), nm)
-    zero_pruned(student, masks)
-    return student, masks
+def calibration_set(cfg: ExperimentConfig, splits: Splits, seed: int) -> CalibrationSet:
+    """The seed's calibration rows; a sampling failure, such as more rows
+    than the train split holds, raises StageError("data")."""
+    with stage("data"):
+        return sample_calibration(splits, cfg.calib_size, seed,
+                                  balanced=cfg.calib_balanced)
 
 
 def evaluate(net: Network, splits: Splits, masks=None) -> float:
@@ -144,15 +140,14 @@ def evaluate(net: Network, splits: Splits, masks=None) -> float:
 
 
 def write_artifacts(out_dir: str, student: Network, masks,
-                    distribution: SparsityDistribution | None = None,
-                    history=()) -> None:
-    """student.ckpt, masks.bin and masks.txt, plus distribution.json and
-    train_metrics.csv when there is a distribution or a history."""
+                    distribution: SparsityDistribution, history=()) -> None:
+    """student.ckpt, masks.bin and masks.txt, plus distribution.json unless
+    the masks are N:M, and train_metrics.csv when there is a history."""
     save_network(student, os.path.join(out_dir, "student.ckpt"))
     save_masks(masks, os.path.join(out_dir, "masks.bin"))
     with atomic_write(os.path.join(out_dir, "masks.txt")) as f:
         f.write(mask_summary(masks) + "\n")
-    if distribution is not None:
+    if distribution.nm is None:
         with atomic_write(os.path.join(out_dir, "distribution.json")) as f:
             f.write(distribution.to_json() + "\n")
     if history:
@@ -165,31 +160,20 @@ def write_artifacts(out_dir: str, student: Network, masks,
 def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
                seed: int, out_dir: str) -> MetricsRow:
     started = time.monotonic()
+    calib = calibration_set(cfg, splits, seed)
     os.makedirs(out_dir, exist_ok=True)
-    calib = sample_calibration(splits, cfg.calib_size, seed,
-                               balanced=cfg.calib_balanced)
-    distribution, _ = select_distribution(cfg, teacher, calib, seed, out_dir)
-
-    nm = NMPattern.parse(cfg.nm_pattern) if cfg.nm_pattern else None
-    target = nm.sparsity if nm else cfg.sparsity
+    distribution = select_distribution(cfg, teacher, calib, seed, out_dir)
     with stage("train"):
-        if cfg.method == "oneshot":
-            student, masks = oneshot_prune(cfg, teacher, distribution)
-            history = []
-        else:
-            result = run_training(teacher, distribution, calib, cfg.train_config(seed),
-                                  nm=nm, exclude=set(cfg.exclude_layers))
-            student, masks, history = result.student, result.masks, result.history
-
-    top1 = evaluate(student, splits, masks)
-    write_artifacts(out_dir, student, masks, distribution, history)
+        result = run_training(teacher, distribution, calib, cfg.train_config(seed))
+    top1 = evaluate(result.student, splits, result.masks)
+    write_artifacts(out_dir, result.student, result.masks, distribution, result.history)
     elapsed = time.monotonic() - started
     with atomic_write(os.path.join(out_dir, "timing.txt")) as f:
         f.write(f"wall_time_s={elapsed:.3f}\n")
     # CSV stays byte-deterministic unless timing is explicitly recorded
     wall = elapsed if cfg.record_timing else 0.0
-    return MetricsRow(method=cfg.method, target_sparsity=target,
-                      realized_sparsity=realized_sparsity(masks), top1=top1, seed=seed,
+    return MetricsRow(method=cfg.method, target_sparsity=distribution.target,
+                      realized_sparsity=result.final_sparsity, top1=top1, seed=seed,
                       wall_time_s=wall)
 
 

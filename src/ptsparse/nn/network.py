@@ -85,12 +85,12 @@ class Network:
         return trace
 
     def backward(self, trace: ForwardTrace, grad_logits: np.ndarray,
-                 masks: dict | None = None, ste: bool = False) -> dict[int, dict]:
+                 ste: bool = False) -> dict[int, dict]:
         """Gradients per layer index. With ste, masked weights still get grads.
         Nothing reads the input gradient of layer 0, so it is not computed."""
         if trace.net_id != id(self) or len(trace.caches) != len(self.layers):
             raise ValueError("trace does not belong to this network")
-        masks = trace.masks if masks is None else masks
+        masks = trace.masks
         grads: dict[int, dict] = {}
         g = grad_logits
         for i in range(len(self.layers) - 1, -1, -1):

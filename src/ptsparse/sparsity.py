@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,11 +110,13 @@ def realized_sparsity(masks: dict[int, np.ndarray]) -> float:
 
 @dataclass
 class SparsityDistribution:
-    """Per-prunable-layer sparsity rates realizing a global target."""
+    """Per-layer sparsity rates realizing a global target: top-k masks at
+    these rates, or, when nm is set, that N:M pattern on these layers."""
 
     rates: list[float]
     target: float
-    layer_indices: list[int] = field(default_factory=list)
+    layer_indices: list[int]
+    nm: NMPattern | None = None
 
     def validate(self, numels: list[int], tol_pp: float = 0.5) -> None:
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
@@ -127,17 +129,12 @@ class SparsityDistribution:
     def weighted_rate(self, numels: list[int]) -> float:
         return float(np.dot(self.rates, numels) / np.sum(numels))
 
-    def summary(self, numels: list[int] | None = None) -> str:
+    def summary(self, numels: list[int]) -> str:
         lines = [f"target global sparsity: {self.target:.4f}",
-                 f"{'layer':>6} {'rate':>8}" + ("" if numels is None else f" {'numel':>10}")]
-        idxs = self.layer_indices or list(range(len(self.rates)))
-        for pos, (i, r) in enumerate(zip(idxs, self.rates)):
-            line = f"{i:>6} {r:8.4f}"
-            if numels is not None:
-                line += f" {numels[pos]:>10}"
-            lines.append(line)
-        if numels is not None:
-            lines.append(f"weighted rate: {self.weighted_rate(numels):.4f}")
+                 f"{'layer':>6} {'rate':>8} {'numel':>10}"]
+        for i, r, n in zip(self.layer_indices, self.rates, numels):
+            lines.append(f"{i:>6} {r:8.4f} {n:>10}")
+        lines.append(f"weighted rate: {self.weighted_rate(numels):.4f}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -147,14 +144,18 @@ class SparsityDistribution:
     @classmethod
     def from_json(cls, text: str) -> "SparsityDistribution":
         d = json.loads(text)
-        return cls(rates=d["rates"], target=d["target"],
-                   layer_indices=d.get("layer_indices", []))
+        return cls(rates=d["rates"], target=d["target"], layer_indices=d["layer_indices"])
 
 
 def uniform_distribution(net: Network, p: float,
                          exclude: set[int] | None = None) -> SparsityDistribution:
     idxs = included_layers(net, exclude)
     return SparsityDistribution(rates=[p] * len(idxs), target=p, layer_indices=idxs)
+
+
+def nm_distribution(net: Network, nm: NMPattern,
+                    exclude: set[int] | None = None) -> SparsityDistribution:
+    return replace(uniform_distribution(net, nm.sparsity, exclude), nm=nm)
 
 
 def erk_distribution(net: Network, p: float,

@@ -17,8 +17,7 @@ import numpy as np
 from .nn.network import Network, predict_distribution
 from .objectives import (DecaySchedule, base_decayed_kl, cross_entropy, kl_loss,
                          layerwise_mse)
-from .sparsity import (NMPattern, SparsityDistribution, included_layers, nm_mask,
-                       realized_sparsity, topk_mask)
+from .sparsity import SparsityDistribution, nm_mask, realized_sparsity, topk_mask
 
 OBJECTIVES = ("base_decayed_kl", "kl", "ce", "layerwise_mse")
 
@@ -58,8 +57,7 @@ class TrainConfig:
 class TrainState:
     student: Network
     masks: dict[int, np.ndarray]
-    rates: dict[int, float]
-    nm: NMPattern | None = None
+    distribution: SparsityDistribution
     iteration: int = 0
     lr: float = 0.0
     velocity: dict = field(default_factory=dict)
@@ -72,22 +70,12 @@ def cosine_lr(iteration: int, total: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * iteration / total))
 
 
-def mask_rates(net: Network, distribution: SparsityDistribution | None,
-               nm: NMPattern | None = None,
-               exclude: set[int] | None = None) -> dict[int, float]:
-    """Per-layer rates: the N:M rate on every prunable layer not excluded,
-    or the distribution's rates on its layers."""
-    if nm is not None:
-        return {i: nm.sparsity for i in included_layers(net, exclude)}
-    idxs = distribution.layer_indices or net.prunable_indices()
-    return dict(zip(idxs, distribution.rates))
-
-
-def build_masks(net: Network, rates: dict[int, float],
-                nm: NMPattern | None = None) -> dict[int, np.ndarray]:
-    if nm is not None:
-        return {i: nm_mask(net.layers[i].weight, nm) for i in rates}
-    return {i: topk_mask(net.layers[i].weight, r) for i, r in rates.items()}
+def build_masks(net: Network, dist: SparsityDistribution) -> dict[int, np.ndarray]:
+    """Magnitude masks on the distribution's layers: N:M or top-k."""
+    if dist.nm is not None:
+        return {i: nm_mask(net.layers[i].weight, dist.nm) for i in dist.layer_indices}
+    return {i: topk_mask(net.layers[i].weight, r)
+            for i, r in zip(dist.layer_indices, dist.rates)}
 
 
 def zero_pruned(net: Network, masks: dict[int, np.ndarray]) -> None:
@@ -132,7 +120,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
     state.iteration += 1
     churn = None
     if state.iteration % cfg.delta_t == 0:
-        new_masks = build_masks(state.student, state.rates, state.nm)
+        new_masks = build_masks(state.student, state.distribution)
         churn = mask_churn(state.masks, new_masks)
         state.masks = new_masks
     return loss, churn
@@ -179,31 +167,27 @@ def _batch_stream(n, batch_size, iterations, rng):
             produced += 1
 
 
-def run_training(teacher: Network, distribution: SparsityDistribution | None,
-                 calib, cfg: TrainConfig, nm: NMPattern | None = None,
-                 exclude: set[int] | None = None) -> RunResult:
+def run_training(teacher: Network, distribution: SparsityDistribution,
+                 calib, cfg: TrainConfig) -> RunResult:
     """Train a sparse student from a teacher copy on the calibration set.
 
-    Either a per-layer sparsity distribution or an N:M pattern selects the
-    masks; N:M masks every prunable layer not in `exclude`. The returned
-    student has its final masks applied destructively, so exported weights
-    are genuinely sparse. A ValueError raised by a DST step (a non-finite
-    loss input or weight) names the step.
+    The distribution selects the masks. With zero iterations this is
+    one-shot magnitude pruning. The returned student has its final masks
+    applied destructively, so exported weights are genuinely sparse. A
+    ValueError raised by a DST step (a non-finite loss input or weight)
+    names the step.
 
     The teacher is frozen and the calibration rows are fixed, so its
     probability rows are computed once, before the first step, in the
     256-row chunks of Network.predict; ce never reads them.
     """
-    if len(calib.inputs) == 0:
+    if cfg.iterations and len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
-    if (distribution is None) == (nm is None):
-        raise ValueError("exactly one of distribution / nm must be given")
     student = teacher.copy()
-    rates = mask_rates(student, distribution, nm, exclude)
-    masks = build_masks(student, rates, nm)
+    masks = build_masks(student, distribution)
     if cfg.objective == "layerwise_mse":
         return _run_layerwise_reconstruction(teacher, student, masks, calib, cfg)
-    state = TrainState(student=student, masks=masks, rates=rates, nm=nm)
+    state = TrainState(student=student, masks=masks, distribution=distribution)
     sched = cfg.schedule()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []

@@ -26,7 +26,7 @@ from ptsparse.harness import load_dataset, prepare_teacher
 from ptsparse.nn import Dense, Network
 from ptsparse.objectives import DecaySchedule, kl_loss
 from ptsparse.search import SearchConfig, decode, evolve
-from ptsparse.sparsity import (NMPattern, nm_mask, topk_mask,
+from ptsparse.sparsity import (NMPattern, nm_distribution, nm_mask, topk_mask,
                                uniform_distribution)
 from ptsparse.training import TrainConfig, run_training
 
@@ -80,14 +80,13 @@ def bundle():
                                        TrainConfig(**long)))
         row["kl"] = top1(run_training(teacher, uniform, calib,
                                       TrainConfig(objective="kl", **long)))
-        nm = NMPattern(2, 4)
-        nm_res = run_training(teacher, None, calib, TrainConfig(**base), nm=nm)
+        nm = nm_distribution(teacher, NMPattern(2, 4))
+        nm_res = run_training(teacher, nm, calib, TrainConfig(**base))
         row["nm_trained"] = top1(nm_res)
         row["nm_masks"] = nm_res.masks
         row["nm_student"] = nm_res.student
         row["nm_untrained"] = top1(run_training(
-            teacher, None, calib,
-            TrainConfig(iterations=0, seed=seed), nm=nm))
+            teacher, nm, calib, TrainConfig(iterations=0, seed=seed)))
         out["seeds"][seed] = row
     return out
 
@@ -112,8 +111,9 @@ class TestNumericAnchors:
         from ptsparse.training import TrainState, _apply_update
         layer = Dense(1, 1)
         layer.weight = np.array([[0.1]])
-        state = TrainState(student=Network([layer]),
-                           masks={0: np.array([[0.0]])}, rates={0: 1.0})
+        net = Network([layer])
+        state = TrainState(student=net, masks={0: np.array([[0.0]])},
+                           distribution=uniform_distribution(net, 1.0))
         _apply_update(state, {0: {"weight": np.array([[0.2]])}}, 0.01,
                       TrainConfig(alpha=3e-5))
         got = layer.weight[0, 0]

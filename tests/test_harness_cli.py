@@ -213,9 +213,25 @@ class TestOtherCommands:
         assert (out / "search.log").exists()
 
     def test_search_rejects_nm(self, cfg_file, tmp_path):
+        # rejected before the output directory and the teacher
         assert run_cli("search", "-c", cfg_file(),
                        "-o", f"out_dir={tmp_path}/snm",
                        "-o", "nm_pattern=2:4") == 1
+        assert not (tmp_path / "snm").exists()
+
+    def test_prune_writes_timing(self, cfg_file, tmp_path):
+        # prune is the pipeline's job with zero DST steps: no training history
+        out = tmp_path / "p0"
+        assert run_cli("prune", "-c", cfg_file(), "-o", f"out_dir={out}") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "distribution.json", "masks.bin", "masks.txt", "student.ckpt", "timing.txt"]
+
+    def test_oneshot_without_calibration_rows(self, cfg_file, tmp_path):
+        # one-shot takes no step, so it needs no calibration row
+        out = tmp_path / "os0"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", "method=oneshot", "-o", "calib_size=0") == 0
+        assert read_metrics(out / "metrics.csv")[0]["method"] == "oneshot"
 
     def test_train_command(self, cfg_file, tmp_path):
         out = tmp_path / "tr"
@@ -387,6 +403,44 @@ class TestStageSettingsAtParseTime:
         assert pot.train_config(seed=0).objective == "layerwise_mse"
 
 
+class TestCalibrationSize:
+    """A calibration set larger than the train split fails before any
+    training: a config error for synthetic data, a stage failure once
+    loaded IDX data shows it."""
+
+    @pytest.mark.parametrize("size", ["500", "-1"])
+    @pytest.mark.parametrize("command", ["run", "search", "prune"])
+    def test_synthetic_is_config_error(self, cfg_file, tmp_path, capsys, command, size):
+        out = tmp_path / "out"
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"calib_size={size}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: calib_size")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra", [("run", ()),
+                                               ("search", ("-o", "method=unipts"))])
+    def test_idx_is_stage_failure(self, cfg_file, tmp_path, capsys, command, extra):
+        from ptsparse.data import save_idx, synthetic_splits
+        s = synthetic_splits(classes=3, image_size=8, train_size=30, eval_size=20,
+                             blobs_per_class=2, seed=0)
+        files = []
+        for name, arr in [("tx", s.train_x), ("ty", s.train_y.astype(np.uint8)),
+                          ("ex", s.eval_x), ("ey", s.eval_y.astype(np.uint8))]:
+            save_idx(tmp_path / f"{name}.idx", arr)
+            files.append(tmp_path / f"{name}.idx")
+        keys = ("idx_train_images", "idx_train_labels", "idx_eval_images",
+                "idx_eval_labels")
+        out = tmp_path / "out"
+        args = [a for k, f in zip(keys, files) for a in ("-o", f"{k}={f}")]
+        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", "dataset=idx", *args, *extra)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == ["stage failure: [data] calibration size 60 exceeds train split 30"]
+        assert not (out / "seed0").exists()
+
+
 class TestAtomicArtifacts:
     def test_failed_artifact_write_leaves_old_file_and_no_temporary(
             self, cfg_file, tmp_path, monkeypatch):
@@ -509,3 +563,48 @@ class TestGoldenBits:
         assert hashlib.sha256((tmp_path / "masks.bin").read_bytes()).hexdigest() \
             == masks_sha256
         assert load_network(tmp_path / "student.ckpt").param_hash() == student_hash
+
+
+# `ptsparse prune` on BASE (mlp3), recorded before one-shot pruning became the
+# pipeline's job with zero DST steps: (student.ckpt sha256, masks.bin sha256,
+# masks.txt, one-shot top-1). Same float-library caveat as GOLDEN.
+PRUNE_MASKS_UNIFORM = (
+    " layer              shape        nnz     rate\n"
+    "     0          (256, 64)       8192   0.5000\n"
+    "     3         (128, 256)      16384   0.5000\n"
+    "     6           (3, 128)        192   0.5000\n")
+GOLDEN_PRUNE = {
+    "unipts": (
+        "3a672d01f32eecca7d7c88426a0b0eb3370b3afcb00baa742c9aa0656d7c9ed8",
+        "0e3f2efb296f00e3f88f184dc0506c816ab5d908d960a20e7515d1c2304e81b9",
+        " layer              shape        nnz     rate\n"
+        "     0          (256, 64)       8432   0.4854\n"
+        "     3         (128, 256)      15951   0.5132\n"
+        "     6           (3, 128)        384   0.0000\n", "0.6000"),
+    "uniform+dst": (
+        "4ccd217ae2a62041dcb294dc079915f8d5de256b59432468e85e4cc70de1a252",
+        "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
+        PRUNE_MASKS_UNIFORM, "0.6167"),
+    "uniform+dst/2:4": (
+        "b018f76ed16db443de74a295243dcbcbed41d80c56d958026a6281b8039a1a4b",
+        "7f7c066c28b722313894e95352ea8d85f76bd94addb0974ec0fc68ecd8ee458a",
+        PRUNE_MASKS_UNIFORM, "0.4167"),
+}
+
+
+class TestGoldenPruneBits:
+    @pytest.mark.parametrize("method", list(GOLDEN_PRUNE))
+    def test_prune_bits(self, cfg_file, tmp_path, capsys, method):
+        name, _, nm = method.partition("/")
+        out = tmp_path / "prune"
+        assert run_cli("prune", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"method={name}",
+                       *(["-o", f"nm_pattern={nm}"] if nm else [])) == 0
+        student, masks, masks_txt, top1 = GOLDEN_PRUNE[method]
+
+        def sha256(name):
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert sha256("student.ckpt") == student
+        assert sha256("masks.bin") == masks
+        assert (out / "masks.txt").read_text() == masks_txt
+        assert capsys.readouterr().out == f"{masks_txt}one-shot top-1: {top1}\n"

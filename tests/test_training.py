@@ -7,7 +7,7 @@ from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network
-from ptsparse.sparsity import (NMPattern, realized_sparsity, topk_mask,
+from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, topk_mask,
                                uniform_distribution)
 from ptsparse.objectives import layerwise_mse
 from ptsparse.training import (TrainConfig, TrainState, _batch_stream, build_masks,
@@ -55,7 +55,7 @@ class TestUpdateRule:
         layer.bias = np.zeros(1)
         net = Network([layer])
         state = TrainState(student=net, masks={0: np.array([[mask]])},
-                           rates={0: 0.0})
+                           distribution=uniform_distribution(net, 0.0))
         return net, state
 
     def _apply(self, w, mask, grad, lr, cfg):
@@ -91,15 +91,39 @@ class TestUpdateRule:
         got = self._apply(0.5, 1.0, 0.0, 0.01, cfg)
         assert got == pytest.approx(0.5 - 0.01 * 0.1 * 0.5)
 
+    def test_momentum_matches_heavy_ball_oracle(self):
+        # oracle: v = m*v + g, then p -= lr*v + decay*p, entry by entry in
+        # Python floats; decay is alpha on the pruned entry, weight_decay*lr
+        # on the kept one, none on the bias
+        from ptsparse.training import _apply_update
+        layer = Dense(2, 1)
+        layer.weight = np.array([[0.3, -0.7]])
+        layer.bias = np.array([0.05])
+        net = Network([layer])
+        state = TrainState(student=net, masks={0: np.array([[0.0, 1.0]])},
+                           distribution=uniform_distribution(net, 0.5))
+        cfg = TrainConfig(alpha=0.02, weight_decay=0.1, momentum=0.9)
+        w, b, vw, vb = [0.3, -0.7], 0.05, [0.0, 0.0], 0.0
+        steps = [(0.1, [0.25, -0.5], 0.125), (0.07, [-0.3, 0.2], 0.5),
+                 (0.02, [0.6, 0.45], -0.25)]
+        for lr, gw, gb in steps:
+            _apply_update(state, {0: {"weight": np.array([gw]), "bias": np.array([gb])}},
+                          lr, cfg)
+            for j, decay in enumerate((cfg.alpha, cfg.weight_decay * lr)):
+                vw[j] = cfg.momentum * vw[j] + gw[j]
+                w[j] -= lr * vw[j] + decay * w[j]
+            vb = cfg.momentum * vb + gb
+            b -= lr * vb
+        assert layer.weight.tolist() == [w]
+        assert layer.bias.tolist() == [b]
+
     def test_alpha_zero_all_ones_mask_is_plain_sgd(self):
         # oracle: hand-rolled dense SGD on a copy, bit for bit
         teacher = tiny_mlp(seed=3)
         calib = make_calib(seed=3)
         net = teacher.copy()
-        idx = net.prunable_indices()
-        rates = {i: 0.0 for i in idx}
-        state = TrainState(student=net, masks=build_masks(net, rates),
-                           rates=rates)
+        dist = uniform_distribution(net, 0.0)
+        state = TrainState(student=net, masks=build_masks(net, dist), distribution=dist)
         cfg = TrainConfig(iterations=5, batch_size=16, lr=0.05, alpha=0.0,
                           weight_decay=0.0, delta_t=1, objective="kl")
         sched = cfg.schedule()
@@ -128,18 +152,18 @@ class TestUpdateRule:
 class TestMasksAndChurn:
     def test_cardinality_preserved_after_refresh(self):
         net = tiny_mlp(seed=1)
-        rates = {i: 0.6 for i in net.prunable_indices()}
-        before = build_masks(net, rates)
-        for i in rates:
+        dist = uniform_distribution(net, 0.6)
+        before = build_masks(net, dist)
+        for i in dist.layer_indices:
             net.layers[i].weight += np.random.default_rng(0).standard_normal(
                 net.layers[i].weight.shape)
-        after = build_masks(net, rates)
-        for i in rates:
+        after = build_masks(net, dist)
+        for i in dist.layer_indices:
             assert after[i].sum() == before[i].sum()
 
     def test_churn_zero_for_identical(self):
         net = tiny_mlp()
-        masks = build_masks(net, {i: 0.5 for i in net.prunable_indices()})
+        masks = build_masks(net, uniform_distribution(net, 0.5))
         assert mask_churn(masks, masks) == 0.0
 
     def test_churn_counts_flips(self):
@@ -204,23 +228,12 @@ class TestRunTraining:
                 res.student.layers[i].weight,
                 teacher.layers[i].weight * topk_mask(teacher.layers[i].weight, 0.5))
 
-    def test_distribution_nm_exclusive(self):
-        teacher = tiny_mlp(seed=2)
-        calib = make_calib(seed=2)
-        dist = uniform_distribution(teacher, 0.5)
-        with pytest.raises(ValueError):
-            run_training(teacher, dist, calib, TrainConfig(iterations=1),
-                         nm=NMPattern(2, 4))
-        with pytest.raises(ValueError):
-            run_training(teacher, None, calib, TrainConfig(iterations=1))
-
     def test_nm_masks_respect_pattern_throughout(self):
         teacher = tiny_mlp(seed=2)
         calib = make_calib(seed=2)
         pat = NMPattern(2, 4)
-        res = run_training(teacher, None, calib,
-                           TrainConfig(iterations=25, batch_size=16, delta_t=5),
-                           nm=pat)
+        res = run_training(teacher, nm_distribution(teacher, pat), calib,
+                           TrainConfig(iterations=25, batch_size=16, delta_t=5))
         for i, m in res.masks.items():
             rows = m.reshape(m.shape[0], -1)
             for r in range(rows.shape[0]):
@@ -231,9 +244,8 @@ class TestRunTraining:
     def test_nm_skips_excluded_layers(self):
         teacher = tiny_mlp(seed=2)
         first, last = teacher.prunable_indices()
-        res = run_training(teacher, None, make_calib(seed=2),
-                           TrainConfig(iterations=4, batch_size=16),
-                           nm=NMPattern(2, 4), exclude={first})
+        res = run_training(teacher, nm_distribution(teacher, NMPattern(2, 4), {first}),
+                           make_calib(seed=2), TrainConfig(iterations=4, batch_size=16))
         assert set(res.masks) == {last}
         assert np.count_nonzero(res.student.layers[first].weight == 0.0) == 0
 
@@ -280,8 +292,7 @@ class TestRunTraining:
         res = run_training(teacher, dist, calib, cfg)
 
         net = teacher.copy()
-        rates = {i: 0.5 for i in net.prunable_indices()}
-        state = TrainState(student=net, masks=build_masks(net, rates), rates=rates)
+        state = TrainState(student=net, masks=build_masks(net, dist), distribution=dist)
         z = teacher.predict(calib.inputs)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
         orders = [rng.permutation(40) for _ in range(3)]  # 3 batches per epoch
@@ -326,7 +337,7 @@ class TestRunTraining:
         res = run_training(teacher, dist, calib, cfg)
 
         student = teacher.copy()
-        masks = build_masks(student, dict(zip(student.prunable_indices(), dist.rates)))
+        masks = build_masks(student, dist)
         idxs = student.prunable_indices()
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
         step = 0
