@@ -7,6 +7,8 @@ Only Dense and Conv2d carry prunable weight tensors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -22,12 +24,13 @@ class ShapeMismatchError(ValueError):
 class Layer:
     kind = "base"
     prunable = False
+    SPEC: tuple[str, ...] = ()  # constructor arguments, in order
 
     def params(self) -> dict:
         return {}
 
     def spec(self) -> dict:
-        return {"kind": self.kind}
+        return {"kind": self.kind, **{k: getattr(self, k) for k in self.SPEC}}
 
     def forward(self, x, mode="eval", weff=None):
         raise NotImplementedError
@@ -38,27 +41,33 @@ class Layer:
         raise NotImplementedError
 
 
-class Dense(Layer):
-    kind = "Dense"
+class _Prunable(Layer):
+    """A weight of shape (out, fan-in dims...) and a bias: zeros for a
+    checkpoint to fill, or fan-in uniform, the weight drawn before the bias."""
+
     prunable = True
 
-    def __init__(self, in_features: int, out_features: int, rng=None):
-        self.in_features = in_features
-        self.out_features = out_features
+    def _init_params(self, shape, rng):
         if rng is None:
-            self.weight = np.zeros((out_features, in_features))
-            self.bias = np.zeros(out_features)
+            self.weight = np.zeros(shape)
+            self.bias = np.zeros(shape[0])
         else:
-            bound = 1.0 / np.sqrt(in_features)
-            self.weight = rng.uniform(-bound, bound, (out_features, in_features))
-            self.bias = rng.uniform(-bound, bound, out_features)
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            self.weight = rng.uniform(-bound, bound, shape)
+            self.bias = rng.uniform(-bound, bound, shape[0])
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def spec(self):
-        return {"kind": self.kind, "in_features": self.in_features,
-                "out_features": self.out_features}
+
+class Dense(_Prunable):
+    kind = "Dense"
+    SPEC = ("in_features", "out_features")
+
+    def __init__(self, in_features: int, out_features: int, rng=None):
+        self.in_features = in_features
+        self.out_features = out_features
+        self._init_params((out_features, in_features), rng)
 
     def forward(self, x, mode="eval", weff=None):
         w = self.weight if weff is None else weff
@@ -92,9 +101,9 @@ def _col2im(gcols, x_shape, kh, kw, stride, oh, ow):
     return gx
 
 
-class Conv2d(Layer):
+class Conv2d(_Prunable):
     kind = "Conv2d"
-    prunable = True
+    SPEC = ("in_channels", "out_channels", "kernel_size", "stride", "padding")
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0, rng=None):
         self.in_channels = in_channels
@@ -102,23 +111,7 @@ class Conv2d(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        if rng is None:
-            self.weight = np.zeros(shape)
-            self.bias = np.zeros(out_channels)
-        else:
-            fan_in = in_channels * kernel_size * kernel_size
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weight = rng.uniform(-bound, bound, shape)
-            self.bias = rng.uniform(-bound, bound, out_channels)
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def spec(self):
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel_size": self.kernel_size,
-                "stride": self.stride, "padding": self.padding}
+        self._init_params((out_channels, in_channels, kernel_size, kernel_size), rng)
 
     def _out_hw(self, h, w):
         k, s, p = self.kernel_size, self.stride, self.padding
@@ -173,6 +166,7 @@ class BatchNorm(Layer):
     """
 
     kind = "BatchNorm"
+    SPEC = ("num_features",)
     EPS = 1e-5
     MOMENTUM = 0.1
 
@@ -187,9 +181,6 @@ class BatchNorm(Layer):
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta,
                 "running_mean": self.running_mean, "running_var": self.running_var}
-
-    def spec(self):
-        return {"kind": self.kind, "num_features": self.num_features}
 
     def _axes(self, x):
         return (0,) if x.ndim == 2 else (0, 2, 3)
@@ -291,12 +282,10 @@ class AvgPool(Layer):
     """Non-overlapping average pooling (kernel == stride)."""
 
     kind = "AvgPool"
+    SPEC = ("kernel_size",)
 
     def __init__(self, kernel_size: int):
         self.kernel_size = kernel_size
-
-    def spec(self):
-        return {"kind": self.kind, "kernel_size": self.kernel_size}
 
     def forward(self, x, mode="eval", weff=None):
         k = self.kernel_size
@@ -335,16 +324,10 @@ LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, BatchNorm, ReLU, Flatten
 
 
 def layer_from_spec(spec: dict) -> Layer:
+    """The layer a spec() describes, parameters zeroed; keys beyond the
+    kind's SPEC are ignored."""
     kind = spec["kind"]
     if kind not in LAYER_KINDS:
         raise ValueError(f"unknown layer kind {kind!r}")
-    if kind == "Dense":
-        return Dense(spec["in_features"], spec["out_features"])
-    if kind == "Conv2d":
-        return Conv2d(spec["in_channels"], spec["out_channels"], spec["kernel_size"],
-                      spec["stride"], spec["padding"])
-    if kind == "BatchNorm":
-        return BatchNorm(spec["num_features"])
-    if kind == "AvgPool":
-        return AvgPool(spec["kernel_size"])
-    return LAYER_KINDS[kind]()
+    cls = LAYER_KINDS[kind]
+    return cls(*(spec[k] for k in cls.SPEC))

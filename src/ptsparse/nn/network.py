@@ -118,30 +118,30 @@ class Network:
 
     # -- inference helpers ----------------------------------------------
 
-    def _eval_logits(self, x, masks, batch_size):
-        """(start row, eval-mode logits) per batch_size rows of x: one chunk
+    def _eval_logits(self, x, masks):
+        """(start row, eval-mode logits) per EVAL_CHUNK rows of x: one chunk
         loop for predict and accuracy, so no forward grows with len(x). No
         trace is kept: each layer's arrays go once the next one has run."""
         if len(x) == 0:
             raise ValueError("no rows to evaluate")
-        for start in range(0, len(x), batch_size):
-            for _, logits, _ in self.forward_layers(x[start:start + batch_size],
+        for start in range(0, len(x), EVAL_CHUNK):
+            for _, logits, _ in self.forward_layers(x[start:start + EVAL_CHUNK],
                                                     masks, "eval"):
                 pass
             yield start, logits
 
     def predict(self, x, masks=None):
         return predict_distribution(np.concatenate(
-            [logits for _, logits in self._eval_logits(x, masks, EVAL_CHUNK)]))
+            [logits for _, logits in self._eval_logits(x, masks)]))
 
-    def accuracy(self, x, y, masks=None, batch_size=EVAL_CHUNK) -> float:
+    def accuracy(self, x, y, masks=None) -> float:
         """Top-1 share of the rows of x. Non-finite logits raise ValueError:
         a NaN column would otherwise win every argmax."""
         correct = 0
-        for start, logits in self._eval_logits(x, masks, batch_size):
+        for start, logits in self._eval_logits(x, masks):
             if not np.isfinite(logits).all():
                 raise ValueError("non-finite logits")
-            correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + batch_size]))
+            correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + EVAL_CHUNK]))
         return correct / len(x)
 
 

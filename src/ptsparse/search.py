@@ -15,7 +15,8 @@ import numpy as np
 
 from .nn.checkpoint import atomic_write
 from .nn.network import Network
-from .sparsity import SparsityDistribution, included_layers, topk_mask
+from .sparsity import (SparsityDistribution, included_layers, regrow_distribution,
+                       topk_mask)
 
 
 @dataclass
@@ -58,35 +59,14 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def decode(genome: np.ndarray, net: Network, cfg: SearchConfig) -> SparsityDistribution:
-    """Residual = (P_e - P) * numel(W); T = softmax(genome) * Residual;
-    r_l = P_e - T_l / numel(W_l). Layers whose regrow share would push the
-    rate below 0 are clamped dense-side and the surplus is redistributed
-    proportionally to the remaining softmax weights, to a fixpoint."""
+    """Regrow the residual (P_e - P) * numel(W) after pruning every layer to
+    P_e, in shares softmax(genome) (sparsity.regrow_distribution)."""
     idxs = included_layers(net, set(cfg.exclude_layers))
     numels = np.array([net.layers[i].weight.size for i in idxs], dtype=float)
     genome = np.asarray(genome, dtype=np.float64)
     if genome.shape != (len(idxs),):
         raise ValueError(f"genome length {genome.size} != prunable layers {len(idxs)}")
-    residual = (cfg.p_e - cfg.p) * numels.sum()
-    weights = _softmax(genome)
-    alloc = weights * residual
-    cap = cfg.p_e * numels  # regrow beyond this would drive r_l below 0
-    clamped = np.zeros(len(idxs), dtype=bool)
-    for _ in range(len(idxs)):
-        over = ~clamped & (alloc > cap + 1e-12)
-        if not over.any():
-            break
-        surplus = float((alloc[over] - cap[over]).sum())
-        alloc[over] = cap[over]
-        clamped |= over
-        free = ~clamped
-        if not free.any():
-            break
-        share = weights[free] / weights[free].sum()
-        alloc[free] += share * surplus
-    rates = np.clip(cfg.p_e - alloc / numels, 0.0, 1.0)
-    return SparsityDistribution(rates=[float(r) for r in rates], target=cfg.p,
-                                layer_indices=idxs)
+    return regrow_distribution(idxs, numels, _softmax(genome), cfg.p, cfg.p_e)
 
 
 def _per_channel_std(x: np.ndarray) -> np.ndarray:

@@ -160,30 +160,41 @@ def nm_distribution(net: Network, nm: NMPattern,
 
 def erk_distribution(net: Network, p: float,
                      exclude: set[int] | None = None) -> SparsityDistribution:
-    """Per-layer density proportional to sum(dims)/prod(dims), rescaled so the
-    parameter-weighted density hits 1-p; densities above 1 are frozen dense and
-    the rest renormalized, iterated to a fixpoint."""
+    """Per-layer density proportional to sum(dims)/prod(dims): every layer
+    pruned fully, then (1-p) of the weights regrown in shares proportional
+    to each weight shape's sum of dimensions, capped at dense."""
     idxs = included_layers(net, exclude)
-    shapes = [net.layers[i].weight.shape for i in idxs]
     numels = np.array([net.layers[i].weight.size for i in idxs], dtype=float)
-    raw = np.array([sum(s) / np.prod(s) for s in shapes])
-    budget = (1.0 - p) * numels.sum()
-    dense = np.zeros(len(idxs), dtype=bool)
-    while True:
-        remaining = budget - numels[dense].sum()
-        active = ~dense
-        denom = float((numels[active] * raw[active]).sum())
-        if denom <= 0 or remaining <= 0:
-            eps = 0.0
-        else:
-            eps = remaining / denom
-        density = np.where(dense, 1.0, np.clip(eps * raw, 0.0, None))
-        over = active & (density > 1.0)
+    sums = np.array([sum(net.layers[i].weight.shape) for i in idxs], dtype=float)
+    return regrow_distribution(idxs, numels, sums / sums.sum(), p, 1.0)
+
+
+def regrow_distribution(idxs: list[int], numels: np.ndarray, shares: np.ndarray,
+                        p: float, p_e: float) -> SparsityDistribution:
+    """Reducing-regrowing: prune every layer to p_e, then regrow the residual
+    (p_e - p) * numel(W) as T = shares * residual, r_l = p_e - T_l / numel_l.
+    Layers whose regrow share would push the rate below 0 are clamped
+    dense-side and the surplus is redistributed proportionally to the
+    remaining shares, to a fixpoint."""
+    residual = (p_e - p) * numels.sum()
+    alloc = shares * residual
+    cap = p_e * numels  # regrow beyond this would drive r_l below 0
+    clamped = np.zeros(len(idxs), dtype=bool)
+    for _ in range(len(idxs)):
+        over = ~clamped & (alloc > cap + 1e-12)
         if not over.any():
             break
-        dense |= over
-    rates = [float(1.0 - d) for d in np.clip(density, 0.0, 1.0)]
-    return SparsityDistribution(rates=rates, target=p, layer_indices=idxs)
+        surplus = float((alloc[over] - cap[over]).sum())
+        alloc[over] = cap[over]
+        clamped |= over
+        free = ~clamped
+        if not free.any():
+            break
+        share = shares[free] / shares[free].sum()
+        alloc[free] += share * surplus
+    rates = np.clip(p_e - alloc / numels, 0.0, 1.0)
+    return SparsityDistribution(rates=[float(r) for r in rates], target=p,
+                                layer_indices=idxs)
 
 
 def included_layers(net: Network, exclude: set[int] | None = None) -> list[int]:

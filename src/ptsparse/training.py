@@ -36,7 +36,7 @@ class TrainConfig:
     objective: str = "base_decayed_kl"
     momentum: float = 0.0
     seed: int = 0
-    metrics_every: int = 100
+    metrics_every: int = 200
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -61,7 +61,6 @@ class TrainState:
     iteration: int = 0
     lr: float = 0.0
     velocity: dict = field(default_factory=dict)
-    history: list = field(default_factory=list)
 
 
 def cosine_lr(iteration: int, total: int, lr0: float) -> float:
@@ -154,6 +153,13 @@ class RunResult:
     final_sparsity: float
 
 
+def _history_row(it, loss, lr, churn, student, masks, calib) -> dict:
+    """One train_metrics.csv row; a step without a mask refresh has churn 0."""
+    return {"iter": it, "loss": loss, "lr": lr, "churn": churn or 0.0,
+            "sparsity": realized_sparsity(masks),
+            "calib_acc": student.accuracy(calib.inputs, calib.labels, masks=masks)}
+
+
 def _batch_stream(n, batch_size, iterations, rng):
     """Row selections cycling n calibration rows, with a fresh permutation
     each epoch."""
@@ -202,13 +208,8 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
         if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:
-            history.append({
-                "iter": state.iteration, "loss": loss, "lr": state.lr,
-                "churn": churn if churn is not None else 0.0,
-                "sparsity": realized_sparsity(state.masks),
-                "calib_acc": state.student.accuracy(calib.inputs, calib.labels,
-                                                    masks=state.masks),
-            })
+            history.append(_history_row(state.iteration, loss, state.lr, churn,
+                                        state.student, state.masks, calib))
     zero_pruned(state.student, state.masks)
     return RunResult(student=state.student, masks=state.masks, history=history,
                      final_sparsity=realized_sparsity(state.masks))
@@ -216,12 +217,13 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
 
 def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunResult:
     """POT-style baseline: static one-shot masks, then each prunable layer is
-    tuned in order to reconstruct the dense layer's output under MSE; only
-    surviving weights move. The teacher's eval forward has no side effects,
-    so it stops at the tuned layer; the student's train forward runs every
-    layer, because train-mode BN updates its running statistics."""
+    tuned in order, for iterations // layers steps, to reconstruct the dense
+    layer's output under MSE; only surviving weights move. The teacher's eval
+    forward has no side effects, so it stops at the tuned layer; the
+    student's train forward runs every layer, because train-mode BN updates
+    its running statistics."""
     idxs = [i for i in student.prunable_indices() if i in masks]
-    per_layer = max(cfg.iterations // max(len(idxs), 1), 1) if cfg.iterations else 0
+    per_layer = cfg.iterations // max(len(idxs), 1)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []
     step_count = 0
@@ -244,11 +246,8 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunRes
             layer.bias -= lr * pg["bias"]
             step_count += 1
             if step_count % cfg.metrics_every == 0:
-                history.append({"iter": step_count, "loss": loss / x.shape[0],
-                                "lr": lr, "churn": 0.0,
-                                "sparsity": realized_sparsity(masks),
-                                "calib_acc": student.accuracy(
-                                    calib.inputs, calib.labels, masks=masks)})
+                history.append(_history_row(step_count, loss / x.shape[0], lr, 0.0,
+                                            student, masks, calib))
     zero_pruned(student, masks)
     return RunResult(student=student, masks=masks, history=history,
                      final_sparsity=realized_sparsity(masks))

@@ -11,7 +11,9 @@ from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
 from ptsparse.nn import load_network
+from ptsparse.search import SearchConfig
 from ptsparse.sparsity import load_masks
+from ptsparse.training import TrainConfig
 
 BASE = """
 # tiny end-to-end configuration
@@ -389,6 +391,10 @@ class TestStageSettingsAtParseTime:
         assert parse_config(cfg_file(), ["population=1"]).population == 1
         assert parse_config(cfg_file(), ["method=unipts", "nm_pattern=2:4",
                                          "population=1"]).population == 1
+
+    def test_stage_defaults_match_experiment_defaults(self):
+        assert ExperimentConfig().train_config(0) == TrainConfig()
+        assert ExperimentConfig().search_config(0) == SearchConfig()
 
     def test_stage_settings_follow_experiment_fields(self, cfg_file):
         cfg = parse_config(cfg_file(), ["method=unipts", "exclude_layers=3",

@@ -12,8 +12,9 @@ from layer_reference import (BatchNormReference, avgpool_reference, full_trace_b
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, load_network, predict_distribution,
                          save_network)
-from ptsparse.nn.checkpoint import MAGIC, write_container
-from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d
+from ptsparse.nn.checkpoint import MAGIC, read_container, write_container
+from ptsparse.nn.layers import (AvgPool, BatchNorm, Conv2d, Flatten, ReLU,
+                                layer_from_spec)
 from ptsparse.sparsity import topk_mask
 
 
@@ -504,6 +505,29 @@ class TestPresetsAndCheckpoint:
         loaded = load_network(path)
         assert loaded.param_hash() == net.param_hash()
         assert [l.spec() for l in loaded.layers] == [l.spec() for l in net.layers]
+
+    def test_every_layer_kind_round_trips_its_spec(self):
+        layers = [Dense(3, 4), Conv2d(2, 3, 3, stride=2, padding=0),
+                  Conv2d(1, 2, 3, stride=1, padding=1), BatchNorm(5), AvgPool(2),
+                  ReLU(), Flatten()]
+        for layer in layers:
+            spec = layer.spec()
+            back = layer_from_spec(spec)
+            assert type(back) is type(layer) and back.spec() == spec
+            assert layer_from_spec({**spec, "extra": 1}).spec() == spec
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec.pop("padding"),
+        lambda spec: spec.update(kind="Conv3d"),
+    ], ids=["missing-padding", "unknown-kind"])
+    def test_bad_conv_spec_raises_checkpoint_error(self, tmp_path, edit):
+        path = tmp_path / "net.ckpt"
+        save_network(tiny_conv(), path)
+        header, payload = read_container(path, MAGIC)
+        edit(header["layers"][0])
+        write_container(path, MAGIC, header, [payload])
+        with pytest.raises(CheckpointError):
+            load_network(path)
 
     def test_random_bytes_raise_checkpoint_error(self, tmp_path, rng):
         path = tmp_path / "junk.ckpt"

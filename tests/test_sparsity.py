@@ -11,7 +11,8 @@ from mask_reference import nm_mask_reference, topk_mask_reference
 from ptsparse.nn import CheckpointError, build_preset
 from ptsparse.sparsity import (NMPattern, SparsityDistribution, erk_distribution,
                                load_masks, mask_summary, nm_mask, realized_sparsity,
-                               save_masks, topk_mask, uniform_distribution)
+                               regrow_distribution, save_masks, topk_mask,
+                               uniform_distribution)
 
 weight_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
@@ -194,10 +195,31 @@ class TestDistributions:
         assert dist.rates[0] == pytest.approx(dist.rates[1]) == pytest.approx(0.6)
 
     def test_erk_matches_formula_oracle_on_mlp3(self):
-        net = build_preset("mlp3", (784,), 10, seed=0)
-        dist = erk_distribution(net, 0.9)
-        shapes = [net.layers[i].weight.shape for i in net.prunable_indices()]
-        np.testing.assert_allclose(dist.rates, erk_oracle(shapes, 0.9), atol=1e-12)
+        # both presets; a low p clamps a layer dense; one case excludes a layer
+        cases = [(preset, in_shape, p, set())
+                 for preset, in_shape in (("mlp3", (784,)), ("convnet-small", (1, 16, 16)))
+                 for p in (0.05, 0.3, 0.5, 0.9, 0.99)]
+        cases.append(("convnet-small", (1, 16, 16), 0.9, {0}))
+        for preset, in_shape, p, exclude in cases:
+            net = build_preset(preset, in_shape, 10, seed=0)
+            dist = erk_distribution(net, p, exclude)
+            shapes = [net.layers[i].weight.shape for i in dist.layer_indices]
+            np.testing.assert_allclose(dist.rates, erk_oracle(shapes, p), atol=1e-12,
+                                       err_msg=f"{preset} p={p} exclude={exclude}")
+
+    @given(st.lists(st.tuples(st.integers(1, 10_000), st.floats(1e-3, 1e3)),
+                    min_size=1, max_size=8),
+           st.floats(0.0, 0.99), st.floats(0.01, 1.0))
+    def test_regrow_keeps_rates_in_range_and_regrows_the_residual(self, layers, p, gap):
+        numels = np.array([n for n, _ in layers], dtype=float)
+        weights = np.array([w for _, w in layers])
+        p_e = min(p + gap * (1.0 - p), 1.0)
+        dist = regrow_distribution(list(range(len(layers))), numels,
+                                   weights / weights.sum(), p, p_e)
+        rates = np.array(dist.rates)
+        assert ((rates >= 0.0) & (rates <= 1.0)).all()
+        regrown = float(((p_e - rates) * numels).sum())
+        assert regrown == pytest.approx((p_e - p) * numels.sum(), rel=1e-9)
 
     @pytest.mark.parametrize("preset,in_shape", [("mlp3", (784,)),
                                                  ("convnet-small", (1, 16, 16))])

@@ -6,7 +6,7 @@ import pytest
 from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
 from ptsparse.data import CalibrationSet
-from ptsparse.nn import Dense, Network
+from ptsparse.nn import Dense, Network, build_preset
 from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, topk_mask,
                                uniform_distribution)
 from ptsparse.objectives import layerwise_mse
@@ -356,6 +356,26 @@ class TestRunTraining:
             student.layers[i].weight *= m
         assert student.param_hash() == res.student.param_hash()
         assert [row["iter"] for row in res.history] == [5, 10]
+
+    def test_layerwise_takes_at_most_iterations_steps(self):
+        # mlp3 has 3 prunable layers: iterations // 3 steps each, none below 3
+        teacher = build_preset("mlp3", (6,), 3, seed=4)
+        calib = make_calib(seed=4)
+        dist = uniform_distribution(teacher, 0.5)
+
+        def run(iterations):
+            return run_training(teacher, dist, calib, TrainConfig(
+                iterations=iterations, batch_size=16, lr=0.01, metrics_every=1,
+                objective="layerwise_mse", seed=0))
+
+        oneshot = run(0).student.param_hash()
+        for iterations in range(1, 8):
+            res = run(iterations)
+            lrs = [row["lr"] for row in res.history]
+            assert len(res.history) <= iterations
+            assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+            if iterations < 3:
+                assert res.student.param_hash() == oneshot
 
     def test_history_rows_have_expected_keys(self):
         teacher = tiny_mlp(seed=2)
