@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .harness import (StageError, calibration_set, evaluate, load_dataset,
@@ -53,8 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup(args) -> tuple[ExperimentConfig, str]:
-    cfg = parse_config(args.config, args.override)
+def _setup(args, *overrides) -> tuple[ExperimentConfig, str]:
+    """The config with the command's own overrides applied last, so
+    validation sees the job the command runs."""
+    cfg = parse_config(args.config, [*args.override, *overrides])
     return cfg, cfg.resolved_out_dir()
 
 
@@ -89,10 +90,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg, out = _setup(args)
+    cfg, out = _setup(args, "iterations=0")
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    row = run_single(replace(cfg, iterations=0), splits, teacher, cfg.seeds[0], out)
+    row = run_single(cfg, splits, teacher, cfg.seeds[0], out)
     with open(os.path.join(out, "masks.txt")) as f:
         print(f.read(), end="")
     print(f"one-shot top-1: {row.top1:.4f}")

@@ -41,13 +41,10 @@ class ExperimentConfig:
     dataset: str = "synthetic"              # synthetic | idx
     classes: int = 10
     image_size: int = 16
-    channels: int = 1
     train_size: int = 4096
     eval_size: int = 1024
     data_noise: float = 1.5
     data_blobs: int = 24
-    data_sigma_min: float = 0.5
-    data_sigma_max: float = 1.0
     data_offset: float = 2.0
     data_seed: int = 0
     idx_train_images: str = ""
@@ -58,10 +55,8 @@ class ExperimentConfig:
     preset: str = "convnet-small"
     teacher_checkpoint: str = ""
     teacher_epochs: int = 4
-    teacher_lr: float = 0.05
     # calibration
     calib_size: int = 1024
-    calib_balanced: bool = True
     # sparsity target
     sparsity: float = 0.9
     nm_pattern: str = ""                    # e.g. "2:4"; mutually exclusive with sparsity
@@ -74,8 +69,6 @@ class ExperimentConfig:
     # search
     population: int = 32
     generations: int = 20
-    mutation_std: float = 0.5
-    crossover_rate: float = 0.5
     elites: int = 2
     tournament: int = 4
     noise_std: float = 0.1
@@ -87,7 +80,6 @@ class ExperimentConfig:
     weight_decay: float = 0.0
     delta_t: int = 1
     gamma: float = 0.99
-    schedule_unit: str = "epoch"
     clamp_min: float = 0.05
     objective: str = "base_decayed_kl"
     momentum: float = 0.0
@@ -121,12 +113,15 @@ class ExperimentConfig:
                               "(the train split)")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        searches = self.method == "unipts" and not self.nm_pattern
         try:  # the stage settings this method will build, checked before any work
-            if self.method == "unipts" and not self.nm_pattern:
+            if searches:
                 self.search_config(seed=0)
-            self.train_config(seed=0)
+            steps = self.train_config(seed=0).iterations
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.calib_size == 0 and (searches or steps):
+            raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
         return self
 
     def search_config(self, seed: int) -> SearchConfig:

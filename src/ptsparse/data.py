@@ -1,5 +1,5 @@
 """Dataset ingestion: IDX files, a seeded synthetic generator, calibration
-sampling with a class-balanced default and enforced eval disjointness."""
+sampling that is class-balanced and disjoint from the eval split."""
 
 from __future__ import annotations
 
@@ -130,29 +130,27 @@ def _row_digests(x: np.ndarray) -> set:
     return {hashlib.sha1(np.ascontiguousarray(row).tobytes()).digest() for row in x}
 
 
-def sample_calibration(splits: Splits, size: int, seed: int,
-                       balanced: bool = True) -> CalibrationSet:
-    """Draw the calibration set from the training split; order is fixed by the
-    seed. Disjointness from the eval split is asserted sample-by-sample."""
+def sample_calibration(splits: Splits, size: int, seed: int) -> CalibrationSet:
+    """Draw the calibration set from the training split: size // classes rows
+    of each class (fewer when a class is short), topped up uniformly from the
+    rest; order is fixed by the seed. Disjointness from the eval split is
+    asserted sample-by-sample."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCA11B)))
     n = len(splits.train_x)
     if size > n:
         raise ValueError(f"calibration size {size} exceeds train split {n}")
-    if balanced:
-        chosen = []
-        per_class = size // splits.classes
-        for k in range(splits.classes):
-            pool = np.flatnonzero(splits.train_y == k)
-            take = min(per_class, len(pool))
-            chosen.append(rng.choice(pool, size=take, replace=False))
-        chosen = np.concatenate(chosen) if chosen else np.array([], dtype=int)
-        if len(chosen) < size:  # top up uniformly from the remainder
-            rest = np.setdiff1d(np.arange(n), chosen)
-            extra = rng.choice(rest, size=size - len(chosen), replace=False)
-            chosen = np.concatenate([chosen, extra])
-        chosen = chosen[rng.permutation(len(chosen))]
-    else:
-        chosen = rng.choice(n, size=size, replace=False)
+    chosen = []
+    per_class = size // splits.classes
+    for k in range(splits.classes):
+        pool = np.flatnonzero(splits.train_y == k)
+        take = min(per_class, len(pool))
+        chosen.append(rng.choice(pool, size=take, replace=False))
+    chosen = np.concatenate(chosen) if chosen else np.array([], dtype=int)
+    if len(chosen) < size:  # top up uniformly from the remainder
+        rest = np.setdiff1d(np.arange(n), chosen)
+        extra = rng.choice(rest, size=size - len(chosen), replace=False)
+        chosen = np.concatenate([chosen, extra])
+    chosen = chosen[rng.permutation(len(chosen))]
     inputs = splits.train_x[chosen].copy()
     labels = splits.train_y[chosen].copy()
     overlap = _row_digests(inputs) & _row_digests(splits.eval_x)

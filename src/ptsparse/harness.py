@@ -67,13 +67,9 @@ def load_dataset(cfg: ExperimentConfig) -> Splits:
     with stage("data"):
         if cfg.dataset == "synthetic":
             splits = synthetic_splits(classes=cfg.classes, image_size=cfg.image_size,
-                                      channels=cfg.channels, train_size=cfg.train_size,
-                                      eval_size=cfg.eval_size, noise=cfg.data_noise,
-                                      blobs_per_class=cfg.data_blobs,
-                                      sigma_min=cfg.data_sigma_min,
-                                      sigma_max=cfg.data_sigma_max,
-                                      offset=cfg.data_offset,
-                                      seed=cfg.data_seed)
+                                      train_size=cfg.train_size, eval_size=cfg.eval_size,
+                                      noise=cfg.data_noise, blobs_per_class=cfg.data_blobs,
+                                      offset=cfg.data_offset, seed=cfg.data_seed)
         else:
             splits = idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
                                 cfg.idx_eval_images, cfg.idx_eval_labels,
@@ -84,20 +80,25 @@ def load_dataset(cfg: ExperimentConfig) -> Splits:
     return splits
 
 
+TEACHER_BATCH = 64
+TEACHER_LR = 0.05
+
+
 def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Network:
-    """Load a checkpoint, or train a preset on the full train split."""
+    """Load a checkpoint, or train a preset on the full train split with SGD
+    (batch TEACHER_BATCH, cosine learning rate from TEACHER_LR)."""
     if cfg.teacher_checkpoint:
         with stage("teacher"):
             return load_network(cfg.teacher_checkpoint)
     net = build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed)
     x, y = splits.train_x, splits.train_y
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7EA)))
-    total = cfg.teacher_epochs * ((len(x) + 63) // 64)
-    for it, sel in enumerate(_batch_stream(len(x), 64, total, rng)):
+    total = cfg.teacher_epochs * -(-len(x) // TEACHER_BATCH)
+    for it, sel in enumerate(_batch_stream(len(x), TEACHER_BATCH, total, rng)):
         trace = net.forward(x[sel], mode="train")
         _, grad = cross_entropy(predict_distribution(trace.logits), y[sel])
         grads = net.backward(trace, grad)
-        lr = cosine_lr(it, total, cfg.teacher_lr)
+        lr = cosine_lr(it, total, TEACHER_LR)
         for i, pg in grads.items():
             for name, g in pg.items():
                 net.layers[i].params()[name] -= lr * g
@@ -129,8 +130,7 @@ def calibration_set(cfg: ExperimentConfig, splits: Splits, seed: int) -> Calibra
     """The seed's calibration rows; a sampling failure, such as more rows
     than the train split holds, raises StageError("data")."""
     with stage("data"):
-        return sample_calibration(splits, cfg.calib_size, seed,
-                                  balanced=cfg.calib_balanced)
+        return sample_calibration(splits, cfg.calib_size, seed)
 
 
 def evaluate(net: Network, splits: Splits, masks=None) -> float:

@@ -53,17 +53,24 @@ def write_container(path, magic: bytes, header: dict, blobs) -> None:
             f.write(b)
 
 
+def index_blobs(entries) -> tuple[list[dict], list[bytes]]:
+    """The header records and payload blobs of (record, blob) pairs: each
+    record gains its blob's payload offset and nbytes, which payload_slice
+    reads back."""
+    records, blobs, offset = [], [], 0
+    for rec, blob in entries:
+        records.append({**rec, "offset": offset, "nbytes": len(blob)})
+        blobs.append(blob)
+        offset += len(blob)
+    return records, blobs
+
+
 def save_network(net: Network, path) -> None:
-    arrays = []
-    blobs = []
-    offset = 0
-    for i, layer in enumerate(net.layers):
-        for name in sorted(layer.params()):
-            arr = np.ascontiguousarray(layer.params()[name], dtype="<f8")
-            arrays.append({"layer": i, "name": name, "shape": list(arr.shape),
-                           "offset": offset, "nbytes": arr.nbytes})
-            blobs.append(arr.tobytes())
-            offset += arr.nbytes
+    arrays, blobs = index_blobs(
+        ({"layer": i, "name": name, "shape": list(arr.shape)},
+         np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for i, layer in enumerate(net.layers)
+        for name, arr in sorted(layer.params().items()))
     write_container(path, MAGIC, {"layers": [l.spec() for l in net.layers],
                                   "arrays": arrays}, blobs)
 

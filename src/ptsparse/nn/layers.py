@@ -208,30 +208,27 @@ class BatchNorm(Layer):
         self.running_var = m2_new / tot
 
     def forward(self, x, mode="eval", weff=None):
+        """Centre x on the mode's mean, then normalize it with the mode's
+        variance; only those moments differ by mode."""
         shp = self._bshape(x)
-        if mode == "eval":
-            mean = self.running_mean
-            var = self.running_var
-            invstd = 1.0 / np.sqrt(var + self.EPS)
-            xhat = x - mean.reshape(shp)
-            xhat *= invstd.reshape(shp)
-            y = self.gamma.reshape(shp) * xhat
-            y += self.beta.reshape(shp)
-            return y, {"xhat": xhat, "invstd": invstd, "mode": mode}
-        # One reduction for the mean; the centred tensor d serves both the
-        # variance and xhat. Same bits as np.mean / np.var, one pass fewer.
         axes = self._axes(x)
-        n = int(np.prod([x.shape[a] for a in axes]))
-        mean_b = x.sum(axis=axes, keepdims=True) / n
-        d = x - mean_b
-        mean = mean_b.reshape(-1)
-        var = (d * d).sum(axis=axes) / n
-        if mode == "recal":
-            self.accumulate_stats(n, mean, var)
+        n = math.prod(x.shape[a] for a in axes)
+        if mode == "eval":
+            d = x - self.running_mean.reshape(shp)
+            var = self.running_var
         else:
-            m = self.MOMENTUM
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var
+            # One reduction for the mean; the centred tensor d serves both the
+            # variance and xhat. Same bits as np.mean / np.var, one pass fewer.
+            mean_b = x.sum(axis=axes, keepdims=True) / n
+            d = x - mean_b
+            mean = mean_b.reshape(-1)
+            var = (d * d).sum(axis=axes) / n
+            if mode == "recal":
+                self.accumulate_stats(n, mean, var)
+            else:
+                m = self.MOMENTUM
+                self.running_mean = (1 - m) * self.running_mean + m * mean
+                self.running_var = (1 - m) * self.running_var + m * var
         invstd = 1.0 / np.sqrt(var + self.EPS)
         xhat = np.multiply(d, invstd.reshape(shp), out=d)  # d is not read again
         y = self.gamma.reshape(shp) * xhat

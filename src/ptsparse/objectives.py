@@ -22,18 +22,15 @@ class DecaySchedule:
 
     Change of base gives log_{b(t)}(x) = ln(x) / (1 + t*ln gamma); the
     denominator is clamped from below so the scale stays positive and bounded
-    once the base would cross 1.
+    once the base would cross 1. The trainer counts t in calibration epochs.
     """
 
     gamma: float = 0.99
-    unit: str = "epoch"  # or "iteration"
     clamp_min: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma} outside (0,1]")
-        if self.unit not in ("epoch", "iteration"):
-            raise ValueError(f"unknown schedule unit {self.unit!r}")
         if self.clamp_min <= 0:
             raise ValueError("clamp_min must be positive")
 

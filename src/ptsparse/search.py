@@ -19,6 +19,10 @@ from .sparsity import (SparsityDistribution, included_layers, regrow_distributio
                        topk_mask)
 
 
+CROSSOVER_RATE = 0.5   # chance that a child takes uniform crossover
+MUTATION_STD = 0.5     # std of the Gaussian added to every gene of a child
+
+
 @dataclass
 class SearchConfig:
     p: float = 0.9
@@ -26,8 +30,6 @@ class SearchConfig:
     population: int = 32
     generations: int = 20
     tournament: int = 4
-    crossover_rate: float = 0.5
-    mutation_std: float = 0.5
     elites: int = 2
     noise_std: float = 0.1        # x per-channel input std
     batch_size: int = 64
@@ -151,10 +153,10 @@ def evolve(teacher: Network, calib, cfg: SearchConfig,
             pa = _tournament(records, cfg, rng)
             pb = _tournament(records, cfg, rng)
             child = pa.genome.copy()
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 take = rng.random(n_layers) < 0.5
                 child[take] = pb.genome[take]
-            child = child + rng.standard_normal(n_layers) * cfg.mutation_std
+            child = child + rng.standard_normal(n_layers) * MUTATION_STD
             children.append(child)
         child_records = [fitness(g, teacher, calib, cfg,
                                  seed=_eval_seed(cfg, gen, i))

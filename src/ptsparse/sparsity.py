@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn.checkpoint import (CheckpointError, payload_slice, read_container,
-                            write_container)
+from .nn.checkpoint import (CheckpointError, index_blobs, payload_slice,
+                            read_container, write_container)
 from .nn.network import Network
 
 MAGIC = b"PTSMSK01"
@@ -211,17 +211,11 @@ def included_layers(net: Network, exclude: set[int] | None = None) -> list[int]:
 def save_masks(masks: dict[int, np.ndarray], path) -> None:
     """Bit-packed masks with a JSON index; same container style as
     checkpoints: magic | uint64 header length | JSON | packed payload."""
-    index = []
-    blobs = []
-    offset = 0
-    for i in sorted(masks):
-        m = masks[i]
-        packed = np.packbits(m.astype(np.uint8).ravel())
-        index.append({"layer": i, "shape": list(m.shape), "nnz": int(m.sum()),
-                      "rate": 1.0 - float(m.sum()) / m.size,
-                      "offset": offset, "nbytes": packed.nbytes})
-        blobs.append(packed.tobytes())
-        offset += packed.nbytes
+    index, blobs = index_blobs(
+        ({"layer": i, "shape": list(m.shape), "nnz": int(m.sum()),
+          "rate": 1.0 - float(m.sum()) / m.size},
+         np.packbits(m.astype(np.uint8).ravel()).tobytes())
+        for i, m in sorted(masks.items()))
     write_container(path, MAGIC, {"masks": index}, blobs)
 
 

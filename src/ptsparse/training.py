@@ -31,7 +31,6 @@ class TrainConfig:
     weight_decay: float = 0.0     # standard L2, unpruned entries only
     delta_t: int = 1              # mask refresh interval
     gamma: float = 0.99
-    schedule_unit: str = "epoch"
     clamp_min: float = 0.05
     objective: str = "base_decayed_kl"
     momentum: float = 0.0
@@ -49,8 +48,7 @@ class TrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
 
     def schedule(self) -> DecaySchedule:
-        return DecaySchedule(gamma=self.gamma, unit=self.schedule_unit,
-                             clamp_min=self.clamp_min)
+        return DecaySchedule(gamma=self.gamma, clamp_min=self.clamp_min)
 
 
 @dataclass
@@ -104,13 +102,11 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
                sched: DecaySchedule, calib_size: int):
     """One update on batch = (x, labels, teacher probability rows or None
     for ce): masked forward, STE backward, decayed update of pruned
-    entries, then a mask refresh when the interval divides."""
+    entries, then a mask refresh when the interval divides. The decay
+    schedule's t counts whole epochs over the calib_size rows."""
     x, labels, z = batch
     trace = state.student.forward(x, masks=state.masks, mode="train")
-    if cfg.schedule_unit == "epoch":
-        t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
-    else:
-        t = state.iteration
+    t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
     loss, grad_logits = _objective_grad(cfg, sched, z, trace.logits, labels, t)
     grads = state.student.backward(trace, grad_logits, ste=True)
     lr = cosine_lr(state.iteration, cfg.iterations, cfg.lr)

@@ -124,7 +124,7 @@ class TestSampleCalibration:
 
     def test_balanced_class_counts(self):
         s = self._splits()
-        calib = sample_calibration(s, 64, seed=0, balanced=True)
+        calib = sample_calibration(s, 64, seed=0)
         counts = np.bincount(calib.labels, minlength=4)
         assert counts.min() >= 64 // 4 - 1  # up to one top-up per class
 
@@ -140,9 +140,8 @@ class TestSampleCalibration:
                        np.concatenate([s.train_y, s.eval_y[:8]]),
                        s.eval_x, s.eval_y, s.classes)
         with pytest.raises(ValueError, match="overlap"):
-            # every train row is eval row 0..7 eventually: force a big draw
-            sample_calibration(leaky, len(leaky.train_x), seed=0,
-                               balanced=False)
+            # a draw of the whole train split takes eval rows 0..7 too
+            sample_calibration(leaky, len(leaky.train_x), seed=0)
 
     def test_oversized_request_rejected(self):
         s = self._splits()

@@ -68,6 +68,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(cfg_file(extra="warp_factor = 9\n"))
 
+    # settings that became constants: teacher lr 0.05, mutation std 0.5,
+    # crossover rate 0.5, class-balanced calibration, t in calibration epochs,
+    # and the synthetic data's channel count and blob widths
+    @pytest.mark.parametrize("key,value", [
+        ("channels", "1"), ("data_sigma_min", "0.5"), ("data_sigma_max", "1.0"),
+        ("teacher_lr", "0.05"), ("calib_balanced", "true"), ("mutation_std", "0.5"),
+        ("crossover_rate", "0.5"), ("schedule_unit", "epoch")])
+    @pytest.mark.parametrize("via", ["file", "override"])
+    def test_removed_key_is_unknown(self, cfg_file, tmp_path, capsys, key, value, via):
+        out = tmp_path / "out"
+        if via == "file":
+            args = ["-c", cfg_file(extra=f"{key} = {value}\n")]
+        else:
+            args = ["-c", cfg_file(), "-o", f"{key}={value}"]
+        assert run_cli("run", *args, "-o", f"out_dir={out}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: unknown config key {key!r}"]
+        assert not out.exists()
+
     def test_bad_value(self, cfg_file):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(cfg_file(extra="iterations = soon\n"))
@@ -412,7 +431,8 @@ class TestStageSettingsAtParseTime:
 class TestCalibrationSize:
     """A calibration set larger than the train split fails before any
     training: a config error for synthetic data, a stage failure once
-    loaded IDX data shows it."""
+    loaded IDX data shows it. An empty one is a config error when the job
+    searches or takes DST steps."""
 
     @pytest.mark.parametrize("size", ["500", "-1"])
     @pytest.mark.parametrize("command", ["run", "search", "prune"])
@@ -423,6 +443,27 @@ class TestCalibrationSize:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: calib_size")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,method", [
+        ("run", "unipts"), ("search", "unipts"), ("prune", "unipts"),
+        ("run", "uniform+dst"), ("train", "pot-baseline")])
+    def test_no_rows_for_search_or_steps_is_config_error(self, cfg_file, tmp_path,
+                                                         capsys, command, method):
+        out = tmp_path / "out"
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"method={method}", "-o", "calib_size=0") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: calib_size 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,method", [("run", "oneshot"),
+                                                ("prune", "uniform+dst")])
+    def test_no_rows_without_search_or_steps(self, cfg_file, tmp_path, command, method):
+        # one-shot magnitude pruning reads no calibration row
+        out = tmp_path / "out"
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"method={method}", "-o", "calib_size=0") == 0
+        assert any(out.rglob("masks.bin"))
 
     @pytest.mark.parametrize("command,extra", [("run", ()),
                                                ("search", ("-o", "method=unipts"))])

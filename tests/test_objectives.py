@@ -39,8 +39,6 @@ class TestDecaySchedule:
         with pytest.raises(ValueError):
             DecaySchedule(gamma=1.5)
         with pytest.raises(ValueError):
-            DecaySchedule(unit="fortnight")
-        with pytest.raises(ValueError):
             DecaySchedule(clamp_min=0.0)
 
 
