@@ -103,15 +103,20 @@ class Network:
         return grads
 
     def bn_recalibrate(self, batches, masks: dict | None = None) -> "Network":
-        """Replace all BN statistics by exact streaming moments over batches."""
+        """Replace all BN statistics by exact streaming moments over batches.
+        Each forward stops after the last BatchNorm (after layer 0 when there
+        is none): no later layer changes a running statistic."""
         seen = False
-        for layer in self.layers:
+        last = 0
+        for i, layer in enumerate(self.layers):
             if isinstance(layer, BatchNorm):
                 layer.reset_stats()
+                last = i
         for batch in batches:
             seen = True
-            for _ in self.forward_layers(batch, masks, "recal"):
-                pass
+            for i, _, _ in self.forward_layers(batch, masks, "recal"):
+                if i == last:
+                    break
         if not seen:
             raise ValueError("bn_recalibrate: empty batch stream")
         return self

@@ -390,6 +390,33 @@ class TestTraceFreeForwards:
             full_trace_forward(ref, batch, masks, "recal")
         assert net.param_hash() == ref.param_hash()
 
+    @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
+    def test_bn_recalibrate_stops_after_last_bn(self, name, in_shape):
+        net, masks, x, _ = preset_and_input(name, in_shape, 150)
+        full = net.copy()
+        last = max(i for i, l in enumerate(net.layers) if isinstance(l, BatchNorm))
+        ran = []
+        for i in range(last + 1, len(net.layers)):
+            net.layers[i].forward = lambda *a, i=i, **k: ran.append(i)
+        batches = [x[s:s + 64] for s in range(0, len(x), 64)]
+        net.bn_recalibrate(batches, masks=masks)
+        assert ran == []
+        for layer in full.layers:
+            if isinstance(layer, BatchNorm):
+                layer.reset_stats()
+        for batch in batches:  # full depth, same kernels
+            for _ in full.forward_layers(batch, masks, "recal"):
+                pass
+        assert net.param_hash() == full.param_hash()
+
+    def test_bn_recalibrate_without_bn(self):
+        net = one_dense(np.eye(3))
+        with pytest.raises(ValueError, match="empty batch stream"):
+            net.bn_recalibrate([])
+        before = net.param_hash()
+        net.bn_recalibrate([np.ones((2, 3))])
+        assert net.param_hash() == before
+
     @pytest.mark.parametrize("ste", [False, True])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
