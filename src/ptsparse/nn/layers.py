@@ -85,10 +85,13 @@ class Dense(_Prunable):
 
 
 def _im2col(x, kh, kw, stride, oh, ow):
-    """(b, c*kh*kw, oh*ow) patch matrix: one copy out of the window view."""
+    """(b, c*kh*kw, oh*ow) patch matrix: one copy out of the window view.
+    For some shapes (a 1-wide output) the reshape is a strided view, on
+    which the GEMM sums in another order, so it is made contiguous."""
     b, c, _, _ = x.shape
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+    return np.ascontiguousarray(
+        win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow))
 
 
 def _col2im(gcols, x_shape, kh, kw, stride, oh, ow):

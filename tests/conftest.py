@@ -46,6 +46,19 @@ def tiny_conv(seed=0, size=6, classes=3):
     ])
 
 
+def tiny_conv_stride2(seed=0, size=6, classes=3):
+    """A padded stride-2 convolution after the first layer, so its input
+    gradient is computed too."""
+    from ptsparse.nn import BatchNorm, Conv2d, Flatten, ReLU
+    r = np.random.default_rng(seed)
+    out = (size + 1) // 2
+    return Network([
+        Conv2d(1, 2, 3, stride=1, padding=1, rng=r), BatchNorm(2), ReLU(),
+        Conv2d(2, 2, 3, stride=2, padding=1, rng=r), Flatten(),
+        Dense(2 * out * out, classes, r),
+    ])
+
+
 def finite_difference_grads(loss_fn, arrays, h=1e-5):
     """Central differences of a scalar loss over a list of parameter arrays."""
     grads = []

@@ -2,7 +2,9 @@
 of the fast paths in ptsparse.nn: the reshape-mean and out-of-place strided
 AvgPool, the np.repeat AvgPool backward, the two-pass BatchNorm moments, the
 out-of-place bias and BN epilogues, the loop im2col and the np.pad padding,
-and a forward that keeps every activation and cache."""
+the einsum Conv2d weight gradient, the batch-first col2im, the BatchNorm input
+gradient with its own two reductions, and a forward that keeps every
+activation and cache."""
 
 import copy
 
@@ -40,6 +42,18 @@ def im2col_reference(x, kh, kw, stride, oh, ow):
     return cols.reshape(b, c * kh * kw, oh * ow)
 
 
+def col2im_reference(gcols, x_shape, kh, kw, stride, oh, ow):
+    """(b, c, h, w) gradient from the batch-first (b, c*kh*kw, oh*ow) column
+    gradient, one strided add per kernel offset."""
+    b, c, h, w = x_shape
+    gcols = gcols.reshape(b, c, kh, kw, oh, ow)
+    gx = np.zeros(x_shape, dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
+    return gx
+
+
 class DenseReference(Dense):
     def forward(self, x, mode="eval", weff=None):
         w = self.weight if weff is None else weff
@@ -57,6 +71,20 @@ class Conv2dReference(Conv2d):
         y = y.reshape(x.shape[0], self.out_channels, oh, ow)
         return y, {"cols": cols, "x_shape": x.shape, "xp_shape": x_p.shape,
                    "oh": oh, "ow": ow, "weff": weff}
+
+    def backward(self, gy, cache, input_grad=True):
+        k, s, p = self.kernel_size, self.stride, self.padding
+        b = gy.shape[0]
+        oh, ow = cache["oh"], cache["ow"]
+        gy_mat = gy.reshape(b, self.out_channels, oh * ow)
+        gw = np.einsum("bol,bkl->ok", gy_mat, cache["cols"]).reshape(self.weight.shape)
+        grads = {"weight": gw, "bias": gy_mat.sum(axis=(0, 2))}
+        if not input_grad:
+            return None, grads
+        w = self.weight if cache["weff"] is None else cache["weff"]
+        gcols = np.matmul(w.reshape(self.out_channels, -1).T, gy_mat)
+        gxp = col2im_reference(gcols, cache["xp_shape"], k, k, s, oh, ow)
+        return (gxp[:, :, p:-p, p:-p] if p else gxp), grads
 
 
 class AvgPoolReference(AvgPool):
@@ -107,6 +135,22 @@ class BatchNormReference(BatchNorm):
         y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
         n = int(np.prod([x.shape[a] for a in axes]))
         return y, {"xhat": xhat, "invstd": invstd, "mode": mode, "n": n}
+
+    def backward(self, gy, cache, input_grad=True):
+        """Train/recal input gradient from gxhat and its own two reductions."""
+        shp = self._bshape(gy)
+        axes = self._axes(gy)
+        xhat, invstd = cache["xhat"], cache["invstd"]
+        grads = {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
+        if not input_grad:
+            return None, grads
+        gxhat = gy * self.gamma.reshape(shp)
+        if cache["mode"] == "eval":
+            return gxhat * invstd.reshape(shp), grads
+        n = cache["n"]
+        s1 = gxhat.sum(axis=axes).reshape(shp)
+        s2 = (gxhat * xhat).sum(axis=axes).reshape(shp)
+        return (invstd.reshape(shp) / n) * (n * gxhat - s1 - xhat * s2), grads
 
 
 REFERENCE_KINDS = {Dense: DenseReference, Conv2d: Conv2dReference,
