@@ -94,13 +94,17 @@ def _im2col(x, kh, kw, stride, oh, ow):
         win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow))
 
 
-def _col2im(gcols, x_shape, kh, kw, stride, oh, ow):
-    b, c, h, w = x_shape
-    gcols = gcols.reshape(b, c, kh, kw, oh, ow)
-    gx = np.zeros(x_shape, dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
+def _col2im(gcols, xp_shape, k, stride, oh, ow):
+    """(c, h, w, b) gradient of the padded input from the batch-last
+    (c*k*k, oh*ow*b) column gradient: each of the k*k adds runs over rows
+    of ow*b contiguous values, in the same order per element as a
+    batch-first scatter."""
+    b, c, h, w = xp_shape
+    gcols = gcols.reshape(c, k, k, oh, ow, b)
+    gx = np.zeros((c, h, w, b), dtype=gcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, i, j]
     return gx
 
 
@@ -150,12 +154,11 @@ class Conv2d(_Prunable):
             return None, {"weight": gw, "bias": gb}
         w = self.weight if cache["weff"] is None else cache["weff"]
         wmat = w.reshape(self.out_channels, -1)
-        gcols = np.matmul(wmat.T, gy_mat)
-        gxp = _col2im(gcols, cache["xp_shape"], k, k, s, oh, ow)
-        if p:
-            gx = gxp[:, :, p:-p, p:-p]
-        else:
-            gx = gxp
+        # one GEMM over every image at once, batch last
+        gcols = wmat.T @ gy_mat.transpose(1, 2, 0).reshape(self.out_channels, -1)
+        gxp = _col2im(gcols, cache["xp_shape"], k, s, oh, ow)
+        h, wd = cache["x_shape"][2:]
+        gx = np.ascontiguousarray(gxp[:, p:p + h, p:p + wd].transpose(3, 0, 1, 2))
         return gx, {"weight": gw, "bias": gb}
 
 
