@@ -148,7 +148,8 @@ class Conv2d(_Prunable):
         oh, ow = cache["oh"], cache["ow"]
         gy_mat = gy.reshape(b, self.out_channels, oh * ow)
         cols = cache["cols"]
-        gw = np.einsum("bol,bkl->ok", gy_mat, cols).reshape(self.weight.shape)
+        # one GEMM per image, summed over the batch
+        gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
         gb = gy_mat.sum(axis=(0, 2))
         if not input_grad:
             return None, {"weight": gw, "bias": gb}
