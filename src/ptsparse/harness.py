@@ -211,15 +211,29 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
 def report(run_dirs: list[str]) -> tuple[str, str]:
     """Comparison table: rows = methods, columns = sparsity targets, cells =
-    median top-1 over seeds. Returns (aligned text, CSV text)."""
+    median top-1 over seeds. Returns (aligned text, CSV text). A missing or
+    malformed metrics.csv (no rows, a missing column, a top-1 that is not a
+    number) raises StageError("report")."""
     cells: dict[tuple[str, str], list[float]] = {}
     for d in run_dirs:
         path = os.path.join(d, "metrics.csv")
         if not os.path.exists(path):
             raise StageError("report", f"no metrics.csv under {d}")
-        for rec in read_metrics(path):
-            key = (rec["method"], rec["target_sparsity"])
-            cells.setdefault(key, []).append(float(rec["top1"]))
+        with stage("report"):
+            recs = read_metrics(path)
+            if not recs:
+                raise ValueError(f"{path}: no rows")
+            for line, rec in enumerate(recs, start=2):
+                method, target, top1 = (rec.get(k) for k in ("method", "target_sparsity", "top1"))
+                if None in (method, target, top1):
+                    raise ValueError(f"{path} line {line}: needs method, target_sparsity "
+                                     "and top1")
+                try:
+                    value = float(top1)
+                except ValueError:
+                    raise ValueError(f"{path} line {line}: top1 {top1!r} is not a "
+                                     "number") from None
+                cells.setdefault((method, target), []).append(value)
     methods = sorted({m for m, _ in cells})
     targets = sorted({t for _, t in cells})
     table = {(m, t): float(np.median(cells[(m, t)]))

@@ -211,6 +211,21 @@ class TestRunArtifacts:
         empty.mkdir()
         assert run_cli("report", str(empty)) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        (",".join(METRICS_HEADER) + "\r\n", "no rows"),
+        ("method,target_sparsity,seed\r\nunipts,0.5000,0\r\n", "needs method"),
+        (",".join(METRICS_HEADER) + "\r\nunipts,0.5000,0.500000,high,0,0.000\r\n",
+         "'high' is not a number"),
+    ], ids=["header-only", "missing-column", "non-numeric-top1"])
+    def test_report_malformed_metrics_is_stage_error(self, tmp_path, capsys, text,
+                                                      message):
+        bad = tmp_path / "bad-run"
+        bad.mkdir()
+        (bad / "metrics.csv").write_text(text)
+        assert run_cli("report", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stage failure: [report]") and message in err
+
 
 class TestOtherCommands:
     def test_teacher_command(self, cfg_file, tmp_path, capsys):
