@@ -250,14 +250,17 @@ class BatchNorm(Layer):
         gbeta = gy.sum(axis=axes)
         if not input_grad:
             return None, {"gamma": ggamma, "beta": gbeta}
-        gxhat = gy * self.gamma.reshape(shp)
         if cache["mode"] == "eval":
-            gx = gxhat * invstd.reshape(shp)
+            gx = gy * self.gamma.reshape(shp)
+            gx *= invstd.reshape(shp)
         else:
+            # gamma*invstd/n * (n*gy - gbeta - xhat*ggamma), in place: the
+            # batch-statistic terms reuse the parameter-gradient reductions
             n = cache["n"]
-            s1 = gxhat.sum(axis=axes).reshape(shp)
-            s2 = (gxhat * xhat).sum(axis=axes).reshape(shp)
-            gx = (invstd.reshape(shp) / n) * (n * gxhat - s1 - xhat * s2)
+            gx = xhat * ggamma.reshape(shp)
+            gx -= n * gy
+            gx += gbeta.reshape(shp)
+            gx *= (-self.gamma * invstd / n).reshape(shp)
         return gx, {"gamma": ggamma, "beta": gbeta}
 
 

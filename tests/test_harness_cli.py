@@ -539,58 +539,58 @@ class TestAtomicArtifacts:
 # round differently, and a mismatch there alone is a platform difference,
 # not a bug.
 GOLDEN_TEACHER = {
-    "mlp3": "c29cae26472f745e5a7d2e6432238de07d3bba2649273fc08b16bc2c89c0bb87",
-    "convnet-small": "98424fae6d817ec1ce1ed2cc0847c9790e5faad587f248923175e70037aab047",
+    "mlp3": "e1cd1d2a18250029b11e7de2ea095a713a559e282b97120c189b51fcad5ec7b6",
+    "convnet-small": "11d75b555c160f2ffc5935f543da54850a8789af99d369352e1d824d920438f8",
 }
 GOLDEN = {  # (preset, method[/nm pattern]): (metrics.csv row, masks.bin sha256, student)
     ("mlp3", "unipts"): (
         "unipts,0.5000,0.500020,0.616667,0,0.000",
         "3effe30826a72b50a50f96cb6f33d080d154292f2c6b067e7b2fef17f35bc101",
-        "ad7fbd625177b286e5cfc0161ce7b66763e2d9269645fd8c4b329b5e86a3515b"),
+        "1c6fb0b135e90048cc58c776f44db5a12ebd68a51512b65a5a6f8c9cdccf22a3"),
     ("mlp3", "uniform+dst"): (
         "uniform+dst,0.5000,0.500000,0.666667,0,0.000",
         "77afd40b86877ece0b3983c9488eaec6d9e0f4edd6547c6c9e0e2ff78f968f36",
-        "94a2748acf9aec325a719323a30c535be9a726247a28679b44426e58c331854d"),
+        "7f63c1d2f3654552fef53df8d343692624119d2646d3c77967320cc9fde77139"),
     ("mlp3", "erk+dst"): (
         "erk+dst,0.5000,0.500020,0.600000,0,0.000",
         "d70f9d9774525a24f613c7b6e2c8ca465aeeac21825f3a62e331997a5067477b",
-        "46c4f860c744e0df07a4c488d83551e03be23436ca096702f541f5a2f8248631"),
+        "63a6aa03a6c383327ec151fdc192298cd99efd285d458fedfd8e43d909b68ebe"),
     ("mlp3", "pot-baseline"): (
         "pot-baseline,0.5000,0.500000,0.633333,0,0.000",
         "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
-        "c445a526802bab7d3a89e79dc8dfefee78ec56f2b0992461604f4cbbe60251f4"),
+        "e4bc57b62f5f2b131568ac1a66c2ad994318f67af7a845608fd27644072eb763"),
     ("mlp3", "oneshot"): (
         "oneshot,0.5000,0.500000,0.616667,0,0.000",
         "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
-        "0007db7c81e3dd5058f67667940e3ca9de360394a0b0ac370ac0cf70ecf67711"),
+        "15df276df0454cb19f6271110ddc6a5db3ec5d25bda7e09a938fe7911211268e"),
     ("mlp3", "uniform+dst/2:4"): (
         "uniform+dst,0.5000,0.500000,0.466667,0,0.000",
         "071959fadae9e44a8d06681fa912ad4fead6b3d958550b325401f3b6be7e7190",
-        "69b5cad0e12b821f33c69afc120a483a50a42fc3bebe6f63ac38bd1e73f6df26"),
+        "56c09d3a8fd678564ceecaf2e12709267c4b0e62bc824e4e6984540524aa33b6"),
     ("convnet-small", "unipts"): (
         "unipts,0.5000,0.501412,0.533333,0,0.000",
         "eb0f878d07d887e36c1da329cb1c8cb6799605cd4a5e132488dd5f65da3eb857",
-        "be101c54d4b4a045e239a5a243285372c21748f81f29343d0e97e4ddd180f2d4"),
+        "be277138afea15d48b3d1b1e7aa5c21dbff6ced6416756ec8e979ad5453dd4c6"),
     ("convnet-small", "uniform+dst"): (
         "uniform+dst,0.5000,0.500000,0.433333,0,0.000",
         "b200282d6c34732360e65664c1173da5cf91a5a8377d35cf9fa8a0dbe1e99989",
-        "8400e88675d5884a1cc4bf872eb03b754c18905142bffc14b8aa6e2013dcfdee"),
+        "1100e1e0b8ce18c6a503a71a24184204303374d0cfbc0d5a39b303b06b6e6fb3"),
     ("convnet-small", "erk+dst"): (
         "erk+dst,0.5000,0.500000,0.516667,0,0.000",
         "70d4cb15360b61c9f2475131fb75e7fb555361e63c537b71e96c93f934fc220e",
-        "b8097af2719c55f5f6064f14bfd0a78f93c29b089e4ce75275583f3212bd1689"),
+        "deabd295992b7bef266d8ea5bc58728ebd11bc954b87212c295c12a0fae34e1d"),
     ("convnet-small", "pot-baseline"): (
         "pot-baseline,0.5000,0.500000,0.500000,0,0.000",
         "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
-        "32bd6150808b5341018d27101465a085e814924ae0351b129ef32a52841eba25"),
+        "d3dfe5be587b1e7d301121e3e681129c454e21f65b142e2232dad642a8973976"),
     ("convnet-small", "oneshot"): (
         "oneshot,0.5000,0.500000,0.433333,0,0.000",
         "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
-        "c1fbdce2b64d5dd78f15077b00a2bec3aec69593b25f44e3b67b350ee866ca46"),
+        "3e83cff7a4218830be667f7c813b3586df75d1b6b21ac227aa1d4741301538e6"),
     ("convnet-small", "uniform+dst/2:4"): (
         "uniform+dst,0.5000,0.497175,0.266667,0,0.000",
         "76b0527172c4cfcc1de630ca1deaa984a6b3215ee06131022f25a4f22ce66d53",
-        "a7b3898959191e1b02de8a757c10afbeca88e57fb05b82b9f397d757ce96438d"),
+        "c339f32868d79eeb34925ca8dc8b786afb38e5fa413c18107d8df9a1c8faf55a"),
 }
 
 
@@ -643,18 +643,18 @@ PRUNE_MASKS_UNIFORM = (
     "     6           (3, 128)        192   0.5000\n")
 GOLDEN_PRUNE = {
     "unipts": (
-        "3a672d01f32eecca7d7c88426a0b0eb3370b3afcb00baa742c9aa0656d7c9ed8",
+        "3c29d050e55759484bf710ab4172f72edb49a0cd500b82763ec761158dfd28fe",
         "0e3f2efb296f00e3f88f184dc0506c816ab5d908d960a20e7515d1c2304e81b9",
         " layer              shape        nnz     rate\n"
         "     0          (256, 64)       8432   0.4854\n"
         "     3         (128, 256)      15951   0.5132\n"
         "     6           (3, 128)        384   0.0000\n", "0.6000"),
     "uniform+dst": (
-        "4ccd217ae2a62041dcb294dc079915f8d5de256b59432468e85e4cc70de1a252",
+        "fde20f599f15f0572f3dfd312a72f4f7f0d289c5e2b494ff499522b4a7065e03",
         "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
         PRUNE_MASKS_UNIFORM, "0.6167"),
     "uniform+dst/2:4": (
-        "b018f76ed16db443de74a295243dcbcbed41d80c56d958026a6281b8039a1a4b",
+        "e63999389e57d7b86c4625ea32d2eae1b0139d0a962a702cea291cfb547bf4cb",
         "7f7c066c28b722313894e95352ea8d85f76bd94addb0974ec0fc68ecd8ee458a",
         PRUNE_MASKS_UNIFORM, "0.4167"),
 }

@@ -237,19 +237,22 @@ class TestLayersMatchReference:
             assert_same_bits(fast.running_var, ref.running_var)
 
 
-def assert_close(a, ref):
-    """Within rtol 1e-12, atol scaled to the reference's largest magnitude:
-    for the kernels that sum in another order than their reference."""
+def assert_close(a, ref, scale=None):
+    """Within rtol 1e-12 and an atol of 1e-12 times scale, the largest term
+    the reference sums (by default its own largest magnitude): for kernels
+    that sum in another order than their reference."""
     assert a.shape == ref.shape
-    np.testing.assert_allclose(a, ref, rtol=1e-12,
-                               atol=1e-12 * np.abs(ref).max(initial=0.0))
+    scale = np.abs(ref).max(initial=0.0) if scale is None else scale
+    np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
 def check_layer(layer, x, gy, weff=None, mode="eval", approx=()):
     """Forward output, cache arrays, input and parameter gradients of layer
     bit-equal to its reference kernels; without the input gradient, the same
     parameter gradients. The gradients named in approx ("input" or a
-    parameter name) are compared with assert_close instead."""
+    parameter name) are compared with assert_close instead. For the
+    BatchNorm input gradient, the scale is the largest gamma*invstd*gy: with
+    two rows per channel the true gradient cancels to rounding noise."""
     ref = reference_layer(layer)
     y, cache = layer.forward(x, mode=mode, weff=weff)
     y_ref, cache_ref = ref.forward(x, mode=mode, weff=weff)
@@ -259,7 +262,13 @@ def check_layer(layer, x, gy, weff=None, mode="eval", approx=()):
             assert_same_bits(cache[key], value)
 
     def compare(name, got, want):
-        (assert_close if name in approx else assert_same_bits)(got, want)
+        if name not in approx:
+            assert_same_bits(got, want)
+        elif isinstance(layer, BatchNorm) and name == "input":
+            terms = gy * (layer.gamma * cache_ref["invstd"]).reshape(layer._bshape(gy))
+            assert_close(got, want, np.abs(terms).max())
+        else:
+            assert_close(got, want)
 
     gx, grads = layer.backward(gy, cache)
     gx_ref, grads_ref = ref.backward(gy, cache_ref)
@@ -338,6 +347,9 @@ class TestKernelsMatchReference:
                st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 6),
                          st.integers(1, 6))),
            mode=st.sampled_from(["eval", "train", "recal"]), seed=SEEDS, scale=SCALES)
+    # two rows per channel: the train/recal input gradient is rounding noise
+    @example(shape=(2, 3), mode="train", seed=0, scale=1e3)
+    @example(shape=(2, 2, 1, 1), mode="recal", seed=1, scale=1.0)
     def test_batchnorm_epilogues(self, shape, mode, seed, scale):
         r = np.random.default_rng(seed)
         bn = BatchNorm(shape[1])
@@ -446,19 +458,25 @@ class TestTraceFreeForwards:
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
     def test_backward_skips_layer0_input_grad(self, name, in_shape, mode, ste):
         """Bit-equal to a full-trace backward on the same kernels, and within
-        assert_close of one on the reference kernels."""
+        assert_close of one on the reference kernels, scaled per layer to its
+        largest gradient: the bias before a train-mode BatchNorm has a true
+        gradient of zero, so its value is rounding noise."""
         net, masks, x, _ = preset_and_input(name, in_shape, 64)
         same, ref = net.copy(), reference_network(net)
         c = np.random.default_rng(1).standard_normal((64, 10))
         grads = net.backward(net.forward(x, masks=masks, mode=mode), c, ste=ste)
-        for other, check in ((same, assert_same_bits), (ref, assert_close)):
+        for other, exact in ((same, True), (ref, False)):
             caches, _ = full_trace_forward(other, x, masks, mode)
             grads_ref = full_trace_backward(other, caches, c, masks, ste=ste)
             assert grads.keys() == grads_ref.keys()
             for i in grads_ref:
                 assert grads[i].keys() == grads_ref[i].keys()
+                scale = max(np.abs(g).max() for g in grads_ref[i].values())
                 for p in grads_ref[i]:
-                    check(grads[i][p], grads_ref[i][p])
+                    if exact:
+                        assert_same_bits(grads[i][p], grads_ref[i][p])
+                    else:
+                        assert_close(grads[i][p], grads_ref[i][p], scale)
             assert net.param_hash() == other.param_hash()  # same BN updates in train
 
     def test_backward_asks_layer0_for_parameter_grads_only(self, monkeypatch):
