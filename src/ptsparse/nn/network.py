@@ -10,7 +10,12 @@ import numpy as np
 
 from .layers import BatchNorm, Layer, ShapeMismatchError
 
-EVAL_CHUNK = 256  # rows per eval-mode forward in predict and accuracy
+# Rows per eval-mode forward in predict and accuracy. A 256-row convnet-small
+# forward's working set crossed glibc's mmap and trim thresholds, so every
+# chunk returned its pages to the OS and faulted them in again; 128 rows stay
+# under them and give the same logits bit for bit. 64 rows would not: the
+# 10-wide Dense head of a 64-row forward differs by about 1e-16.
+EVAL_CHUNK = 128
 
 
 @dataclass

@@ -118,14 +118,6 @@ class SparsityDistribution:
     layer_indices: list[int]
     nm: NMPattern | None = None
 
-    def validate(self, numels: list[int], tol_pp: float = 0.5) -> None:
-        if any(not 0.0 <= r <= 1.0 for r in self.rates):
-            raise ValueError("per-layer rate outside [0,1]")
-        realized = self.weighted_rate(numels)
-        if abs(realized - self.target) > tol_pp / 100.0:
-            raise ValueError(
-                f"weighted rate {realized:.4f} off target {self.target:.4f} by >{tol_pp}pp")
-
     def weighted_rate(self, numels: list[int]) -> float:
         return float(np.dot(self.rates, numels) / np.sum(numels))
 
@@ -140,11 +132,6 @@ class SparsityDistribution:
     def to_json(self) -> str:
         return json.dumps({"rates": self.rates, "target": self.target,
                            "layer_indices": self.layer_indices}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparsityDistribution":
-        d = json.loads(text)
-        return cls(rates=d["rates"], target=d["target"], layer_indices=d["layer_indices"])
 
 
 def uniform_distribution(net: Network, p: float,

@@ -134,9 +134,11 @@ def _apply_update(state, grads, lr, cfg):
                 g = v
             step = lr * g
             if layer.prunable and name == "weight" and i in state.masks:
-                mask = state.masks[i]
-                decay = np.where(mask == 0.0, cfg.alpha, cfg.weight_decay * lr)
-                p -= step + decay * p
+                # p -= step + decay * p, with one buffer: addition commutes
+                buf = np.where(state.masks[i] == 0.0, cfg.alpha, cfg.weight_decay * lr)
+                buf *= p
+                buf += step
+                p -= buf
             else:
                 p -= step
 
@@ -181,7 +183,7 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
 
     The teacher is frozen and the calibration rows are fixed, so its
     probability rows are computed once, before the first step, in the
-    256-row chunks of Network.predict; ce never reads them.
+    EVAL_CHUNK-row blocks of Network.predict; ce never reads them.
     """
     if cfg.iterations and len(calib.inputs) == 0:
         raise ValueError("empty calibration set")

@@ -7,6 +7,7 @@ from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network, build_preset
+from ptsparse.nn.network import EVAL_CHUNK
 from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, topk_mask,
                                uniform_distribution)
 from ptsparse.objectives import layerwise_mse
@@ -260,9 +261,10 @@ class TestRunTraining:
                                               (257, 5), (600, 3), (600, 40)])
     @pytest.mark.parametrize("objective", ["base_decayed_kl", "kl", "ce"])
     def test_teacher_forward_once_per_run(self, monkeypatch, n, iterations, objective):
-        # the frozen teacher's targets come from ceil(n/256) forwards of at
-        # most 256 rows, however many steps run; ce never reads them. Every
-        # forward of the teacher, traced or not, enters its first layer.
+        # the frozen teacher's targets come from one chunked predict:
+        # ceil(n/EVAL_CHUNK) forwards of at most EVAL_CHUNK rows, however many
+        # steps run; ce never reads them. Every forward of the teacher, traced
+        # or not, enters its first layer.
         teacher = tiny_mlp(seed=4)
         first = teacher.layers[0]
         rows = []
@@ -279,8 +281,8 @@ class TestRunTraining:
         if objective == "ce":
             assert rows == []
         else:
-            assert len(rows) == math.ceil(n / 256)
-            assert sum(rows) == n and max(rows) <= 256
+            assert len(rows) == math.ceil(n / EVAL_CHUNK)
+            assert sum(rows) == n and max(rows) <= EVAL_CHUNK
 
     def test_steps_train_on_cached_targets(self):
         # oracle: the same batch order, with targets sliced from one
