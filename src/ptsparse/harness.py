@@ -25,7 +25,7 @@ from .objectives import cross_entropy
 from .search import evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
                        nm_distribution, save_masks, uniform_distribution)
-from .training import _batch_stream, cosine_lr, run_training
+from .training import _apply_update, _batch_stream, cosine_lr, run_training
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -98,10 +98,7 @@ def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Net
         trace = net.forward(x[sel], mode="train")
         _, grad = cross_entropy(predict_distribution(trace.logits), y[sel])
         grads = net.backward(trace, grad)
-        lr = cosine_lr(it, total, TEACHER_LR)
-        for i, pg in grads.items():
-            for name, g in pg.items():
-                net.layers[i].params()[name] -= lr * g
+        _apply_update(net, grads, cosine_lr(it, total, TEACHER_LR))
     net.mode = "eval"
     return net
 

@@ -42,8 +42,8 @@ def topk_mask(weights: np.ndarray, rate: float) -> np.ndarray:
     return keep.astype(np.float64).reshape(weights.shape)
 
 
-def _magnitudes(weights: np.ndarray) -> np.ndarray:
-    mag = np.abs(weights)
+def _magnitudes(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    mag = np.abs(weights, out=out)
     if not np.isfinite(mag).all():
         raise ValueError("non-finite weights cannot be ranked by magnitude")
     return mag
@@ -81,24 +81,35 @@ def nm_mask(weights: np.ndarray, pattern: NMPattern) -> np.ndarray:
 
     An entry's rank is the number of entries in its group that are larger
     plus the number that are equal and sit at a lower index; entries ranked
-    below n are kept. The trailing group is padded with -1, which ranks
-    below every magnitude. Linear in the weight count for a fixed m.
+    below n are kept. The ranks are counted on a group-major copy of the
+    magnitudes, whose row k holds entry k of every group, so each compare
+    reads two contiguous rows. A row that m does not divide is padded with
+    zeros: a pad sits after every real entry of its group, so it would have
+    to be strictly larger to outrank one. Linear in the weight count for a
+    fixed m.
     """
-    rows = _magnitudes(weights).reshape(weights.shape[0], -1)
+    n, m = pattern.n, pattern.m
+    rows = weights.reshape(weights.shape[0], -1)
     r, c = rows.shape
-    m = pattern.m
     groups = -(-c // m)
-    mag = np.full((r, groups * m), -1.0)
-    mag[:, :c] = rows
-    mag = mag.reshape(r, groups, m)
-    rank = np.zeros(mag.shape, dtype=np.intp)
-    for i in range(m):
-        for j in range(i + 1, m):
-            later_wins = mag[..., j] > mag[..., i]
-            rank[..., i] += later_wins
-            rank[..., j] += ~later_wins
-    keep = (rank < pattern.n).reshape(r, groups * m)[:, :c]
-    return keep.astype(np.float64).reshape(weights.shape)
+    if c % m:
+        padded = np.zeros((r, groups * m))
+        padded[:, :c] = rows
+        rows = padded
+    mag = _magnitudes(rows.reshape(r * groups, m).T, out=np.empty((m, r * groups)))
+    # rank[j] starts at j, as if every earlier entry outranked it; for each
+    # pair i < j in which j is larger, rank[i] gains one and rank[j] drops one
+    rank = np.empty(mag.shape, dtype=np.min_scalar_type(m - 1))
+    rank[...] = np.arange(m, dtype=rank.dtype)[:, None]
+    for i in range(m - 1):
+        later_wins = mag[i + 1:] > mag[i]
+        rank[i] += later_wins.sum(axis=0, dtype=rank.dtype)
+        rank[i + 1:] -= later_wins
+    keep = np.empty((r, groups * m))
+    np.less(rank.T, n, out=keep.reshape(r * groups, m))
+    if c % m:
+        keep = np.ascontiguousarray(keep[:, :c])
+    return keep.reshape(weights.shape)
 
 
 def realized_sparsity(masks: dict[int, np.ndarray]) -> float:

@@ -42,10 +42,15 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0")
         if self.delta_t < 1:
             raise ValueError("delta_t must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        for name in ("alpha", "lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum {self.momentum} outside [0,1)")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        self.schedule()  # gamma and clamp_min are checked by DecaySchedule
 
     def schedule(self) -> DecaySchedule:
         return DecaySchedule(gamma=self.gamma, clamp_min=self.clamp_min)
@@ -82,7 +87,7 @@ def zero_pruned(net: Network, masks: dict[int, np.ndarray]) -> None:
 
 
 def mask_churn(old: dict[int, np.ndarray], new: dict[int, np.ndarray]) -> float:
-    flipped = sum(float(np.sum(old[i] != new[i])) for i in old)
+    flipped = sum(np.count_nonzero(old[i] != new[i]) for i in old)
     total = sum(m.size for m in old.values())
     return flipped / total
 
@@ -111,7 +116,8 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
     grads = state.student.backward(trace, grad_logits, ste=True)
     lr = cosine_lr(state.iteration, cfg.iterations, cfg.lr)
     state.lr = lr
-    _apply_update(state, grads, lr, cfg)
+    _apply_update(state.student, grads, lr, state.masks, cfg.alpha, cfg.weight_decay,
+                  cfg.momentum, state.velocity)
     state.iteration += 1
     churn = None
     if state.iteration % cfg.delta_t == 0:
@@ -121,26 +127,40 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
     return loss, churn
 
 
-def _apply_update(state, grads, lr, cfg):
+def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0,
+                  weight_decay: float = 0.0, momentum: float = 0.0, velocity=None):
+    """One SGD step on every parameter in grads, in place: p -= lr * g.
+
+    With momentum, g is replaced by v = momentum * v + g, kept in velocity
+    under (layer index, name). A weight with a mask also decays by
+    decay * p, where decay is alpha on pruned entries and weight_decay * lr
+    on kept ones."""
+    masks = masks or {}
     for i, pg in grads.items():
-        layer = state.student.layers[i]
+        layer = net.layers[i]
         for name, g in pg.items():
             p = layer.params()[name]
-            if cfg.momentum > 0:
-                key = (i, name)
-                v = state.velocity.get(key)
-                v = g if v is None else cfg.momentum * v + g
-                state.velocity[key] = v
-                g = v
+            if momentum > 0:
+                v = velocity.get((i, name))
+                g = g if v is None else momentum * v + g
+                velocity[(i, name)] = g
             step = lr * g
-            if layer.prunable and name == "weight" and i in state.masks:
+            if name == "weight" and i in masks:
                 # p -= step + decay * p, with one buffer: addition commutes
-                buf = np.where(state.masks[i] == 0.0, cfg.alpha, cfg.weight_decay * lr)
+                buf = _decay_rates(masks[i], alpha, weight_decay * lr)
                 buf *= p
                 buf += step
                 p -= buf
             else:
                 p -= step
+
+
+def _decay_rates(mask: np.ndarray, pruned: float, kept: float) -> np.ndarray:
+    """Per-entry decay of a 0/1 mask: pruned where it is 0, kept where it is
+    1. A two-entry lookup, so the bytes equal np.where(mask == 0, pruned,
+    kept) for any settings, signed zeros included, without its
+    data-dependent branch."""
+    return np.array([pruned, kept]).take(mask.astype(np.intp))
 
 
 @dataclass

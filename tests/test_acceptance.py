@@ -108,14 +108,11 @@ class TestNumericAnchors:
         ok_residual = residual == pytest.approx(50.0, abs=1e-9)
 
         # pruned-entry update: w=0.1, g=0.2, lr=0.01, alpha=3e-5
-        from ptsparse.training import TrainState, _apply_update
+        from ptsparse.training import _apply_update
         layer = Dense(1, 1)
         layer.weight = np.array([[0.1]])
-        net = Network([layer])
-        state = TrainState(student=net, masks={0: np.array([[0.0]])},
-                           distribution=uniform_distribution(net, 1.0))
-        _apply_update(state, {0: {"weight": np.array([[0.2]])}}, 0.01,
-                      TrainConfig(alpha=3e-5))
+        _apply_update(Network([layer]), {0: {"weight": np.array([[0.2]])}}, 0.01,
+                      {0: np.array([[0.0]])}, alpha=3e-5)
         got = layer.weight[0, 0]
         ok_step = got == 0.1 - 0.01 * 0.2 - 3e-5 * 0.1 and \
             abs(got - 0.097997) < 1e-12

@@ -408,6 +408,12 @@ class TestStageSettingsAtParseTime:
         (("delta_t=0",), "delta_t must be >= 1"),
         (("alpha=-0.001",), "alpha must be >= 0"),
         (("objective=hinge",), "unknown objective"),
+        (("gamma=1.5",), "gamma 1.5 outside (0,1]"),
+        (("clamp_min=0",), "clamp_min must be positive"),
+        (("lr=nan",), "lr must be >= 0 and finite"),
+        (("lr=-0.1",), "lr must be >= 0 and finite"),
+        (("weight_decay=-1",), "weight_decay must be >= 0 and finite"),
+        (("momentum=1.5",), "momentum 1.5 outside [0,1)"),
     ])
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,

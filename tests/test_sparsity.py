@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -75,8 +75,13 @@ class TestKernelsMatchReference:
         np.testing.assert_array_equal(topk_mask(w, 0.5), [1, 1, 1, 0, 0, 0])
 
     @settings(max_examples=200)
-    @given(kernel_weights(), st.integers(2, 8).flatmap(
+    @given(kernel_weights(), st.integers(2, 16).flatmap(
         lambda m: st.tuples(st.integers(1, m), st.just(m))))
+    # rows of 300 against m = 260 (a full group and a short one): a rank
+    # dtype that cannot hold 259, such as int8 or uint8, wraps and keeps more
+    @example(np.random.default_rng(5).standard_normal((2, 300)), (3, 260))
+    @example(np.arange(-15.0, 15.0).reshape(3, 10) % 4, (2, 4))
+    @example(np.ones((2, 3, 5)), (3, 8))
     def test_nm_equals_stable_sort(self, w, nm):
         n, m = nm
         np.testing.assert_array_equal(nm_mask(w, NMPattern(n, m)),

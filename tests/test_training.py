@@ -1,7 +1,11 @@
 import math
+import re
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
@@ -11,8 +15,9 @@ from ptsparse.nn.network import EVAL_CHUNK
 from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, topk_mask,
                                uniform_distribution)
 from ptsparse.objectives import layerwise_mse
-from ptsparse.training import (TrainConfig, TrainState, _batch_stream, build_masks,
-                               cosine_lr, mask_churn, run_training, train_step)
+from ptsparse.training import (TrainConfig, TrainState, _apply_update, _batch_stream,
+                               _decay_rates, build_masks, cosine_lr, mask_churn,
+                               run_training, train_step)
 
 
 def make_calib(seed=0, n=64, n_in=6, classes=3):
@@ -35,6 +40,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(iterations=-1)
 
+    @pytest.mark.parametrize("values,message", [
+        ({"gamma": 1.5}, "gamma 1.5 outside (0,1]"),
+        ({"clamp_min": 0.0}, "clamp_min must be positive"),
+        ({"lr": math.nan}, "lr must be >= 0 and finite"),
+        ({"lr": -0.1}, "lr must be >= 0 and finite"),
+        ({"weight_decay": math.inf}, "weight_decay must be >= 0 and finite"),
+        ({"alpha": math.nan}, "alpha must be >= 0 and finite"),
+        ({"momentum": 1.0}, "momentum 1.0 outside [0,1)"),
+        ({"momentum": -0.5}, "momentum -0.5 outside [0,1)"),
+    ])
+    def test_update_and_schedule_settings_checked(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**values)
+
 
 class TestCosineLR:
     def test_endpoints(self):
@@ -50,20 +69,13 @@ class TestCosineLR:
 
 
 class TestUpdateRule:
-    def _one_param_state(self, w, mask, cfg):
+    def _apply(self, w, mask, grad, lr, cfg):
         layer = Dense(1, 1)
         layer.weight = np.array([[w]])
         layer.bias = np.zeros(1)
         net = Network([layer])
-        state = TrainState(student=net, masks={0: np.array([[mask]])},
-                           distribution=uniform_distribution(net, 0.0))
-        return net, state
-
-    def _apply(self, w, mask, grad, lr, cfg):
-        from ptsparse.training import _apply_update
-        net, state = self._one_param_state(w, mask, cfg)
-        grads = {0: {"weight": np.array([[grad]])}}
-        _apply_update(state, grads, lr, cfg)
+        _apply_update(net, {0: {"weight": np.array([[grad]])}}, lr,
+                      {0: np.array([[mask]])}, cfg.alpha, cfg.weight_decay)
         return net.layers[0].weight[0, 0]
 
     def test_pruned_entry_hand_value(self):
@@ -96,20 +108,18 @@ class TestUpdateRule:
         # oracle: v = m*v + g, then p -= lr*v + decay*p, entry by entry in
         # Python floats; decay is alpha on the pruned entry, weight_decay*lr
         # on the kept one, none on the bias
-        from ptsparse.training import _apply_update
         layer = Dense(2, 1)
         layer.weight = np.array([[0.3, -0.7]])
         layer.bias = np.array([0.05])
         net = Network([layer])
-        state = TrainState(student=net, masks={0: np.array([[0.0, 1.0]])},
-                           distribution=uniform_distribution(net, 0.5))
+        masks, velocity = {0: np.array([[0.0, 1.0]])}, {}
         cfg = TrainConfig(alpha=0.02, weight_decay=0.1, momentum=0.9)
         w, b, vw, vb = [0.3, -0.7], 0.05, [0.0, 0.0], 0.0
         steps = [(0.1, [0.25, -0.5], 0.125), (0.07, [-0.3, 0.2], 0.5),
                  (0.02, [0.6, 0.45], -0.25)]
         for lr, gw, gb in steps:
-            _apply_update(state, {0: {"weight": np.array([gw]), "bias": np.array([gb])}},
-                          lr, cfg)
+            _apply_update(net, {0: {"weight": np.array([gw]), "bias": np.array([gb])}},
+                          lr, masks, cfg.alpha, cfg.weight_decay, cfg.momentum, velocity)
             for j, decay in enumerate((cfg.alpha, cfg.weight_decay * lr)):
                 vw[j] = cfg.momentum * vw[j] + gw[j]
                 w[j] -= lr * vw[j] + decay * w[j]
@@ -117,6 +127,43 @@ class TestUpdateRule:
             b -= lr * vb
         assert layer.weight.tolist() == [w]
         assert layer.bias.tolist() == [b]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_decay_and_update_match_where_reference(self, data):
+        # oracle: the decay built with np.where and the update written out
+        # with fresh arrays, two steps so the velocity carries; compared by
+        # bytes, so a -0.0/+0.0 flip fails too
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
+        w = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+        bias = data.draw(hnp.arrays(np.float64, rows, elements=values))
+        mask = data.draw(hnp.arrays(np.float64, (rows, cols),
+                                    elements=st.sampled_from([0.0, 1.0])))
+        # -0.0 passes TrainConfig's >= 0 checks
+        alpha = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e-2)))
+        weight_decay = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1)))
+        momentum = data.draw(st.one_of(st.just(0.0), st.floats(0, 0.99)))
+        layer = Dense(cols, rows)
+        layer.weight, layer.bias = w.copy(), bias.copy()
+        net, velocity = Network([layer]), {}
+        ref_w, ref_b, ref_vw, ref_vb = w.copy(), bias.copy(), None, None
+        for _ in range(2):
+            lr = data.draw(st.one_of(st.just(0.0), st.floats(0, 1)))  # 0: last cosine step
+            gw = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+            gb = data.draw(hnp.arrays(np.float64, rows, elements=values))
+            where = np.where(mask == 0.0, alpha, weight_decay * lr)
+            assert _decay_rates(mask, alpha, weight_decay * lr).tobytes() == where.tobytes()
+            _apply_update(net, {0: {"weight": gw, "bias": gb}}, lr, {0: mask}, alpha,
+                          weight_decay, momentum, velocity)
+            if momentum > 0:
+                ref_vw = gw if ref_vw is None else momentum * ref_vw + gw
+                ref_vb = gb if ref_vb is None else momentum * ref_vb + gb
+                gw, gb = ref_vw, ref_vb
+            ref_w = ref_w - (lr * gw + where * ref_w)
+            ref_b = ref_b - lr * gb
+            assert layer.weight.tobytes() == ref_w.tobytes()
+            assert layer.bias.tobytes() == ref_b.tobytes()
 
     def test_alpha_zero_all_ones_mask_is_plain_sgd(self):
         # oracle: hand-rolled dense SGD on a copy, bit for bit
