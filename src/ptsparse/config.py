@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .nn.presets import PRESETS
 from .search import SearchConfig
 from .sparsity import NMPattern
 from .training import TrainConfig
@@ -43,9 +44,7 @@ class ExperimentConfig:
     image_size: int = 16
     train_size: int = 4096
     eval_size: int = 1024
-    data_noise: float = 1.5
     data_blobs: int = 24
-    data_offset: float = 2.0
     data_seed: int = 0
     idx_train_images: str = ""
     idx_train_labels: str = ""
@@ -90,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"method {self.method!r} not in {METHODS}")
         if self.dataset not in ("synthetic", "idx"):
             raise ConfigError(f"dataset {self.dataset!r} must be synthetic or idx")
+        if self.preset not in PRESETS:
+            raise ConfigError(f"preset {self.preset!r} not in {PRESETS}")
+        if self.teacher_epochs < 0:
+            raise ConfigError("teacher_epochs must be >= 0")
         if self.nm_pattern:
             try:
                 nm = NMPattern.parse(self.nm_pattern)
@@ -105,6 +108,10 @@ class ExperimentConfig:
                 path = getattr(self, key)
                 if not path or not os.path.exists(path):
                     raise ConfigError(f"{key} missing or not found: {path!r}")
+        else:
+            for key in ("classes", "train_size", "eval_size"):
+                if getattr(self, key) < 1:
+                    raise ConfigError(f"{key} must be >= 1")
         if self.teacher_checkpoint and not os.path.exists(self.teacher_checkpoint):
             raise ConfigError(f"teacher_checkpoint not found: {self.teacher_checkpoint!r}")
         if self.calib_size < 0 or (self.dataset == "synthetic"

@@ -17,7 +17,6 @@ IDX_DTYPES = {
     0x0D: np.dtype(">f4"),
     0x0E: np.dtype(">f8"),
 }
-IDX_CODES = {v.base.str.lstrip("><=|"): k for k, v in IDX_DTYPES.items()}
 
 
 class IdxFormatError(ValueError):
@@ -41,17 +40,6 @@ def load_idx(path) -> np.ndarray:
         raise IdxFormatError(f"{path}: payload {len(data)} bytes, expected {expected}")
     return np.frombuffer(data, dtype=dtype).reshape(dims).astype(
         dtype.newbyteorder("="))
-
-
-def save_idx(path, arr: np.ndarray) -> None:
-    key = arr.dtype.str.lstrip("><=|")
-    if key not in IDX_CODES:
-        raise IdxFormatError(f"dtype {arr.dtype} not representable in IDX")
-    code = IDX_CODES[key]
-    with open(path, "wb") as f:
-        f.write(bytes([0, 0, code, arr.ndim]))
-        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        f.write(np.ascontiguousarray(arr, dtype=IDX_DTYPES[code]).tobytes())
 
 
 @dataclass

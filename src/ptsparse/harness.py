@@ -19,13 +19,12 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import CalibrationSet, Splits, idx_splits, sample_calibration, synthetic_splits
-from .nn import Network, build_preset, load_network, predict_distribution, save_network
+from .nn import Network, build_preset, load_network, save_network
 from .nn.checkpoint import atomic_write
-from .objectives import cross_entropy
 from .search import evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
                        nm_distribution, save_masks, uniform_distribution)
-from .training import _apply_update, _batch_stream, cosine_lr, run_training
+from .training import run_training, train_teacher
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -68,8 +67,7 @@ def load_dataset(cfg: ExperimentConfig) -> Splits:
         if cfg.dataset == "synthetic":
             splits = synthetic_splits(classes=cfg.classes, image_size=cfg.image_size,
                                       train_size=cfg.train_size, eval_size=cfg.eval_size,
-                                      noise=cfg.data_noise, blobs_per_class=cfg.data_blobs,
-                                      offset=cfg.data_offset, seed=cfg.data_seed)
+                                      blobs_per_class=cfg.data_blobs, seed=cfg.data_seed)
         else:
             splits = idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
                                 cfg.idx_eval_images, cfg.idx_eval_labels,
@@ -80,27 +78,14 @@ def load_dataset(cfg: ExperimentConfig) -> Splits:
     return splits
 
 
-TEACHER_BATCH = 64
-TEACHER_LR = 0.05
-
-
 def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Network:
-    """Load a checkpoint, or train a preset on the full train split with SGD
-    (batch TEACHER_BATCH, cosine learning rate from TEACHER_LR)."""
-    if cfg.teacher_checkpoint:
-        with stage("teacher"):
+    """The checkpoint, or the preset trained on the train split by train_teacher;
+    a failure, such as a shape the preset rejects, raises StageError("teacher")."""
+    with stage("teacher"):
+        if cfg.teacher_checkpoint:
             return load_network(cfg.teacher_checkpoint)
-    net = build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed)
-    x, y = splits.train_x, splits.train_y
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7EA)))
-    total = cfg.teacher_epochs * -(-len(x) // TEACHER_BATCH)
-    for it, sel in enumerate(_batch_stream(len(x), TEACHER_BATCH, total, rng)):
-        trace = net.forward(x[sel], mode="train")
-        _, grad = cross_entropy(predict_distribution(trace.logits), y[sel])
-        grads = net.backward(trace, grad)
-        _apply_update(net, grads, cosine_lr(it, total, TEACHER_LR))
-    net.mode = "eval"
-    return net
+        net = build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed)
+        return train_teacher(net, splits.train_x, splits.train_y, cfg.teacher_epochs, seed)
 
 
 def select_distribution(cfg: ExperimentConfig, teacher: Network,

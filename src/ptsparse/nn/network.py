@@ -36,7 +36,6 @@ class Network:
         if not layers:
             raise ValueError("a network needs at least one layer")
         self.layers = layers
-        self.mode = "eval"
 
     # -- structure -----------------------------------------------------
 
@@ -65,11 +64,10 @@ class Network:
                 raise ShapeMismatchError(
                     idx, f"mask shape {m.shape} != weight shape {self.layers[idx].weight.shape}")
 
-    def forward_layers(self, x, masks: dict | None = None, mode: str | None = None):
+    def forward_layers(self, x, masks: dict | None = None, mode: str = "eval"):
         """(index, output, cache) of each layer in turn: the one forward loop.
         A consumer that keeps neither the output nor the cache lets both go
         once the next layer has run."""
-        mode = self.mode if mode is None else mode
         self._check_masks(masks)
         h = np.asarray(x, dtype=np.float64)
         for i, layer in enumerate(self.layers):
@@ -82,7 +80,7 @@ class Network:
                 raise ShapeMismatchError(i, str(exc)) from exc
             yield i, h, cache
 
-    def forward(self, x, masks: dict | None = None, mode: str | None = None) -> ForwardTrace:
+    def forward(self, x, masks: dict | None = None, mode: str = "eval") -> ForwardTrace:
         trace = ForwardTrace(masks=masks, net_id=id(self))
         for _, logits, cache in self.forward_layers(x, masks, mode):
             trace.caches.append(cache)

@@ -45,6 +45,11 @@ class SearchConfig:
             raise ValueError("population must be >= 2")
         if self.elites < 1 or self.elites > self.population:
             raise ValueError("elites must be in [1, population]")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        for name in ("batch_size", "tournament"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -52,7 +57,6 @@ class FitnessRecord:
     genome: np.ndarray
     distribution: SparsityDistribution
     fitness: float
-    seed: int
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -100,8 +104,7 @@ def fitness(genome: np.ndarray, teacher: Network, calib, cfg: SearchConfig,
     net.bn_recalibrate(
         noised_batches(calib.inputs, cfg.batch_size, rng, cfg.noise_std), masks=masks)
     acc = net.accuracy(calib.inputs, calib.labels, masks=masks)
-    return FitnessRecord(genome=np.array(genome), distribution=dist,
-                         fitness=acc, seed=seed)
+    return FitnessRecord(genome=np.array(genome), distribution=dist, fitness=acc)
 
 
 @dataclass

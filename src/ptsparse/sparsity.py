@@ -70,9 +70,6 @@ class NMPattern:
         n, m = text.split(":")
         return cls(int(n), int(m))
 
-    def __str__(self):
-        return f"{self.n}:{self.m}"
-
 
 def nm_mask(weights: np.ndarray, pattern: NMPattern) -> np.ndarray:
     """Per length-m group along the reduction axis, keep the n largest

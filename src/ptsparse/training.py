@@ -1,4 +1,4 @@
-"""Dynamic sparse training against a frozen dense teacher.
+"""Every parameter step: the dense teacher's SGD, and sparse training against it.
 
 The student starts as a copy of the teacher, trains with a masked forward and
 straight-through backward, and refreshes its magnitude masks every delta_t
@@ -40,8 +40,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.delta_t < 1:
-            raise ValueError("delta_t must be >= 1")
+        for name in ("batch_size", "delta_t", "metrics_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("alpha", "lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -62,7 +63,6 @@ class TrainState:
     masks: dict[int, np.ndarray]
     distribution: SparsityDistribution
     iteration: int = 0
-    lr: float = 0.0
     velocity: dict = field(default_factory=dict)
 
 
@@ -108,14 +108,13 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
     """One update on batch = (x, labels, teacher probability rows or None
     for ce): masked forward, STE backward, decayed update of pruned
     entries, then a mask refresh when the interval divides. The decay
-    schedule's t counts whole epochs over the calib_size rows."""
+    schedule's t counts epochs over calib_size rows; returns (loss, churn, lr)."""
     x, labels, z = batch
     trace = state.student.forward(x, masks=state.masks, mode="train")
     t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
     loss, grad_logits = _objective_grad(cfg, sched, z, trace.logits, labels, t)
     grads = state.student.backward(trace, grad_logits, ste=True)
     lr = cosine_lr(state.iteration, cfg.iterations, cfg.lr)
-    state.lr = lr
     _apply_update(state.student, grads, lr, state.masks, cfg.alpha, cfg.weight_decay,
                   cfg.momentum, state.velocity)
     state.iteration += 1
@@ -124,7 +123,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
         new_masks = build_masks(state.student, state.distribution)
         churn = mask_churn(state.masks, new_masks)
         state.masks = new_masks
-    return loss, churn
+    return loss, churn, lr
 
 
 def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0,
@@ -179,8 +178,7 @@ def _history_row(it, loss, lr, churn, student, masks, calib) -> dict:
 
 
 def _batch_stream(n, batch_size, iterations, rng):
-    """Row selections cycling n calibration rows, with a fresh permutation
-    each epoch."""
+    """Row selections cycling n rows, with a fresh permutation each epoch."""
     produced = 0
     while produced < iterations:
         order = rng.permutation(n)
@@ -189,6 +187,22 @@ def _batch_stream(n, batch_size, iterations, rng):
                 return
             yield order[start:start + batch_size]
             produced += 1
+
+
+TEACHER_BATCH = 64
+TEACHER_LR = 0.05
+
+
+def train_teacher(net: Network, x, y, epochs: int, seed: int) -> Network:
+    """Train net in place on (x, y) for epochs passes: cross-entropy SGD,
+    batch TEACHER_BATCH, cosine learning rate from TEACHER_LR."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7EA)))
+    total = epochs * -(-len(x) // TEACHER_BATCH)
+    for it, sel in enumerate(_batch_stream(len(x), TEACHER_BATCH, total, rng)):
+        trace = net.forward(x[sel], mode="train")
+        _, grad = cross_entropy(predict_distribution(trace.logits), y[sel])
+        _apply_update(net, net.backward(trace, grad), cosine_lr(it, total, TEACHER_LR))
+    return net
 
 
 def run_training(teacher: Network, distribution: SparsityDistribution,
@@ -210,7 +224,16 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
     student = teacher.copy()
     masks = build_masks(student, distribution)
     if cfg.objective == "layerwise_mse":
-        return _run_layerwise_reconstruction(teacher, student, masks, calib, cfg)
+        history = _run_layerwise_reconstruction(teacher, student, masks, calib, cfg)
+    else:
+        masks, history = _run_dst(teacher, student, masks, distribution, calib, cfg)
+    zero_pruned(student, masks)
+    return RunResult(student=student, masks=masks, history=history,
+                     final_sparsity=realized_sparsity(masks))
+
+
+def _run_dst(teacher, student, masks, distribution, calib, cfg):
+    """run_training's DST steps; returns (final masks, history)."""
     state = TrainState(student=student, masks=masks, distribution=distribution)
     sched = cfg.schedule()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
@@ -222,24 +245,22 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
         step = state.iteration + 1
         batch = (calib.inputs[sel], calib.labels[sel], None if z is None else z[sel])
         try:
-            loss, churn = train_step(state, batch, cfg, sched, n)
+            loss, churn, lr = train_step(state, batch, cfg, sched, n)
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
         if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:
-            history.append(_history_row(state.iteration, loss, state.lr, churn,
-                                        state.student, state.masks, calib))
-    zero_pruned(state.student, state.masks)
-    return RunResult(student=state.student, masks=state.masks, history=history,
-                     final_sparsity=realized_sparsity(state.masks))
+            history.append(_history_row(state.iteration, loss, lr, churn,
+                                        student, state.masks, calib))
+    return state.masks, history
 
 
-def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunResult:
+def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> list:
     """POT-style baseline: static one-shot masks, then each prunable layer is
     tuned in order, for iterations // layers steps, to reconstruct the dense
     layer's output under MSE; only surviving weights move. The teacher's eval
     forward has no side effects, so it stops at the tuned layer; the
     student's train forward runs every layer, because train-mode BN updates
-    its running statistics."""
+    its running statistics. Returns the history."""
     idxs = [i for i in student.prunable_indices() if i in masks]
     per_layer = cfg.iterations // max(len(idxs), 1)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
@@ -250,7 +271,7 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunRes
         for sel in _batch_stream(len(calib.inputs), cfg.batch_size, per_layer, rng):
             x = calib.inputs[sel]
             # reconstruct this layer's pre-activation output
-            for i, y_dense, _ in teacher.forward_layers(x, mode="eval"):
+            for i, y_dense, _ in teacher.forward_layers(x):
                 if i == li:
                     break
             for i, y, cache in student.forward_layers(x, masks, mode="train"):
@@ -260,12 +281,10 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> RunRes
             gy = gy / y_dense.size  # per-element normalization keeps steps sane
             _, pg = layer.backward(gy, s_cache, input_grad=False)
             lr = cosine_lr(step_count, cfg.iterations, cfg.lr)
-            layer.weight -= lr * pg["weight"] * masks[li]
-            layer.bias -= lr * pg["bias"]
+            pg["weight"] = pg["weight"] * masks[li]  # pruned entries stay frozen
+            _apply_update(student, {li: pg}, lr)
             step_count += 1
             if step_count % cfg.metrics_every == 0:
                 history.append(_history_row(step_count, loss / x.shape[0], lr, 0.0,
                                             student, masks, calib))
-    zero_pruned(student, masks)
-    return RunResult(student=student, masks=masks, history=history,
-                     final_sparsity=realized_sparsity(masks))
+    return history

@@ -171,10 +171,9 @@ def reference_network(net):
     return ref
 
 
-def full_trace_forward(net, x, masks=None, mode=None):
+def full_trace_forward(net, x, masks=None, mode="eval"):
     """The forward loop that keeps everything: (caches, activations), where
     activations are the input, then each layer's output."""
-    mode = net.mode if mode is None else mode
     h = np.asarray(x, dtype=np.float64)
     caches, activations = [], [h]
     for i, layer in enumerate(net.layers):

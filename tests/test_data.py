@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from idx_writer import save_idx
 from ptsparse.data import (IdxFormatError, Splits, idx_splits, load_idx,
-                           sample_calibration, save_idx, synthetic_splits)
+                           sample_calibration, synthetic_splits)
 
 
 class TestIdx:

@@ -70,11 +70,12 @@ class TestParseConfig:
 
     # settings that became constants: teacher lr 0.05, mutation std 0.5,
     # crossover rate 0.5, class-balanced calibration, t in calibration epochs,
-    # and the synthetic data's channel count and blob widths
+    # and the synthetic data's channel count, blob widths, noise and offset
     @pytest.mark.parametrize("key,value", [
         ("channels", "1"), ("data_sigma_min", "0.5"), ("data_sigma_max", "1.0"),
         ("teacher_lr", "0.05"), ("calib_balanced", "true"), ("mutation_std", "0.5"),
-        ("crossover_rate", "0.5"), ("schedule_unit", "epoch")])
+        ("crossover_rate", "0.5"), ("schedule_unit", "epoch"), ("data_noise", "1.5"),
+        ("data_offset", "2.0")])
     @pytest.mark.parametrize("via", ["file", "override"])
     def test_removed_key_is_unknown(self, cfg_file, tmp_path, capsys, key, value, via):
         out = tmp_path / "out"
@@ -414,6 +415,16 @@ class TestStageSettingsAtParseTime:
         (("lr=-0.1",), "lr must be >= 0 and finite"),
         (("weight_decay=-1",), "weight_decay must be >= 0 and finite"),
         (("momentum=1.5",), "momentum 1.5 outside [0,1)"),
+        (("preset=resnet",), "preset 'resnet' not in"),
+        (("teacher_epochs=-1",), "teacher_epochs must be >= 0"),
+        (("classes=0",), "classes must be >= 1"),
+        (("train_size=0",), "train_size must be >= 1"),
+        (("eval_size=0",), "eval_size must be >= 1"),
+        (("batch_size=0",), "batch_size must be >= 1"),
+        (("method=unipts", "batch_size=0"), "batch_size must be >= 1"),
+        (("metrics_every=0",), "metrics_every must be >= 1"),
+        (("method=unipts", "generations=-1"), "generations must be >= 0"),
+        (("method=unipts", "tournament=0"), "tournament must be >= 1"),
     ])
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
@@ -425,6 +436,15 @@ class TestStageSettingsAtParseTime:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
         assert not out.exists()
+
+    def test_shape_the_preset_rejects_is_teacher_failure(self, cfg_file, tmp_path,
+                                                         capsys):
+        # only convnet-small sees that 6 is not divisible by 4
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={tmp_path / 'out'}",
+                       "-o", "preset=convnet-small", "-o", "image_size=6") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["stage failure: [teacher] convnet-small needs height/width "
+                       "divisible by 4"]
 
     def test_search_settings_checked_only_when_searching(self, cfg_file):
         # uniform+dst and N:M runs never build the search settings
@@ -489,7 +509,8 @@ class TestCalibrationSize:
     @pytest.mark.parametrize("command,extra", [("run", ()),
                                                ("search", ("-o", "method=unipts"))])
     def test_idx_is_stage_failure(self, cfg_file, tmp_path, capsys, command, extra):
-        from ptsparse.data import save_idx, synthetic_splits
+        from idx_writer import save_idx
+        from ptsparse.data import synthetic_splits
         s = synthetic_splits(classes=3, image_size=8, train_size=30, eval_size=20,
                              blobs_per_class=2, seed=0)
         files = []

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest.mock import patch
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -17,7 +18,7 @@ from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, to
 from ptsparse.objectives import layerwise_mse
 from ptsparse.training import (TrainConfig, TrainState, _apply_update, _batch_stream,
                                _decay_rates, build_masks, cosine_lr, mask_churn,
-                               run_training, train_step)
+                               _run_layerwise_reconstruction, run_training, train_step)
 
 
 def make_calib(seed=0, n=64, n_in=6, classes=3):
@@ -164,6 +165,34 @@ class TestUpdateRule:
             ref_b = ref_b - lr * gb
             assert layer.weight.tobytes() == ref_w.tobytes()
             assert layer.bias.tobytes() == ref_b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pot_step_matches_masked_sgd_reference(self, data):
+        # one pot-baseline step of a lone Dense layer, with the layer's
+        # gradients replaced by drawn ones: oracle w - lr*g*m and b - lr*gb,
+        # compared by bytes, so a -0.0/+0.0 flip fails too
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
+        w = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+        bias = data.draw(hnp.arrays(np.float64, rows, elements=values))
+        gw = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+        gb = data.draw(hnp.arrays(np.float64, rows, elements=values))
+        mask = data.draw(hnp.arrays(np.float64, (rows, cols),
+                                    elements=st.sampled_from([0.0, 1.0])))
+        lr = data.draw(st.one_of(st.just(0.0), st.floats(0, 1)))
+        layer = Dense(cols, rows)
+        layer.weight, layer.bias = w.copy(), bias.copy()
+        student = Network([layer])
+        calib = make_calib(n=2, n_in=cols)
+        cfg = TrainConfig(iterations=1, batch_size=2, lr=lr, metrics_every=2,
+                          objective="layerwise_mse")
+        rate = cosine_lr(0, 1, lr)  # one layer, one step
+        with patch.object(Dense, "backward", lambda *args, **kwargs: (
+                None, {"weight": gw.copy(), "bias": gb.copy()})):
+            _run_layerwise_reconstruction(student.copy(), student, {0: mask}, calib, cfg)
+        assert layer.weight.tobytes() == (w - rate * gw * mask).tobytes()
+        assert layer.bias.tobytes() == (bias - rate * gb).tobytes()
 
     def test_alpha_zero_all_ones_mask_is_plain_sgd(self):
         # oracle: hand-rolled dense SGD on a copy, bit for bit
