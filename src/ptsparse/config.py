@@ -76,12 +76,9 @@ class ExperimentConfig:
     batch_size: int = 64
     lr: float = 0.01
     alpha: float = 3e-5
-    weight_decay: float = 0.0
     delta_t: int = 1
-    gamma: float = 0.99
+    gamma: float = 0.99                     # 1.0: plain KL
     clamp_min: float = 0.05
-    objective: str = "base_decayed_kl"
-    momentum: float = 0.0
     metrics_every: int = 200
 
     def validate(self) -> "ExperimentConfig":
@@ -109,7 +106,7 @@ class ExperimentConfig:
                 if not path or not os.path.exists(path):
                     raise ConfigError(f"{key} missing or not found: {path!r}")
         else:
-            for key in ("classes", "train_size", "eval_size"):
+            for key in ("classes", "image_size", "train_size", "eval_size", "data_blobs"):
                 if getattr(self, key) < 1:
                     raise ConfigError(f"{key} must be >= 1")
         if self.teacher_checkpoint and not os.path.exists(self.teacher_checkpoint):
@@ -136,9 +133,9 @@ class ExperimentConfig:
         return _derive(SearchConfig, self, p=self.sparsity, seed=seed)
 
     def train_config(self, seed: int) -> TrainConfig:
-        """The sparse training's settings; pot-baseline always trains on the
-        layerwise reconstruction objective, and oneshot takes no step."""
-        objective = "layerwise_mse" if self.method == "pot-baseline" else self.objective
+        """The sparse training's settings: pot-baseline trains on the layerwise
+        reconstruction, the rest on the base-decayed KL; oneshot takes no step."""
+        objective = "layerwise_mse" if self.method == "pot-baseline" else "base_decayed_kl"
         iterations = 0 if self.method == "oneshot" else self.iterations
         return _derive(TrainConfig, self, objective=objective, iterations=iterations,
                        seed=seed)

@@ -93,7 +93,8 @@ def select_distribution(cfg: ExperimentConfig, teacher: Network,
                         out_dir=None) -> SparsityDistribution:
     """Which layers are pruned, how, and at what rate: the N:M pattern when
     one is set, else the method's distribution. A ValueError, such as every
-    prunable layer excluded, raises StageError("search")."""
+    prunable layer excluded or an excluded index that names no prunable
+    layer, raises StageError("search")."""
     exclude = set(cfg.exclude_layers)
     with stage("search"):
         if cfg.nm_pattern:

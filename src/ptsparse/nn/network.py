@@ -25,7 +25,6 @@ class ForwardTrace:
 
     caches: list = field(default_factory=list)
     logits: np.ndarray | None = None
-    masks: dict | None = None
     net_id: int = 0
 
 
@@ -81,27 +80,23 @@ class Network:
             yield i, h, cache
 
     def forward(self, x, masks: dict | None = None, mode: str = "eval") -> ForwardTrace:
-        trace = ForwardTrace(masks=masks, net_id=id(self))
+        trace = ForwardTrace(net_id=id(self))
         for _, logits, cache in self.forward_layers(x, masks, mode):
             trace.caches.append(cache)
         trace.logits = logits
         return trace
 
-    def backward(self, trace: ForwardTrace, grad_logits: np.ndarray,
-                 ste: bool = False) -> dict[int, dict]:
-        """Gradients per layer index. With ste, masked weights still get grads.
-        Nothing reads the input gradient of layer 0, so it is not computed."""
+    def backward(self, trace: ForwardTrace, grad_logits: np.ndarray) -> dict[int, dict]:
+        """Gradients per layer index, straight through any masks: pruned entries
+        get the gradient of the effective weight too. Nothing reads the input
+        gradient of layer 0, so it is not computed."""
         if trace.net_id != id(self) or len(trace.caches) != len(self.layers):
             raise ValueError("trace does not belong to this network")
-        masks = trace.masks
         grads: dict[int, dict] = {}
         g = grad_logits
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            g, pg = layer.backward(g, trace.caches[i], input_grad=i > 0)
+            g, pg = self.layers[i].backward(g, trace.caches[i], input_grad=i > 0)
             if pg:
-                if layer.prunable and masks and i in masks and not ste:
-                    pg["weight"] = pg["weight"] * masks[i]
                 grads[i] = pg
         return grads
 

@@ -193,9 +193,15 @@ def regrow_distribution(idxs: list[int], numels: np.ndarray, shares: np.ndarray,
 
 
 def included_layers(net: Network, exclude: set[int] | None = None) -> list[int]:
-    """Prunable layer indices not in `exclude`; raises when none are left."""
+    """Prunable layer indices not in `exclude`; raises when `exclude` names
+    a layer that is not prunable, or when none are left."""
     exclude = exclude or set()
-    idxs = [i for i in net.prunable_indices() if i not in exclude]
+    prunable = net.prunable_indices()
+    stray = sorted(set(exclude) - set(prunable))
+    if stray:
+        raise ValueError(f"exclude_layers {stray} name no prunable layer "
+                         f"(prunable: {prunable})")
+    idxs = [i for i in prunable if i not in exclude]
     if not idxs:
         raise ValueError("no prunable layers left after exclusion")
     return idxs

@@ -3,23 +3,23 @@
 The student starts as a copy of the teacher, trains with a masked forward and
 straight-through backward, and refreshes its magnitude masks every delta_t
 iterations. Pruned entries receive an extra magnitude decay on every update,
-which damps mask churn. The layerwise-MSE objective instead runs a sequential
+which damps mask churn. The DST objective is the base-decayed KL; gamma = 1
+makes it plain KL. The layerwise-MSE objective instead runs a sequential
 per-layer reconstruction with static masks (POT-style baseline).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nn.network import Network, predict_distribution
-from .objectives import (DecaySchedule, base_decayed_kl, cross_entropy, kl_loss,
-                         layerwise_mse)
+from .objectives import DecaySchedule, base_decayed_kl, cross_entropy, layerwise_mse
 from .sparsity import SparsityDistribution, nm_mask, realized_sparsity, topk_mask
 
-OBJECTIVES = ("base_decayed_kl", "kl", "ce", "layerwise_mse")
+OBJECTIVES = ("base_decayed_kl", "layerwise_mse")
 
 
 @dataclass
@@ -28,12 +28,10 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.01
     alpha: float = 3e-5           # pruned-weight decay
-    weight_decay: float = 0.0     # standard L2, unpruned entries only
     delta_t: int = 1              # mask refresh interval
-    gamma: float = 0.99
+    gamma: float = 0.99           # 1.0: plain KL
     clamp_min: float = 0.05
     objective: str = "base_decayed_kl"
-    momentum: float = 0.0
     seed: int = 0
     metrics_every: int = 200
 
@@ -43,12 +41,10 @@ class TrainConfig:
         for name in ("batch_size", "delta_t", "metrics_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("alpha", "lr", "weight_decay"):
+        for name in ("alpha", "lr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum {self.momentum} outside [0,1)")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         self.schedule()  # gamma and clamp_min are checked by DecaySchedule
@@ -63,7 +59,6 @@ class TrainState:
     masks: dict[int, np.ndarray]
     distribution: SparsityDistribution
     iteration: int = 0
-    velocity: dict = field(default_factory=dict)
 
 
 def cosine_lr(iteration: int, total: int, lr0: float) -> float:
@@ -92,31 +87,24 @@ def mask_churn(old: dict[int, np.ndarray], new: dict[int, np.ndarray]) -> float:
     return flipped / total
 
 
-def _objective_grad(cfg: TrainConfig, sched, z, logits_hat, labels, t):
-    z_hat = predict_distribution(logits_hat)
-    if cfg.objective == "base_decayed_kl":
-        return base_decayed_kl(z, z_hat, t, sched)
-    if cfg.objective == "kl":
-        return kl_loss(z, z_hat)
-    if cfg.objective == "ce":
-        return cross_entropy(z_hat, labels)
-    raise ValueError(f"objective {cfg.objective!r} has no global gradient")
+def _objective_grad(sched: DecaySchedule, z, logits_hat, t):
+    """Base-decayed KL of z against the student's softmax; grad w.r.t. logits."""
+    return base_decayed_kl(z, predict_distribution(logits_hat), t, sched)
 
 
 def train_step(state: TrainState, batch, cfg: TrainConfig,
                sched: DecaySchedule, calib_size: int):
-    """One update on batch = (x, labels, teacher probability rows or None
-    for ce): masked forward, STE backward, decayed update of pruned
-    entries, then a mask refresh when the interval divides. The decay
-    schedule's t counts epochs over calib_size rows; returns (loss, churn, lr)."""
-    x, labels, z = batch
+    """One update on batch = (x, teacher probability rows): masked forward,
+    STE backward, decayed update of pruned entries, then a mask refresh when
+    the interval divides. The decay schedule's t counts epochs over
+    calib_size rows; returns (loss, churn, lr)."""
+    x, z = batch
     trace = state.student.forward(x, masks=state.masks, mode="train")
     t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
-    loss, grad_logits = _objective_grad(cfg, sched, z, trace.logits, labels, t)
-    grads = state.student.backward(trace, grad_logits, ste=True)
+    loss, grad_logits = _objective_grad(sched, z, trace.logits, t)
+    grads = state.student.backward(trace, grad_logits)
     lr = cosine_lr(state.iteration, cfg.iterations, cfg.lr)
-    _apply_update(state.student, grads, lr, state.masks, cfg.alpha, cfg.weight_decay,
-                  cfg.momentum, state.velocity)
+    _apply_update(state.student, grads, lr, state.masks, cfg.alpha)
     state.iteration += 1
     churn = None
     if state.iteration % cfg.delta_t == 0:
@@ -126,27 +114,18 @@ def train_step(state: TrainState, batch, cfg: TrainConfig,
     return loss, churn, lr
 
 
-def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0,
-                  weight_decay: float = 0.0, momentum: float = 0.0, velocity=None):
+def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0):
     """One SGD step on every parameter in grads, in place: p -= lr * g.
-
-    With momentum, g is replaced by v = momentum * v + g, kept in velocity
-    under (layer index, name). A weight with a mask also decays by
-    decay * p, where decay is alpha on pruned entries and weight_decay * lr
-    on kept ones."""
+    A weight with a mask also decays by alpha * p on its pruned entries."""
     masks = masks or {}
     for i, pg in grads.items():
         layer = net.layers[i]
         for name, g in pg.items():
             p = layer.params()[name]
-            if momentum > 0:
-                v = velocity.get((i, name))
-                g = g if v is None else momentum * v + g
-                velocity[(i, name)] = g
             step = lr * g
             if name == "weight" and i in masks:
                 # p -= step + decay * p, with one buffer: addition commutes
-                buf = _decay_rates(masks[i], alpha, weight_decay * lr)
+                buf = _decay_rates(masks[i], alpha)
                 buf *= p
                 buf += step
                 p -= buf
@@ -154,12 +133,11 @@ def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0
                 p -= step
 
 
-def _decay_rates(mask: np.ndarray, pruned: float, kept: float) -> np.ndarray:
-    """Per-entry decay of a 0/1 mask: pruned where it is 0, kept where it is
-    1. A two-entry lookup, so the bytes equal np.where(mask == 0, pruned,
-    kept) for any settings, signed zeros included, without its
-    data-dependent branch."""
-    return np.array([pruned, kept]).take(mask.astype(np.intp))
+def _decay_rates(mask: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-entry decay of a 0/1 mask: alpha where it is 0, 0.0 where it is 1.
+    A two-entry lookup: the bytes of np.where(mask == 0, alpha, 0.0) for any
+    alpha, signed zeros included, without its data-dependent branch."""
+    return np.array([alpha, 0.0]).take(mask.astype(np.intp))
 
 
 @dataclass
@@ -217,7 +195,7 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
 
     The teacher is frozen and the calibration rows are fixed, so its
     probability rows are computed once, before the first step, in the
-    EVAL_CHUNK-row blocks of Network.predict; ce never reads them.
+    EVAL_CHUNK-row blocks of Network.predict.
     """
     if cfg.iterations and len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
@@ -239,13 +217,11 @@ def _run_dst(teacher, student, masks, distribution, calib, cfg):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []
     n = len(calib.inputs)
-    z = (teacher.predict(calib.inputs)
-         if cfg.iterations and cfg.objective != "ce" else None)
+    z = teacher.predict(calib.inputs) if cfg.iterations else None
     for sel in _batch_stream(n, cfg.batch_size, cfg.iterations, rng):
         step = state.iteration + 1
-        batch = (calib.inputs[sel], calib.labels[sel], None if z is None else z[sel])
         try:
-            loss, churn, lr = train_step(state, batch, cfg, sched, n)
+            loss, churn, lr = train_step(state, (calib.inputs[sel], z[sel]), cfg, sched, n)
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
         if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:

@@ -192,16 +192,13 @@ def full_trace_logits(net, x, masks=None, batch_size=256):
                            for s in range(0, len(x), batch_size)])
 
 
-def full_trace_backward(net, caches, grad_logits, masks=None, ste=False):
-    """Parameter gradients per layer index, with every layer's input
-    gradient computed, layer 0's included."""
+def full_trace_backward(net, caches, grad_logits):
+    """Straight-through parameter gradients per layer index, with every
+    layer's input gradient computed, layer 0's included."""
     grads = {}
     g = grad_logits
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        g, pg = layer.backward(g, caches[i])
+        g, pg = net.layers[i].backward(g, caches[i])
         if pg:
-            if layer.prunable and masks and i in masks and not ste:
-                pg["weight"] = pg["weight"] * masks[i]
             grads[i] = pg
     return grads

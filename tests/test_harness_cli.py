@@ -70,12 +70,15 @@ class TestParseConfig:
 
     # settings that became constants: teacher lr 0.05, mutation std 0.5,
     # crossover rate 0.5, class-balanced calibration, t in calibration epochs,
-    # and the synthetic data's channel count, blob widths, noise and offset
+    # the synthetic data's channel count, blob widths, noise and offset, and
+    # the DST step's objective (plain KL is gamma = 1), momentum and
+    # kept-entry weight decay
     @pytest.mark.parametrize("key,value", [
         ("channels", "1"), ("data_sigma_min", "0.5"), ("data_sigma_max", "1.0"),
         ("teacher_lr", "0.05"), ("calib_balanced", "true"), ("mutation_std", "0.5"),
         ("crossover_rate", "0.5"), ("schedule_unit", "epoch"), ("data_noise", "1.5"),
-        ("data_offset", "2.0")])
+        ("data_offset", "2.0"), ("objective", "kl"), ("momentum", "0.0"),
+        ("weight_decay", "0.0")])
     @pytest.mark.parametrize("via", ["file", "override"])
     def test_removed_key_is_unknown(self, cfg_file, tmp_path, capsys, key, value, via):
         out = tmp_path / "out"
@@ -366,6 +369,28 @@ class TestEveryLayerExcluded:
         assert not (out / "student.ckpt").exists()
 
 
+class TestExcludeLayersNamesNoPrunableLayer:
+    """An exclude_layers index that names no prunable layer of mlp3 (layer 1
+    is a BatchNorm, 99 does not exist) is one [search] stage failure, exit 2,
+    naming the index and the prunable layers."""
+
+    @pytest.mark.parametrize("exclude", ["99", "1", "0,1"])
+    @pytest.mark.parametrize("command,extra", [
+        ("run", ()), ("run", ("-o", "nm_pattern=2:4")), ("prune", ()),
+        ("search", ("-o", "method=unipts"))])
+    def test_one_stage_failure_line(self, cfg_file, tmp_path, capsys, command, extra,
+                                    exclude):
+        out = tmp_path / command
+        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"exclude_layers={exclude}", *extra)
+        err = capsys.readouterr().err.strip().splitlines()
+        stray = [int(exclude.split(",")[-1])]
+        assert code == 2
+        assert err == [f"stage failure: [search] exclude_layers {stray} name no "
+                       "prunable layer (prunable: [0, 3, 6])"]
+        assert not (out / "student.ckpt").exists()
+
+
 class TestEvalCorruptInputs:
     @pytest.fixture
     def pruned(self, cfg_file, tmp_path):
@@ -408,13 +433,13 @@ class TestStageSettingsAtParseTime:
         (("method=unipts", "population=3", "elites=4"), "elites must be in"),
         (("delta_t=0",), "delta_t must be >= 1"),
         (("alpha=-0.001",), "alpha must be >= 0"),
-        (("objective=hinge",), "unknown objective"),
+        (("objective=kl",), "unknown config key 'objective'"),
         (("gamma=1.5",), "gamma 1.5 outside (0,1]"),
         (("clamp_min=0",), "clamp_min must be positive"),
         (("lr=nan",), "lr must be >= 0 and finite"),
         (("lr=-0.1",), "lr must be >= 0 and finite"),
-        (("weight_decay=-1",), "weight_decay must be >= 0 and finite"),
-        (("momentum=1.5",), "momentum 1.5 outside [0,1)"),
+        (("data_blobs=0",), "data_blobs must be >= 1"),
+        (("image_size=0",), "image_size must be >= 1"),
         (("preset=resnet",), "preset 'resnet' not in"),
         (("teacher_epochs=-1",), "teacher_epochs must be >= 0"),
         (("classes=0",), "classes must be >= 1"),
@@ -458,14 +483,14 @@ class TestStageSettingsAtParseTime:
 
     def test_stage_settings_follow_experiment_fields(self, cfg_file):
         cfg = parse_config(cfg_file(), ["method=unipts", "exclude_layers=3",
-                                        "momentum=0.5"])
+                                        "gamma=1.0"])
         scfg, tcfg = cfg.search_config(seed=7), cfg.train_config(seed=7)
         assert (scfg.p, scfg.population, scfg.elites, scfg.tournament, scfg.seed,
                 scfg.exclude_layers) == (0.5, 4, 1, 2, 7, (3,))
-        assert (tcfg.iterations, tcfg.batch_size, tcfg.momentum, tcfg.seed,
-                tcfg.metrics_every, tcfg.objective) == (8, 16, 0.5, 7, 4,
-                                                         "base_decayed_kl")
-        pot = parse_config(cfg_file(), ["method=pot-baseline", "objective=ce"])
+        assert (tcfg.iterations, tcfg.batch_size, tcfg.gamma, tcfg.seed,
+                tcfg.metrics_every, tcfg.objective) == (8, 16, 1.0, 7, 4,
+                                                        "base_decayed_kl")
+        pot = parse_config(cfg_file(), ["method=pot-baseline"])
         assert pot.train_config(seed=0).objective == "layerwise_mse"
 
 

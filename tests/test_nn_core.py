@@ -79,15 +79,20 @@ class TestBackward:
         mask = {0: np.zeros((1, 1))}
         x = np.array([[3.0]])
         trace = net.forward(x, masks=mask)
-        grads = net.backward(trace, np.array([[1.0]]), ste=True)
+        grads = net.backward(trace, np.array([[1.0]]))
         assert grads[0]["weight"][0, 0] == pytest.approx(3.0)
 
     def test_hard_mask_blocks_gradient(self):
+        # a pruned entry never reaches the masked forward, so its true
+        # gradient is 0: the STE gradient times the mask
         net = one_dense([[0.5]])
         mask = {0: np.zeros((1, 1))}
-        trace = net.forward(np.array([[3.0]]), masks=mask)
-        grads = net.backward(trace, np.array([[1.0]]), ste=False)
-        assert grads[0]["weight"][0, 0] == 0.0
+        x = np.array([[3.0]])
+        trace = net.forward(x, masks=mask)
+        grads = net.backward(trace, np.array([[1.0]]))
+        net.layers[0].weight[0, 0] = 0.7
+        assert net.forward(x, masks=mask).logits.tobytes() == trace.logits.tobytes()
+        assert (grads[0]["weight"] * mask[0])[0, 0] == 0.0
 
     def test_trace_mismatch_rejected(self):
         net, other = tiny_mlp(), tiny_mlp()
@@ -109,12 +114,13 @@ class TestBackward:
             return float(np.sum(c * net.forward(x, masks=masks, mode=mode).logits))
 
         trace = net.forward(x, masks=masks, mode=mode)
-        grads = net.backward(trace, c, ste=False)
+        grads = net.backward(trace, c)
         arrays, analytic = [], []
         for i, pg in grads.items():
             for name, g in pg.items():
                 arrays.append(net.layers[i].params()[name])
-                analytic.append(g)
+                # a pruned entry's true gradient is 0: mask the STE gradient
+                analytic.append(g * masks[i] if name == "weight" else g)
         numeric = finite_difference_grads(loss, arrays)
         for a, n in zip(analytic, numeric):
             np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
@@ -469,21 +475,29 @@ class TestTraceFreeForwards:
         net.bn_recalibrate([np.ones((2, 3))])
         assert net.param_hash() == before
 
-    @pytest.mark.parametrize("ste", [False, True])
+    @pytest.mark.parametrize("hard", [False, True])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
-    def test_backward_skips_layer0_input_grad(self, name, in_shape, mode, ste):
+    def test_backward_skips_layer0_input_grad(self, name, in_shape, mode, hard):
         """Bit-equal to a full-trace backward on the same kernels, and within
         assert_close of one on the reference kernels, scaled per layer to its
         largest gradient: the bias before a train-mode BatchNorm has a true
-        gradient of zero, so its value is rounding noise."""
+        gradient of zero, so its value is rounding noise. With hard, both
+        sides' STE weight gradients are multiplied by the mask first."""
         net, masks, x, _ = preset_and_input(name, in_shape, 64)
         same, ref = net.copy(), reference_network(net)
         c = np.random.default_rng(1).standard_normal((64, 10))
-        grads = net.backward(net.forward(x, masks=masks, mode=mode), c, ste=ste)
+
+        def masked(grads):
+            if hard:
+                for i, m in masks.items():
+                    grads[i]["weight"] = grads[i]["weight"] * m
+            return grads
+
+        grads = masked(net.backward(net.forward(x, masks=masks, mode=mode), c))
         for other, exact in ((same, True), (ref, False)):
             caches, _ = full_trace_forward(other, x, masks, mode)
-            grads_ref = full_trace_backward(other, caches, c, masks, ste=ste)
+            grads_ref = masked(full_trace_backward(other, caches, c))
             assert grads.keys() == grads_ref.keys()
             for i in grads_ref:
                 assert grads[i].keys() == grads_ref[i].keys()

@@ -127,6 +127,22 @@ class TestBaseDecayedKL:
         assert loss == s * kl
         np.testing.assert_array_equal(grad, s * kg)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 10**9), st.floats(0, 1e12)),
+           st.floats(0, 1, exclude_min=True), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_gamma_one_is_plain_kl_bytes(self, t, clamp_min, seed, one_hot):
+        # scale(t) = 1 / max(1 + t*ln 1, clamp_min) = 1.0 exactly, and 1.0 * x
+        # is x: plain KL is the base-decayed KL at gamma = 1
+        rng = np.random.default_rng(seed)
+        z, zh = rand_dist(rng), rand_dist(rng)
+        if one_hot:  # zero teacher entries take the 0 * log 0 branch
+            z = np.eye(z.shape[1])[rng.integers(0, z.shape[1], z.shape[0])]
+        loss, grad = base_decayed_kl(z, zh, t, DecaySchedule(1.0, clamp_min))
+        kl, kg = kl_loss(z, zh)
+        assert np.float64(loss).tobytes() == np.float64(kl).tobytes()
+        assert grad.tobytes() == kg.tobytes()
+
 
 class TestLayerwiseMSE:
     def test_identical_outputs(self, rng):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from conftest import tiny_conv, tiny_mlp
 from mask_reference import nm_mask_reference, topk_mask_reference
 from ptsparse.nn import CheckpointError, build_preset
 from ptsparse.sparsity import (NMPattern, SparsityDistribution, erk_distribution,
-                               load_masks, mask_summary, nm_mask, realized_sparsity,
-                               regrow_distribution, save_masks, topk_mask,
-                               uniform_distribution)
+                               included_layers, load_masks, mask_summary, nm_mask,
+                               realized_sparsity, regrow_distribution, save_masks,
+                               topk_mask, uniform_distribution)
 
 
 def validate_distribution(dist, numels, tol_pp=0.5):
@@ -265,6 +266,17 @@ class TestDistributions:
         first = net.prunable_indices()[0]
         dist = uniform_distribution(net, 0.9, exclude={first})
         assert first not in dist.layer_indices
+
+    @pytest.mark.parametrize("exclude,stray", [({99}, [99]), ({1}, [1]),
+                                               ({0, 2, 1}, [1, 2])])
+    def test_exclusion_of_no_prunable_layer_rejected(self, exclude, stray):
+        # mlp3: Dense at 0, 3, 6; layer 1 is a BatchNorm, 99 does not exist
+        net = build_preset("mlp3", (784,), 10, seed=0)
+        message = re.escape(f"exclude_layers {stray} name no prunable layer "
+                            "(prunable: [0, 3, 6])")
+        with pytest.raises(ValueError, match=message):
+            included_layers(net, exclude)
+        assert included_layers(net, {0, 6}) == [3]
 
     def test_distribution_json_round_trip(self):
         net = tiny_mlp()

@@ -36,8 +36,9 @@ class TestTrainConfig:
             TrainConfig(delta_t=0)
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1e-3)
-        with pytest.raises(ValueError):
-            TrainConfig(objective="hinge")
+        for objective in ("hinge", "kl", "ce"):  # plain KL is gamma = 1
+            with pytest.raises(ValueError, match="unknown objective"):
+                TrainConfig(objective=objective)
         with pytest.raises(ValueError):
             TrainConfig(iterations=-1)
 
@@ -46,10 +47,8 @@ class TestTrainConfig:
         ({"clamp_min": 0.0}, "clamp_min must be positive"),
         ({"lr": math.nan}, "lr must be >= 0 and finite"),
         ({"lr": -0.1}, "lr must be >= 0 and finite"),
-        ({"weight_decay": math.inf}, "weight_decay must be >= 0 and finite"),
+        ({"alpha": math.inf}, "alpha must be >= 0 and finite"),
         ({"alpha": math.nan}, "alpha must be >= 0 and finite"),
-        ({"momentum": 1.0}, "momentum 1.0 outside [0,1)"),
-        ({"momentum": -0.5}, "momentum -0.5 outside [0,1)"),
     ])
     def test_update_and_schedule_settings_checked(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -70,97 +69,59 @@ class TestCosineLR:
 
 
 class TestUpdateRule:
-    def _apply(self, w, mask, grad, lr, cfg):
+    def _apply(self, w, mask, grad, lr, alpha):
         layer = Dense(1, 1)
         layer.weight = np.array([[w]])
         layer.bias = np.zeros(1)
         net = Network([layer])
         _apply_update(net, {0: {"weight": np.array([[grad]])}}, lr,
-                      {0: np.array([[mask]])}, cfg.alpha, cfg.weight_decay)
+                      {0: np.array([[mask]])}, alpha)
         return net.layers[0].weight[0, 0]
 
     def test_pruned_entry_hand_value(self):
         # w=0.1, g=0.2, lr=0.01, alpha=3e-5, pruned:
         # 0.1 - 0.01*0.2 - 3e-5*0.1 = 0.097997 exactly
-        cfg = TrainConfig(alpha=3e-5, weight_decay=0.0)
-        got = self._apply(0.1, 0.0, 0.2, 0.01, cfg)
+        got = self._apply(0.1, 0.0, 0.2, 0.01, 3e-5)
         assert got == 0.1 - 0.01 * 0.2 - 3e-5 * 0.1
         assert got == pytest.approx(0.097997, abs=1e-12)
 
     def test_unpruned_entry_hand_value(self):
-        # surviving weight with weight_decay=0: plain SGD step to 0.098
-        cfg = TrainConfig(alpha=3e-5, weight_decay=0.0)
-        got = self._apply(0.1, 1.0, 0.2, 0.01, cfg)
+        # surviving weight: no decay, plain SGD step to 0.098
+        got = self._apply(0.1, 1.0, 0.2, 0.01, 3e-5)
         assert got == 0.1 - 0.01 * 0.2
         assert got == pytest.approx(0.098, abs=1e-15)
 
     def test_pruned_decay_not_scaled_by_lr(self):
-        cfg = TrainConfig(alpha=3e-5)
-        a = self._apply(0.5, 0.0, 0.0, 0.01, cfg)
-        b = self._apply(0.5, 0.0, 0.0, 0.0001, cfg)
+        a = self._apply(0.5, 0.0, 0.0, 0.01, 3e-5)
+        b = self._apply(0.5, 0.0, 0.0, 0.0001, 3e-5)
         assert a == b == 0.5 - 3e-5 * 0.5
-
-    def test_unpruned_weight_decay_scaled_by_lr(self):
-        cfg = TrainConfig(alpha=0.0, weight_decay=0.1)
-        got = self._apply(0.5, 1.0, 0.0, 0.01, cfg)
-        assert got == pytest.approx(0.5 - 0.01 * 0.1 * 0.5)
-
-    def test_momentum_matches_heavy_ball_oracle(self):
-        # oracle: v = m*v + g, then p -= lr*v + decay*p, entry by entry in
-        # Python floats; decay is alpha on the pruned entry, weight_decay*lr
-        # on the kept one, none on the bias
-        layer = Dense(2, 1)
-        layer.weight = np.array([[0.3, -0.7]])
-        layer.bias = np.array([0.05])
-        net = Network([layer])
-        masks, velocity = {0: np.array([[0.0, 1.0]])}, {}
-        cfg = TrainConfig(alpha=0.02, weight_decay=0.1, momentum=0.9)
-        w, b, vw, vb = [0.3, -0.7], 0.05, [0.0, 0.0], 0.0
-        steps = [(0.1, [0.25, -0.5], 0.125), (0.07, [-0.3, 0.2], 0.5),
-                 (0.02, [0.6, 0.45], -0.25)]
-        for lr, gw, gb in steps:
-            _apply_update(net, {0: {"weight": np.array([gw]), "bias": np.array([gb])}},
-                          lr, masks, cfg.alpha, cfg.weight_decay, cfg.momentum, velocity)
-            for j, decay in enumerate((cfg.alpha, cfg.weight_decay * lr)):
-                vw[j] = cfg.momentum * vw[j] + gw[j]
-                w[j] -= lr * vw[j] + decay * w[j]
-            vb = cfg.momentum * vb + gb
-            b -= lr * vb
-        assert layer.weight.tolist() == [w]
-        assert layer.bias.tolist() == [b]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_decay_and_update_match_where_reference(self, data):
-        # oracle: the decay built with np.where and the update written out
-        # with fresh arrays, two steps so the velocity carries; compared by
-        # bytes, so a -0.0/+0.0 flip fails too
+        # oracle: the decay built with np.where, kept entries at 0.0 * lr
+        # (the old weight_decay * lr at weight_decay = 0), and the update
+        # written out with fresh arrays, over two steps; compared by bytes,
+        # so a -0.0/+0.0 flip fails too
         rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
         values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
         w = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
         bias = data.draw(hnp.arrays(np.float64, rows, elements=values))
         mask = data.draw(hnp.arrays(np.float64, (rows, cols),
                                     elements=st.sampled_from([0.0, 1.0])))
-        # -0.0 passes TrainConfig's >= 0 checks
+        # -0.0 passes TrainConfig's >= 0 check
         alpha = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e-2)))
-        weight_decay = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1)))
-        momentum = data.draw(st.one_of(st.just(0.0), st.floats(0, 0.99)))
         layer = Dense(cols, rows)
         layer.weight, layer.bias = w.copy(), bias.copy()
-        net, velocity = Network([layer]), {}
-        ref_w, ref_b, ref_vw, ref_vb = w.copy(), bias.copy(), None, None
+        net = Network([layer])
+        ref_w, ref_b = w.copy(), bias.copy()
         for _ in range(2):
             lr = data.draw(st.one_of(st.just(0.0), st.floats(0, 1)))  # 0: last cosine step
             gw = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
             gb = data.draw(hnp.arrays(np.float64, rows, elements=values))
-            where = np.where(mask == 0.0, alpha, weight_decay * lr)
-            assert _decay_rates(mask, alpha, weight_decay * lr).tobytes() == where.tobytes()
-            _apply_update(net, {0: {"weight": gw, "bias": gb}}, lr, {0: mask}, alpha,
-                          weight_decay, momentum, velocity)
-            if momentum > 0:
-                ref_vw = gw if ref_vw is None else momentum * ref_vw + gw
-                ref_vb = gb if ref_vb is None else momentum * ref_vb + gb
-                gw, gb = ref_vw, ref_vb
+            where = np.where(mask == 0.0, alpha, 0.0 * lr)
+            assert _decay_rates(mask, alpha).tobytes() == where.tobytes()
+            _apply_update(net, {0: {"weight": gw, "bias": gb}}, lr, {0: mask}, alpha)
             ref_w = ref_w - (lr * gw + where * ref_w)
             ref_b = ref_b - lr * gb
             assert layer.weight.tobytes() == ref_w.tobytes()
@@ -202,7 +163,7 @@ class TestUpdateRule:
         dist = uniform_distribution(net, 0.0)
         state = TrainState(student=net, masks=build_masks(net, dist), distribution=dist)
         cfg = TrainConfig(iterations=5, batch_size=16, lr=0.05, alpha=0.0,
-                          weight_decay=0.0, delta_t=1, objective="kl")
+                          delta_t=1, gamma=1.0)  # gamma = 1: plain KL
         sched = cfg.schedule()
 
         ref = teacher.copy()
@@ -213,10 +174,10 @@ class TestUpdateRule:
             sel = rng.permutation(len(calib.inputs))[:cfg.batch_size]
             x = calib.inputs[sel]
             z = teacher.predict(x)
-            train_step(state, (x, calib.labels[sel], z), cfg, sched, len(calib.inputs))
+            train_step(state, (x, z), cfg, sched, len(calib.inputs))
             trace = ref.forward(x, mode="train")
             _, gl = kl_loss(z, predict_distribution(trace.logits))
-            grads = ref.backward(trace, gl, ste=True)
+            grads = ref.backward(trace, gl)
             lr = cosine_lr(it, cfg.iterations, cfg.lr)
             for i, pg in grads.items():
                 for name, g in pg.items():
@@ -257,7 +218,7 @@ class TestMasksAndChurn:
 
         def total_churn(alpha):
             cfg = TrainConfig(iterations=60, batch_size=32, lr=0.05,
-                              alpha=alpha, delta_t=1, objective="kl",
+                              alpha=alpha, delta_t=1, gamma=1.0,
                               metrics_every=1, seed=0)
             res = run_training(teacher, dist, calib, cfg)
             return sum(row["churn"] for row in res.history)
@@ -335,12 +296,13 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("n,iterations", [(60, 1), (60, 9), (256, 5),
                                               (257, 5), (600, 3), (600, 40)])
-    @pytest.mark.parametrize("objective", ["base_decayed_kl", "kl", "ce"])
-    def test_teacher_forward_once_per_run(self, monkeypatch, n, iterations, objective):
+    @pytest.mark.parametrize("gamma", [pytest.param(0.99, id="base_decayed_kl"),
+                                       pytest.param(1.0, id="kl")])
+    def test_teacher_forward_once_per_run(self, monkeypatch, n, iterations, gamma):
         # the frozen teacher's targets come from one chunked predict:
         # ceil(n/EVAL_CHUNK) forwards of at most EVAL_CHUNK rows, however many
-        # steps run; ce never reads them. Every forward of the teacher, traced
-        # or not, enters its first layer.
+        # steps run. Every forward of the teacher, traced or not, enters its
+        # first layer.
         teacher = tiny_mlp(seed=4)
         first = teacher.layers[0]
         rows = []
@@ -353,12 +315,9 @@ class TestRunTraining:
 
         monkeypatch.setattr(type(first), "forward", counting)
         run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(seed=4, n=n),
-                     TrainConfig(iterations=iterations, batch_size=16, objective=objective))
-        if objective == "ce":
-            assert rows == []
-        else:
-            assert len(rows) == math.ceil(n / EVAL_CHUNK)
-            assert sum(rows) == n and max(rows) <= EVAL_CHUNK
+                     TrainConfig(iterations=iterations, batch_size=16, gamma=gamma))
+        assert len(rows) == math.ceil(n / EVAL_CHUNK)
+        assert sum(rows) == n and max(rows) <= EVAL_CHUNK
 
     def test_steps_train_on_cached_targets(self):
         # oracle: the same batch order, with targets sliced from one
@@ -366,7 +325,7 @@ class TestRunTraining:
         teacher = tiny_mlp(seed=9)
         calib = make_calib(seed=9, n=40)
         dist = uniform_distribution(teacher, 0.5)
-        cfg = TrainConfig(iterations=7, batch_size=16, objective="kl", seed=3)
+        cfg = TrainConfig(iterations=7, batch_size=16, gamma=1.0, seed=3)
         res = run_training(teacher, dist, calib, cfg)
 
         net = teacher.copy()
@@ -377,8 +336,7 @@ class TestRunTraining:
         for it in range(cfg.iterations):
             epoch, start = divmod(it, 3)
             sel = orders[epoch][16 * start:16 * (start + 1)]
-            train_step(state, (calib.inputs[sel], calib.labels[sel], z[sel]), cfg,
-                       cfg.schedule(), 40)
+            train_step(state, (calib.inputs[sel], z[sel]), cfg, cfg.schedule(), 40)
         for i, m in state.masks.items():
             net.layers[i].weight *= m
         assert net.param_hash() == res.student.param_hash()
