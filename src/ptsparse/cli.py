@@ -15,10 +15,9 @@ import sys
 from .config import ConfigError, ExperimentConfig, parse_config
 from .harness import (StageError, calibration_set, evaluate, load_dataset,
                       prepare_teacher, report, run_experiment, run_single,
-                      select_distribution, stage)
-from .nn import load_network, save_network
+                      select_distribution, stage, write_distribution)
+from .nn import load_masks, load_network, save_network
 from .nn.checkpoint import atomic_write
-from .sparsity import load_masks
 
 
 def _add_common(p):
@@ -61,7 +60,6 @@ def _setup(args, *overrides) -> tuple[ExperimentConfig, str]:
 
 def cmd_teacher(args) -> int:
     cfg, out = _setup(args)
-    os.makedirs(out, exist_ok=True)
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     path = os.path.join(out, "teacher.ckpt")
@@ -74,18 +72,15 @@ def cmd_search(args) -> int:
     cfg, out = _setup(args)
     if cfg.nm_pattern:
         raise ConfigError("search does not apply to N:M runs")
-    os.makedirs(out, exist_ok=True)
     seed = cfg.seeds[0]
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     calib = calibration_set(cfg, splits, seed)
-    dist = select_distribution(cfg, teacher, calib, seed, out_dir=out)
-    path = os.path.join(out, "distribution.json")
-    with atomic_write(path) as f:
-        f.write(dist.to_json() + "\n")
+    dist, stats = select_distribution(cfg, teacher, calib, seed)
+    write_distribution(out, dist, stats)
     numels = [teacher.layers[i].weight.size for i in dist.layer_indices]
     print(dist.summary(numels))
-    print(f"distribution saved to {path}")
+    print(f"distribution saved to {os.path.join(out, 'distribution.json')}")
     return 0
 
 

@@ -78,7 +78,6 @@ class ExperimentConfig:
     alpha: float = 3e-5
     delta_t: int = 1
     gamma: float = 0.99                     # 1.0: plain KL
-    clamp_min: float = 0.05
     metrics_every: int = 200
 
     def validate(self) -> "ExperimentConfig":

@@ -56,31 +56,29 @@ class Splits:
                 raise ValueError(f"{k} labels outside [0, {self.classes})")
 
 
-def synthetic_splits(classes=10, image_size=16, channels=1, train_size=4096,
-                     eval_size=1024, noise=1.5, blobs_per_class=24,
-                     sigma_min=0.5, sigma_max=1.0, offset=2.0, seed=0) -> Splits:
-    """Gaussian-blob multiclass images: each class owns a fixed template of
-    many small isotropic blobs; samples add pixel noise. Fully seeded, no
-    downloads. Dense sharp templates keep classification sensitive to fine
-    weight structure, so pruning damage is visible at desk scale."""
+def synthetic_splits(classes=10, image_size=16, train_size=4096, eval_size=1024,
+                     noise=1.5, blobs_per_class=24, offset=2.0, seed=0) -> Splits:
+    """Gaussian-blob one-channel images: each class owns a fixed template of
+    many small isotropic blobs (sigma 0.5 to 1 px); samples add pixel noise.
+    Fully seeded, no downloads. Dense sharp templates keep classification
+    sensitive to fine weight structure, so pruning damage is visible."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
     h = w = image_size
     yy, xx = np.mgrid[0:h, 0:w]
-    templates = np.zeros((classes, channels, h, w))
+    templates = np.zeros((classes, 1, h, w))
     for k in range(classes):
         for _ in range(blobs_per_class):
             cy, cx = rng.uniform(1, h - 1), rng.uniform(1, w - 1)
-            sig = rng.uniform(sigma_min, sigma_max)
+            sig = rng.uniform(0.5, 1.0)
             amp = rng.uniform(0.6, 1.4) * rng.choice([-1.0, 1.0])
             blob = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sig ** 2))
-            ch = rng.integers(channels)
-            templates[k, ch] += blob
+            templates[k, 0] += blob
 
     def make(n, r):
         labels = r.integers(0, classes, size=n)
         # the constant background level mimics natural images' nonzero mean,
         # which makes stale BN statistics genuinely harmful after pruning
-        x = offset + templates[labels] + r.standard_normal((n, channels, h, w)) * noise
+        x = offset + templates[labels] + r.standard_normal((n, 1, h, w)) * noise
         return x, labels.astype(np.int64)
 
     train_x, train_y = make(train_size, rng)
@@ -108,10 +106,6 @@ def idx_splits(train_images, train_labels, eval_images, eval_labels,
 class CalibrationSet:
     inputs: np.ndarray
     labels: np.ndarray
-    seed: int
-
-    def __len__(self):
-        return len(self.inputs)
 
 
 def _row_digests(x: np.ndarray) -> set:
@@ -144,4 +138,4 @@ def sample_calibration(splits: Splits, size: int, seed: int) -> CalibrationSet:
     overlap = _row_digests(inputs) & _row_digests(splits.eval_x)
     if overlap:
         raise ValueError(f"calibration overlaps eval split ({len(overlap)} rows)")
-    return CalibrationSet(inputs=inputs, labels=labels, seed=seed)
+    return CalibrationSet(inputs=inputs, labels=labels)

@@ -1,5 +1,5 @@
 """Experiment pipeline: teacher prep, distribution selection, sparse
-training, evaluation, and CSV/report emission.
+training, evaluation, reports, and the writers of a job's artifacts.
 
 Every stage failure raises StageError tagged with the stage name (CLI exit
 code 2); configuration problems raise ConfigError (exit code 1).
@@ -19,12 +19,12 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import CalibrationSet, Splits, idx_splits, sample_calibration, synthetic_splits
-from .nn import Network, build_preset, load_network, save_network
+from .nn import Network, build_preset, load_network, save_masks, save_network
 from .nn.checkpoint import atomic_write
-from .search import evolve
+from .search import GenerationStats, evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
-                       nm_distribution, save_masks, uniform_distribution)
-from .training import run_training, train_teacher
+                       nm_distribution, uniform_distribution)
+from .training import RunResult, run_training, train_teacher
 
 METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
                   "seed", "wall_time_s")
@@ -88,25 +88,23 @@ def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Net
         return train_teacher(net, splits.train_x, splits.train_y, cfg.teacher_epochs, seed)
 
 
-def select_distribution(cfg: ExperimentConfig, teacher: Network,
-                        calib: CalibrationSet, seed: int,
-                        out_dir=None) -> SparsityDistribution:
-    """Which layers are pruned, how, and at what rate: the N:M pattern when
-    one is set, else the method's distribution. A ValueError, such as every
-    prunable layer excluded or an excluded index that names no prunable
-    layer, raises StageError("search")."""
+def select_distribution(cfg: ExperimentConfig, teacher: Network, calib: CalibrationSet,
+                        seed: int) -> tuple[SparsityDistribution, list[GenerationStats]]:
+    """Which layers are pruned, how, and at what rate (the N:M pattern when
+    one is set, else the method's distribution), and the search's generation
+    stats, empty unless the method searched. A ValueError, such as an
+    excluded index that names no prunable layer, raises StageError("search")."""
     exclude = set(cfg.exclude_layers)
     with stage("search"):
         if cfg.nm_pattern:
-            return nm_distribution(teacher, NMPattern.parse(cfg.nm_pattern), exclude)
+            return nm_distribution(teacher, NMPattern.parse(cfg.nm_pattern), exclude), []
         if cfg.method == "unipts":
-            log_path = os.path.join(out_dir, "search.log") if out_dir else None
-            best, _ = evolve(teacher, calib, cfg.search_config(seed), log_path=log_path)
-            return best.distribution
+            best, stats = evolve(teacher, calib, cfg.search_config(seed))
+            return best.distribution, stats
         if cfg.method == "erk+dst":
-            return erk_distribution(teacher, cfg.sparsity, exclude)
+            return erk_distribution(teacher, cfg.sparsity, exclude), []
         # uniform for uniform+dst, pot-baseline, and oneshot
-        return uniform_distribution(teacher, cfg.sparsity, exclude)
+        return uniform_distribution(teacher, cfg.sparsity, exclude), []
 
 
 def calibration_set(cfg: ExperimentConfig, splits: Splits, seed: int) -> CalibrationSet:
@@ -122,34 +120,44 @@ def evaluate(net: Network, splits: Splits, masks=None) -> float:
         return net.accuracy(splits.eval_x, splits.eval_y, masks=masks)
 
 
-def write_artifacts(out_dir: str, student: Network, masks,
-                    distribution: SparsityDistribution, history=()) -> None:
-    """student.ckpt, masks.bin and masks.txt, plus distribution.json unless
-    the masks are N:M, and train_metrics.csv when there is a history."""
-    save_network(student, os.path.join(out_dir, "student.ckpt"))
-    save_masks(masks, os.path.join(out_dir, "masks.bin"))
-    with atomic_write(os.path.join(out_dir, "masks.txt")) as f:
-        f.write(mask_summary(masks) + "\n")
+def write_distribution(out_dir: str, distribution: SparsityDistribution,
+                       stats: list[GenerationStats]) -> None:
+    """distribution.json unless the masks are N:M, and search.log, one line
+    per generation, when there are search stats."""
     if distribution.nm is None:
         with atomic_write(os.path.join(out_dir, "distribution.json")) as f:
             f.write(distribution.to_json() + "\n")
-    if history:
+    if stats:
+        with atomic_write(os.path.join(out_dir, "search.log")) as f:
+            f.write("\n".join(st.format() for st in stats) + "\n")
+
+
+def write_artifacts(out_dir: str, result: RunResult, distribution: SparsityDistribution,
+                    stats: list[GenerationStats]) -> None:
+    """student.ckpt, masks.bin and masks.txt, the write_distribution files,
+    and train_metrics.csv when there is a history."""
+    save_network(result.student, os.path.join(out_dir, "student.ckpt"))
+    save_masks(result.masks, os.path.join(out_dir, "masks.bin"))
+    with atomic_write(os.path.join(out_dir, "masks.txt")) as f:
+        f.write(mask_summary(result.masks) + "\n")
+    write_distribution(out_dir, distribution, stats)
+    if result.history:
         with atomic_write(os.path.join(out_dir, "train_metrics.csv"), newline="") as f:
-            w = csv.DictWriter(f, fieldnames=list(history[0]))
+            w = csv.DictWriter(f, fieldnames=list(result.history[0]))
             w.writeheader()
-            w.writerows(history)
+            w.writerows(result.history)
 
 
 def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
                seed: int, out_dir: str) -> MetricsRow:
+    """One job; its files are written only once every stage has succeeded."""
     started = time.monotonic()
     calib = calibration_set(cfg, splits, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    distribution = select_distribution(cfg, teacher, calib, seed, out_dir)
+    distribution, stats = select_distribution(cfg, teacher, calib, seed)
     with stage("train"):
         result = run_training(teacher, distribution, calib, cfg.train_config(seed))
     top1 = evaluate(result.student, splits, result.masks)
-    write_artifacts(out_dir, result.student, result.masks, distribution, result.history)
+    write_artifacts(out_dir, result, distribution, stats)
     elapsed = time.monotonic() - started
     with atomic_write(os.path.join(out_dir, "timing.txt")) as f:
         f.write(f"wall_time_s={elapsed:.3f}\n")
@@ -177,7 +185,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Full pipeline over all configured seeds; writes metrics.csv and
     per-seed artifacts under the output directory."""
     out_root = cfg.resolved_out_dir()
-    os.makedirs(out_root, exist_ok=True)
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     save_network(teacher, os.path.join(out_root, "teacher.ckpt"))

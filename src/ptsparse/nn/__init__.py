@@ -2,11 +2,12 @@ from .layers import (AvgPool, BatchNorm, Conv2d, Dense, Flatten, Layer, ReLU,
                      ShapeMismatchError, layer_from_spec)
 from .network import ForwardTrace, Network, predict_distribution
 from .presets import PRESETS, build_preset
-from .checkpoint import CheckpointError, load_network, save_network
+from .checkpoint import (CheckpointError, load_masks, load_network, save_masks,
+                         save_network)
 
 __all__ = [
     "AvgPool", "BatchNorm", "Conv2d", "Dense", "Flatten", "Layer", "ReLU",
     "ShapeMismatchError", "layer_from_spec", "ForwardTrace", "Network",
     "predict_distribution", "PRESETS", "build_preset", "CheckpointError",
-    "load_network", "save_network",
+    "load_masks", "load_network", "save_masks", "save_network",
 ]

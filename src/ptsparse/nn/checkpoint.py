@@ -1,17 +1,18 @@
-"""Self-describing checkpoint container.
+"""Self-describing binary containers: 8-byte magic | uint64 little-endian
+header length | UTF-8 JSON header | payload.
 
-Layout: 8-byte magic ``PTSNET01`` | uint64 little-endian header length |
-UTF-8 JSON header | concatenated raw little-endian float64 arrays.
-The header lists layer specs and, per array, (layer, name, shape, offset).
-Round-trips are bit-exact at 64-bit. Every file is written to a temporary
-name next to its target and renamed over it, so a reader never sees a
-half-written file.
+A checkpoint (``PTSNET01``) lists layer specs and per array (layer, name,
+shape, offset) over raw little-endian float64, bit-exact at 64-bit; a mask
+file (``PTSMSK01``) lists per layer (layer, shape, nnz, rate, offset) over
+bit-packed masks. Every file is written to a temporary name next to its
+target and renamed over it, so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 
@@ -21,6 +22,7 @@ from .layers import layer_from_spec
 from .network import Network
 
 MAGIC = b"PTSNET01"
+MASK_MAGIC = b"PTSMSK01"
 
 
 class CheckpointError(ValueError):
@@ -29,9 +31,10 @@ class CheckpointError(ValueError):
 
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "w", **kwargs):
-    """Open a temporary file in path's directory; on success it replaces
-    path, on any error it is removed and path keeps its old content."""
+    """Open a temporary file in path's directory, made if missing; on success
+    it replaces path, on any error it is removed and path keeps its content."""
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    os.makedirs(os.path.dirname(os.path.abspath(tmp)), exist_ok=True)
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
@@ -127,3 +130,35 @@ def load_network(path) -> Network:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     return net
+
+
+def save_masks(masks: dict[int, np.ndarray], path) -> None:
+    """Bit-packed binary masks, one record per layer."""
+    index, blobs = index_blobs(
+        ({"layer": i, "shape": list(m.shape), "nnz": int(m.sum()),
+          "rate": 1.0 - float(m.sum()) / m.size},
+         np.packbits(m.astype(np.uint8).ravel()).tobytes())
+        for i, m in sorted(masks.items()))
+    write_container(path, MASK_MAGIC, {"masks": index}, blobs)
+
+
+def load_masks(path) -> dict[int, np.ndarray]:
+    """Masks written by save_masks; a corrupt or truncated file raises
+    CheckpointError."""
+    header, payload = read_container(path, MASK_MAGIC)
+    masks = {}
+    try:
+        for rec in header["masks"]:
+            shape = tuple(int(d) for d in rec["shape"])
+            size = math.prod(shape)
+            packed = np.frombuffer(payload_slice(payload, rec), dtype=np.uint8)
+            if packed.size != -(-size // 8):
+                raise CheckpointError(f"layer {rec['layer']}: {packed.size} packed "
+                                      f"bytes for {size} mask bits")
+            bits = np.unpackbits(packed)[:size]
+            masks[int(rec["layer"])] = bits.astype(np.float64).reshape(shape)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed mask header: {exc!r}") from exc
+    return masks

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn.checkpoint import atomic_write
 from .nn.network import Network
 from .sparsity import (SparsityDistribution, included_layers, regrow_distribution,
                        topk_mask)
@@ -127,8 +126,8 @@ def _eval_seed(cfg: SearchConfig, generation: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def evolve(teacher: Network, calib, cfg: SearchConfig,
-           log_path=None) -> tuple[FitnessRecord, list[GenerationStats]]:
+def evolve(teacher: Network, calib,
+           cfg: SearchConfig) -> tuple[FitnessRecord, list[GenerationStats]]:
     """Tournament selection + uniform crossover + Gaussian mutation with
     elitism. Elites carry their records forward unevaluated, so the running
     best is non-decreasing."""
@@ -166,11 +165,7 @@ def evolve(teacher: Network, calib, cfg: SearchConfig,
                          for i, g in enumerate(children)]
         records = elites + child_records
         record_gen(gen, records)
-    best = max(records, key=lambda r: r.fitness)
-    if log_path is not None:
-        with atomic_write(log_path) as f:
-            f.write("\n".join(st.format() for st in history) + "\n")
-    return best, history
+    return max(records, key=lambda r: r.fitness), history
 
 
 def _tournament(records, cfg, rng):

@@ -12,11 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn.checkpoint import (CheckpointError, index_blobs, payload_slice,
-                            read_container, write_container)
 from .nn.network import Network
-
-MAGIC = b"PTSMSK01"
 
 
 def topk_mask(weights: np.ndarray, rate: float) -> np.ndarray:
@@ -205,41 +201,6 @@ def included_layers(net: Network, exclude: set[int] | None = None) -> list[int]:
     if not idxs:
         raise ValueError("no prunable layers left after exclusion")
     return idxs
-
-
-# -- mask export -------------------------------------------------------
-
-def save_masks(masks: dict[int, np.ndarray], path) -> None:
-    """Bit-packed masks with a JSON index; same container style as
-    checkpoints: magic | uint64 header length | JSON | packed payload."""
-    index, blobs = index_blobs(
-        ({"layer": i, "shape": list(m.shape), "nnz": int(m.sum()),
-          "rate": 1.0 - float(m.sum()) / m.size},
-         np.packbits(m.astype(np.uint8).ravel()).tobytes())
-        for i, m in sorted(masks.items()))
-    write_container(path, MAGIC, {"masks": index}, blobs)
-
-
-def load_masks(path) -> dict[int, np.ndarray]:
-    """Masks written by save_masks; a corrupt or truncated file raises
-    CheckpointError."""
-    header, payload = read_container(path, MAGIC)
-    masks = {}
-    try:
-        for rec in header["masks"]:
-            shape = tuple(int(d) for d in rec["shape"])
-            size = math.prod(shape)
-            packed = np.frombuffer(payload_slice(payload, rec), dtype=np.uint8)
-            if packed.size != -(-size // 8):
-                raise CheckpointError(f"layer {rec['layer']}: {packed.size} packed "
-                                      f"bytes for {size} mask bits")
-            bits = np.unpackbits(packed)[:size]
-            masks[int(rec["layer"])] = bits.astype(np.float64).reshape(shape)
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed mask header: {exc!r}") from exc
-    return masks
 
 
 def mask_summary(masks: dict[int, np.ndarray]) -> str:

@@ -30,7 +30,6 @@ class TrainConfig:
     alpha: float = 3e-5           # pruned-weight decay
     delta_t: int = 1              # mask refresh interval
     gamma: float = 0.99           # 1.0: plain KL
-    clamp_min: float = 0.05
     objective: str = "base_decayed_kl"
     seed: int = 0
     metrics_every: int = 200
@@ -47,10 +46,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0 and finite, got {value}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        self.schedule()  # gamma and clamp_min are checked by DecaySchedule
+        self.schedule()  # gamma is checked by DecaySchedule
 
     def schedule(self) -> DecaySchedule:
-        return DecaySchedule(gamma=self.gamma, clamp_min=self.clamp_min)
+        return DecaySchedule(gamma=self.gamma)
 
 
 @dataclass

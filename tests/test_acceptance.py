@@ -235,7 +235,7 @@ class TestInvariantSuites:
         r = np.random.default_rng(0)
         from ptsparse.data import CalibrationSet
         calib = CalibrationSet(inputs=r.standard_normal((48, 6)),
-                               labels=r.integers(0, 3, 48), seed=0)
+                               labels=r.integers(0, 3, 48))
         before = teacher.param_hash()
         dist = uniform_distribution(teacher, 0.5)
         tc = TrainConfig(iterations=20, batch_size=16, seed=1)

@@ -113,7 +113,7 @@ class TestSampleCalibration:
         s = self._splits()
         a = sample_calibration(s, 64, seed=1)
         b = sample_calibration(s, 64, seed=1)
-        assert len(a) == 64
+        assert len(a.inputs) == 64
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.labels, b.labels)
 

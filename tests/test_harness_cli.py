@@ -10,9 +10,8 @@ from ptsparse.config import (OUT_ROOT_ENV, ConfigError, ExperimentConfig,
 from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
-from ptsparse.nn import load_network
+from ptsparse.nn import load_masks, load_network
 from ptsparse.search import SearchConfig
-from ptsparse.sparsity import load_masks
 from ptsparse.training import TrainConfig
 
 BASE = """
@@ -70,15 +69,15 @@ class TestParseConfig:
 
     # settings that became constants: teacher lr 0.05, mutation std 0.5,
     # crossover rate 0.5, class-balanced calibration, t in calibration epochs,
-    # the synthetic data's channel count, blob widths, noise and offset, and
-    # the DST step's objective (plain KL is gamma = 1), momentum and
-    # kept-entry weight decay
+    # the synthetic data's channel count, blob widths, noise and offset, the
+    # DST step's objective (plain KL is gamma = 1), momentum and kept-entry
+    # weight decay, and the 0.05 clamp of the KL scale's denominator
     @pytest.mark.parametrize("key,value", [
         ("channels", "1"), ("data_sigma_min", "0.5"), ("data_sigma_max", "1.0"),
         ("teacher_lr", "0.05"), ("calib_balanced", "true"), ("mutation_std", "0.5"),
         ("crossover_rate", "0.5"), ("schedule_unit", "epoch"), ("data_noise", "1.5"),
         ("data_offset", "2.0"), ("objective", "kl"), ("momentum", "0.0"),
-        ("weight_decay", "0.0")])
+        ("weight_decay", "0.0"), ("clamp_min", "0")])
     @pytest.mark.parametrize("via", ["file", "override"])
     def test_removed_key_is_unknown(self, cfg_file, tmp_path, capsys, key, value, via):
         out = tmp_path / "out"
@@ -191,8 +190,6 @@ class TestRunArtifacts:
         assert got == pytest.approx(float(rows[0]["top1"]), abs=1e-9)
 
     def test_masked_checkpoint_weights_are_sparse(self, run_dir):
-        from ptsparse.nn import load_network
-        from ptsparse.sparsity import load_masks
         net = load_network(run_dir / "seed0" / "student.ckpt")
         masks = load_masks(run_dir / "seed0" / "masks.bin")
         for i, m in masks.items():
@@ -435,7 +432,6 @@ class TestStageSettingsAtParseTime:
         (("alpha=-0.001",), "alpha must be >= 0"),
         (("objective=kl",), "unknown config key 'objective'"),
         (("gamma=1.5",), "gamma 1.5 outside (0,1]"),
-        (("clamp_min=0",), "clamp_min must be positive"),
         (("lr=nan",), "lr must be >= 0 and finite"),
         (("lr=-0.1",), "lr must be >= 0 and finite"),
         (("data_blobs=0",), "data_blobs must be >= 1"),
@@ -579,6 +575,33 @@ class TestAtomicArtifacts:
             run_single(cfg, splits, teacher, 0, str(tmp_path / "fresh"))
         assert not (tmp_path / "fresh" / "masks.txt").exists()
         assert not [p for p in (tmp_path / "fresh").iterdir() if ".tmp" in p.name]
+
+
+class TestFailedStageWritesNothing:
+    """A job's files appear only once every stage has succeeded, and a
+    directory only with its first file: a failed stage leaves no debris."""
+
+    @pytest.mark.parametrize("command,overrides,failed,left", [
+        ("run", ("method=unipts",), "train", ["teacher.ckpt"]),
+        ("run", ("exclude_layers=99",), "search", ["teacher.ckpt"]),
+        ("search", ("method=unipts", "exclude_layers=99"), "search", None),
+        ("run", ("preset=convnet-small", "image_size=6"), "teacher", None),
+        ("teacher", ("preset=convnet-small", "image_size=6"), "teacher", None),
+    ], ids=["train", "exclude", "search", "run-teacher", "teacher"])
+    def test_output_holds_only_finished_stages(self, cfg_file, tmp_path, capsys,
+                                               monkeypatch, command, overrides,
+                                               failed, left):
+        def diverged(*args):
+            raise ValueError("loss diverged")
+
+        if failed == "train":
+            monkeypatch.setattr(harness, "run_training", diverged)
+        out = tmp_path / "out"
+        args = [arg for ov in overrides for arg in ("-o", ov)]
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 2
+        assert capsys.readouterr().err.startswith(f"stage failure: [{failed}] ")
+        assert (sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+                if out.exists() else None) == left
 
 
 # run_single's outputs on BASE for every method path, recorded before the CLI

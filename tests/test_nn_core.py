@@ -12,7 +12,7 @@ from layer_reference import (BatchNormReference, avgpool_reference, full_trace_b
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, load_network, predict_distribution,
                          save_network)
-from ptsparse.nn.checkpoint import MAGIC, read_container, write_container
+from ptsparse.nn.checkpoint import MAGIC, atomic_write, read_container, write_container
 from ptsparse.nn.layers import (AvgPool, BatchNorm, Conv2d, Flatten, ReLU,
                                 layer_from_spec)
 from ptsparse.nn.network import EVAL_CHUNK
@@ -692,6 +692,13 @@ class TestPresetsAndCheckpoint:
         assert load_network(path).param_hash() == tiny_mlp().param_hash()
         assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
+    def test_write_makes_missing_directory_and_no_temporary(self, tmp_path):
+        path = tmp_path / "run" / "seed0" / "masks.txt"
+        with atomic_write(path) as f:
+            f.write("layer\n")
+        assert path.read_text() == "layer\n"
+        assert [p.name for p in path.parent.iterdir()] == ["masks.txt"]
+
     def test_teacher_immutable_under_student_training(self, rng):
         from ptsparse.data import CalibrationSet
         from ptsparse.sparsity import uniform_distribution
@@ -699,7 +706,7 @@ class TestPresetsAndCheckpoint:
         teacher = tiny_mlp(seed=4)
         before = teacher.param_hash()
         calib = CalibrationSet(inputs=rng.standard_normal((32, 6)),
-                               labels=rng.integers(0, 3, 32), seed=0)
+                               labels=rng.integers(0, 3, 32))
         cfg = TrainConfig(iterations=10, batch_size=8, seed=0)
         run_training(teacher, uniform_distribution(teacher, 0.5), calib, cfg)
         assert teacher.param_hash() == before

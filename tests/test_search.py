@@ -13,7 +13,7 @@ from ptsparse.search import (SearchConfig, decode, evolve, fitness,
 def make_calib(seed=0, n=64, n_in=6, classes=3):
     r = np.random.default_rng(seed)
     return CalibrationSet(inputs=r.standard_normal((n, n_in)),
-                          labels=r.integers(0, classes, n), seed=seed)
+                          labels=r.integers(0, classes, n))
 
 
 def fast_cfg(**kw):
@@ -123,7 +123,7 @@ class TestFitness:
 
     def test_empty_calibration_rejected(self):
         calib = CalibrationSet(inputs=np.zeros((0, 6)),
-                               labels=np.zeros(0, dtype=int), seed=0)
+                               labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             fitness(np.zeros(2), tiny_mlp(), calib, fast_cfg())
 
@@ -169,12 +169,12 @@ class TestEvolve:
         _, history = evolve(net, calib, fast_cfg(generations=3))
         assert len(history) == 4  # initial population plus each generation
 
-    def test_log_file_written(self, tmp_path):
+    def test_stats_format_one_line_per_generation(self):
         net, calib = tiny_mlp(seed=5), make_calib(seed=5)
-        path = tmp_path / "search.log"
-        evolve(net, calib, fast_cfg(), log_path=path)
-        lines = path.read_text().strip().splitlines()
+        _, history = evolve(net, calib, fast_cfg())
+        lines = [st.format() for st in history]
         assert len(lines) == 3 and lines[0].startswith("gen=0")
+        assert all("\n" not in line for line in lines)
 
     def test_finds_planted_fragile_layer(self):
         # layer 0 is a dense random mixing that every output depends on, the
@@ -197,7 +197,7 @@ class TestEvolve:
         net = Network([l0, bulk, head])
         x = r.standard_normal((128, 6))
         labels = np.argmax(net.predict(x), axis=1)
-        calib = CalibrationSet(inputs=x, labels=labels, seed=0)
+        calib = CalibrationSet(inputs=x, labels=labels)
         cfg = SearchConfig(p=0.6, p_e=0.7, population=8, generations=4,
                            tournament=3, elites=2, seed=1)
         best, _ = evolve(net, calib, cfg)

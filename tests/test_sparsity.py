@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import tiny_conv, tiny_mlp
 from mask_reference import nm_mask_reference, topk_mask_reference
-from ptsparse.nn import CheckpointError, build_preset
+from ptsparse.nn import CheckpointError, build_preset, load_masks, save_masks
 from ptsparse.sparsity import (NMPattern, SparsityDistribution, erk_distribution,
-                               included_layers, load_masks, mask_summary, nm_mask,
-                               realized_sparsity, regrow_distribution, save_masks,
+                               included_layers, mask_summary, nm_mask,
+                               realized_sparsity, regrow_distribution,
                                topk_mask, uniform_distribution)
 
 

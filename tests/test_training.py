@@ -24,7 +24,7 @@ from ptsparse.training import (TrainConfig, TrainState, _apply_update, _batch_st
 def make_calib(seed=0, n=64, n_in=6, classes=3):
     r = np.random.default_rng(seed)
     return CalibrationSet(inputs=r.standard_normal((n, n_in)),
-                          labels=r.integers(0, classes, n), seed=seed)
+                          labels=r.integers(0, classes, n))
 
 
 class TestTrainConfig:
@@ -44,7 +44,6 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("values,message", [
         ({"gamma": 1.5}, "gamma 1.5 outside (0,1]"),
-        ({"clamp_min": 0.0}, "clamp_min must be positive"),
         ({"lr": math.nan}, "lr must be >= 0 and finite"),
         ({"lr": -0.1}, "lr must be >= 0 and finite"),
         ({"alpha": math.inf}, "alpha must be >= 0 and finite"),
@@ -366,7 +365,7 @@ class TestRunTraining:
         teacher = maker(seed=7)
         r = np.random.default_rng(7)
         calib = CalibrationSet(inputs=r.standard_normal((40,) + n_in),
-                               labels=r.integers(0, 3, 40), seed=7)
+                               labels=r.integers(0, 3, 40))
         dist = uniform_distribution(teacher, 0.6)
         cfg = TrainConfig(iterations=12, batch_size=16, lr=0.05, metrics_every=5,
                           objective="layerwise_mse", seed=2)
@@ -427,7 +426,7 @@ class TestRunTraining:
     def test_empty_calibration_rejected(self):
         teacher = tiny_mlp()
         calib = CalibrationSet(inputs=np.zeros((0, 6)),
-                               labels=np.zeros(0, dtype=int), seed=0)
+                               labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             run_training(teacher, uniform_distribution(teacher, 0.5), calib,
                          TrainConfig(iterations=1))
