@@ -2,8 +2,8 @@
 
 Subcommands call the pipeline's stage functions in harness and print:
 teacher, search, prune (one-shot: the job with zero DST steps), eval, report,
-and run (the full chain; train is the same command). Exit codes: 0 success,
-1 config error, 2 stage failure.
+and run (the full chain). Exit codes: 0 success, 1 config or usage error,
+2 stage failure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("teacher", "build/train the dense teacher and save its checkpoint"),
         ("search", "evolutionary sparsity-distribution search"),
         ("prune", "one-shot magnitude pruning, mask export"),
-        ("train", "same as run"),
         ("eval", "evaluate a checkpoint (optionally masked) on the eval split"),
         ("run", "full pipeline: teacher -> (search) -> train -> eval"),
     ]:
@@ -63,7 +62,8 @@ def cmd_teacher(args) -> int:
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     path = os.path.join(out, "teacher.ckpt")
-    save_network(teacher, path)
+    with stage("artifacts"):
+        save_network(teacher, path)
     print(f"teacher saved to {path} (eval top-1 {evaluate(teacher, splits):.4f})")
     return 0
 
@@ -77,7 +77,8 @@ def cmd_search(args) -> int:
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     calib = calibration_set(cfg, splits, seed)
     dist, stats = select_distribution(cfg, teacher, calib, seed)
-    write_distribution(out, dist, stats)
+    with stage("artifacts"):
+        write_distribution(out, dist, stats)
     numels = [teacher.layers[i].weight.size for i in dist.layer_indices]
     print(dist.summary(numels))
     print(f"distribution saved to {os.path.join(out, 'distribution.json')}")
@@ -118,7 +119,7 @@ def cmd_report(args) -> int:
     text, csv_text = report(args.dirs)
     print(text)
     if args.csv_out:
-        with atomic_write(args.csv_out) as f:
+        with stage("artifacts"), atomic_write(args.csv_out) as f:
             f.write(csv_text)
         print(f"csv written to {args.csv_out}")
     return 0
@@ -128,7 +129,6 @@ COMMANDS = {
     "teacher": cmd_teacher,
     "search": cmd_search,
     "prune": cmd_prune,
-    "train": cmd_run,
     "eval": cmd_eval,
     "run": cmd_run,
     "report": cmd_report,
@@ -136,7 +136,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

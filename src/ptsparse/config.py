@@ -116,6 +116,12 @@ class ExperimentConfig:
                               "(the train split)")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        out = self.resolved_out_dir()
+        existing = os.path.abspath(out)
+        while not os.path.exists(existing):  # a file's first write makes the rest
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"out_dir {out!r}: {existing!r} is not a directory")
         searches = self.method == "unipts" and not self.nm_pattern
         try:  # the stage settings this method will build, checked before any work
             if searches:

@@ -87,7 +87,7 @@ def synthetic_splits(classes=10, image_size=16, train_size=4096, eval_size=1024,
 
 
 def idx_splits(train_images, train_labels, eval_images, eval_labels,
-               classes: int | None = None) -> Splits:
+               classes: int) -> Splits:
     tx = load_idx(train_images).astype(np.float64)
     ty = load_idx(train_labels).astype(np.int64)
     ex = load_idx(eval_images).astype(np.float64)
@@ -97,8 +97,6 @@ def idx_splits(train_images, train_labels, eval_images, eval_labels,
         ex = ex[:, None]
     scale = max(tx.max(), 1.0)
     tx, ex = tx / scale, ex / scale
-    if classes is None:
-        classes = int(max(ty.max(), ey.max())) + 1
     return Splits(tx, ty, ex, ey, classes)
 
 

@@ -157,10 +157,11 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
     with stage("train"):
         result = run_training(teacher, distribution, calib, cfg.train_config(seed))
     top1 = evaluate(result.student, splits, result.masks)
-    write_artifacts(out_dir, result, distribution, stats)
-    elapsed = time.monotonic() - started
-    with atomic_write(os.path.join(out_dir, "timing.txt")) as f:
-        f.write(f"wall_time_s={elapsed:.3f}\n")
+    with stage("artifacts"):
+        write_artifacts(out_dir, result, distribution, stats)
+        elapsed = time.monotonic() - started
+        with atomic_write(os.path.join(out_dir, "timing.txt")) as f:
+            f.write(f"wall_time_s={elapsed:.3f}\n")
     # CSV stays byte-deterministic unless timing is explicitly recorded
     wall = elapsed if cfg.record_timing else 0.0
     return MetricsRow(method=cfg.method, target_sparsity=distribution.target,
@@ -187,15 +188,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     out_root = cfg.resolved_out_dir()
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    save_network(teacher, os.path.join(out_root, "teacher.ckpt"))
+    with stage("artifacts"):
+        save_network(teacher, os.path.join(out_root, "teacher.ckpt"))
     rows = []
     for seed in cfg.seeds:
         out_dir = os.path.join(out_root, f"seed{seed}")
         rows.append(run_single(cfg, splits, teacher, seed, out_dir))
-    write_metrics(rows, os.path.join(out_root, "metrics.csv"))
-    with atomic_write(os.path.join(out_root, "config.json")) as f:
-        json.dump({k: list(v) if isinstance(v, tuple) else v
-                   for k, v in vars(cfg).items()}, f, indent=2, sort_keys=True)
+    with stage("artifacts"):
+        write_metrics(rows, os.path.join(out_root, "metrics.csv"))
+        with atomic_write(os.path.join(out_root, "config.json")) as f:
+            json.dump({k: list(v) if isinstance(v, tuple) else v
+                       for k, v in vars(cfg).items()}, f, indent=2, sort_keys=True)
     return rows
 
 

@@ -8,34 +8,23 @@ form), which is what the trainer backpropagates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 PROB_FLOOR = 1e-12
+CLAMP_MIN = 0.05
 ROW_SUM_TOL = 1e-4
 
 
-@dataclass
-class DecaySchedule:
+def decay_scale(t: float, gamma: float) -> float:
     """Loss scale from a decaying log base b(t) = e * gamma^t.
 
     Change of base gives log_{b(t)}(x) = ln(x) / (1 + t*ln gamma); the
-    denominator is clamped from below so the scale stays positive and bounded
-    once the base would cross 1. The trainer counts t in calibration epochs.
+    denominator is clamped from below at CLAMP_MIN so the scale stays
+    positive and bounded once the base would cross 1. The trainer counts t
+    in calibration epochs.
     """
-
-    gamma: float = 0.99
-    clamp_min: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma {self.gamma} outside (0,1]")
-        if self.clamp_min <= 0:
-            raise ValueError("clamp_min must be positive")
-
-    def scale(self, t: float) -> float:
-        return 1.0 / max(1.0 + t * math.log(self.gamma), self.clamp_min)
+    return 1.0 / max(1.0 + t * math.log(gamma), CLAMP_MIN)
 
 
 def _check_rows(p: np.ndarray, name: str) -> None:
@@ -60,9 +49,9 @@ def kl_loss(z: np.ndarray, z_hat: np.ndarray):
     return loss, grad
 
 
-def base_decayed_kl(z: np.ndarray, z_hat: np.ndarray, t: float, sched: DecaySchedule):
-    """scale(t) * kl_loss, gradient scaled identically."""
-    s = sched.scale(t)
+def base_decayed_kl(z: np.ndarray, z_hat: np.ndarray, t: float, gamma: float):
+    """decay_scale(t, gamma) * kl_loss, gradient scaled identically."""
+    s = decay_scale(t, gamma)
     loss, grad = kl_loss(z, z_hat)
     return s * loss, s * grad
 

@@ -89,12 +89,11 @@ def noised_batches(inputs: np.ndarray, batch_size: int, rng, noise_std: float):
 
 
 def fitness(genome: np.ndarray, teacher: Network, calib, cfg: SearchConfig,
-            seed: int | None = None) -> FitnessRecord:
+            seed: int) -> FitnessRecord:
     """Prune a copy of the teacher at the decoded rates, recalibrate BN on
     noised calibration batches, score accuracy on the clean calibration set."""
     if len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
-    seed = cfg.seed if seed is None else seed
     dist = decode(genome, teacher, cfg)
     net = teacher.copy()
     masks = {i: topk_mask(net.layers[i].weight, r)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn.network import Network, predict_distribution
-from .objectives import DecaySchedule, base_decayed_kl, cross_entropy, layerwise_mse
+from .objectives import base_decayed_kl, cross_entropy, layerwise_mse
 from .sparsity import SparsityDistribution, nm_mask, realized_sparsity, topk_mask
 
 OBJECTIVES = ("base_decayed_kl", "layerwise_mse")
@@ -46,10 +46,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0 and finite, got {value}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        self.schedule()  # gamma is checked by DecaySchedule
-
-    def schedule(self) -> DecaySchedule:
-        return DecaySchedule(gamma=self.gamma)
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma {self.gamma} outside (0,1]")
 
 
 @dataclass
@@ -86,21 +84,20 @@ def mask_churn(old: dict[int, np.ndarray], new: dict[int, np.ndarray]) -> float:
     return flipped / total
 
 
-def _objective_grad(sched: DecaySchedule, z, logits_hat, t):
+def _objective_grad(gamma: float, z, logits_hat, t):
     """Base-decayed KL of z against the student's softmax; grad w.r.t. logits."""
-    return base_decayed_kl(z, predict_distribution(logits_hat), t, sched)
+    return base_decayed_kl(z, predict_distribution(logits_hat), t, gamma)
 
 
-def train_step(state: TrainState, batch, cfg: TrainConfig,
-               sched: DecaySchedule, calib_size: int):
+def train_step(state: TrainState, batch, cfg: TrainConfig, calib_size: int):
     """One update on batch = (x, teacher probability rows): masked forward,
     STE backward, decayed update of pruned entries, then a mask refresh when
-    the interval divides. The decay schedule's t counts epochs over
-    calib_size rows; returns (loss, churn, lr)."""
+    the interval divides. The loss scale's t counts epochs over calib_size
+    rows; returns (loss, churn, lr)."""
     x, z = batch
     trace = state.student.forward(x, masks=state.masks, mode="train")
     t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
-    loss, grad_logits = _objective_grad(sched, z, trace.logits, t)
+    loss, grad_logits = _objective_grad(cfg.gamma, z, trace.logits, t)
     grads = state.student.backward(trace, grad_logits)
     lr = cosine_lr(state.iteration, cfg.iterations, cfg.lr)
     _apply_update(state.student, grads, lr, state.masks, cfg.alpha)
@@ -212,7 +209,6 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
 def _run_dst(teacher, student, masks, distribution, calib, cfg):
     """run_training's DST steps; returns (final masks, history)."""
     state = TrainState(student=student, masks=masks, distribution=distribution)
-    sched = cfg.schedule()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []
     n = len(calib.inputs)
@@ -220,7 +216,7 @@ def _run_dst(teacher, student, masks, distribution, calib, cfg):
     for sel in _batch_stream(n, cfg.batch_size, cfg.iterations, rng):
         step = state.iteration + 1
         try:
-            loss, churn, lr = train_step(state, (calib.inputs[sel], z[sel]), cfg, sched, n)
+            loss, churn, lr = train_step(state, (calib.inputs[sel], z[sel]), cfg, n)
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
         if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:

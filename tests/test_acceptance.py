@@ -24,7 +24,7 @@ from ptsparse.config import ExperimentConfig
 from ptsparse.data import sample_calibration
 from ptsparse.harness import load_dataset, prepare_teacher
 from ptsparse.nn import Dense, Network
-from ptsparse.objectives import DecaySchedule, kl_loss
+from ptsparse.objectives import decay_scale, kl_loss
 from ptsparse.search import SearchConfig, decode, evolve
 from ptsparse.sparsity import (NMPattern, nm_distribution, nm_mask, topk_mask,
                                uniform_distribution)
@@ -97,7 +97,7 @@ def _median(bundle, key):
 
 class TestNumericAnchors:
     def test_anchors(self):
-        scale10 = DecaySchedule(gamma=0.99).scale(10)
+        scale10 = decay_scale(10, 0.99)
         ok_scale = abs(scale10 - 1.1118) <= 1e-3
 
         r = np.random.default_rng(0)
@@ -187,8 +187,7 @@ class TestInvariantSuites:
             loss, _ = kl_loss(p, q)
             assert loss >= 0.0
             from ptsparse.objectives import base_decayed_kl
-            sched = DecaySchedule(gamma=0.99)
-            assert base_decayed_kl(p, q, t, sched)[0] == sched.scale(t) * loss
+            assert base_decayed_kl(p, q, t, 0.99)[0] == decay_scale(t, 0.99) * loss
 
         @settings(max_examples=200, deadline=None)
         @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),

@@ -97,11 +97,11 @@ class TestIdxSplits:
         for name, arr in [("tx", tx), ("ty", ty), ("ex", ex), ("ey", ey)]:
             paths[name] = tmp_path / f"{name}.idx"
             save_idx(paths[name], arr)
-        s = idx_splits(paths["tx"], paths["ty"], paths["ex"], paths["ey"])
+        s = idx_splits(paths["tx"], paths["ty"], paths["ex"], paths["ey"], classes=3)
         assert s.train_x.shape == (10, 1, 4, 4)
         assert s.train_x.max() <= 1.0  # scaled by the max pixel value
         np.testing.assert_array_equal(s.train_y, ty.astype(np.int64))
-        assert s.classes == int(max(ty.max(), ey.max())) + 1
+        assert s.classes == 3
 
 
 class TestSampleCalibration:

@@ -142,6 +142,75 @@ class TestExitCodes:
         assert "stage failure" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 1, like a config error; 2 is a stage failure."""
+
+    @pytest.mark.parametrize("argv", [("train",), ("bogus",), ("eval",),
+                                      ("run", "--bogus")],
+                             ids=["train", "bogus", "eval-without-checkpoint",
+                                  "unknown-option"])
+    def test_usage_error_is_one(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        assert "usage: ptsparse" in capsys.readouterr().err
+
+    def test_help_is_zero(self, capsys):
+        assert run_cli("--help") == 0
+        assert "usage: ptsparse" in capsys.readouterr().out
+
+
+class TestOutDirThatCannotHoldFiles:
+    """An out_dir under a regular file is a config error before any work; a
+    write that fails later is one [artifacts] stage failure, exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "teacher", "search", "prune"])
+    def test_file_on_the_path_is_config_error(self, cfg_file, tmp_path, capsys,
+                                              command):
+        cfg = cfg_file()
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = f"{blocker}/sub"
+        assert run_cli(command, "-c", cfg, "-o", f"out_dir={out}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: out_dir {out!r}: {str(blocker)!r} "
+                       "is not a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "file"]
+        assert blocker.read_text() == "x"
+
+    # each blocker stands where the command's first write of that kind goes
+    @pytest.mark.parametrize("command,extra,blocker,kind", [
+        ("run", (), "seed0", "file"),
+        ("run", (), "metrics.csv", "dir"),
+        ("run", (), "teacher.ckpt", "dir"),
+        ("teacher", (), "teacher.ckpt", "dir"),
+        ("search", ("-o", "method=unipts"), "distribution.json", "dir"),
+        ("prune", (), "student.ckpt", "dir"),
+    ], ids=["run-job", "run-metrics", "run-teacher", "teacher", "search", "prune"])
+    def test_late_write_failure_is_stage_failure(self, cfg_file, tmp_path, capsys,
+                                                 command, extra, blocker, kind):
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "file":
+            (out / blocker).write_text("x")
+        else:
+            (out / blocker).mkdir()
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *extra) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("stage failure: [artifacts] ")
+        assert str(out / blocker) in err[0]
+        assert not [p for p in out.rglob("*") if ".tmp" in p.name]
+
+    def test_report_csv_out_failure_is_stage_failure(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text(
+            ",".join(METRICS_HEADER) + "\r\nunipts,0.5000,0.500000,0.5,0,0.000\r\n")
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert run_cli("report", str(run), "--csv-out", str(target)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("stage failure: [artifacts] ")
+
+
 class TestRunArtifacts:
     @pytest.fixture
     def run_dir(self, cfg_file, tmp_path):
@@ -269,13 +338,6 @@ class TestOtherCommands:
         assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
                        "-o", "method=oneshot", "-o", "calib_size=0") == 0
         assert read_metrics(out / "metrics.csv")[0]["method"] == "oneshot"
-
-    def test_train_command(self, cfg_file, tmp_path):
-        out = tmp_path / "tr"
-        assert run_cli("train", "-c", cfg_file(), "-o", f"out_dir={out}") == 0
-        assert (out / "metrics.csv").exists()
-        # train is run: the teacher checkpoint and the config come along
-        assert (out / "teacher.ckpt").exists() and (out / "config.json").exists()
 
     def test_nm_run(self, cfg_file, tmp_path):
         out = tmp_path / "nm"
@@ -447,12 +509,10 @@ class TestStageSettingsAtParseTime:
         (("method=unipts", "generations=-1"), "generations must be >= 0"),
         (("method=unipts", "tournament=0"), "tournament must be >= 1"),
     ])
-    @pytest.mark.parametrize("command", ["run", "train"])
-    def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
-                                   overrides, message):
+    def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, overrides, message):
         out = tmp_path / "out"
         args = [arg for ov in overrides for arg in ("-o", ov)]
-        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 1
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
@@ -508,7 +568,7 @@ class TestCalibrationSize:
 
     @pytest.mark.parametrize("command,method", [
         ("run", "unipts"), ("search", "unipts"), ("prune", "unipts"),
-        ("run", "uniform+dst"), ("train", "pot-baseline")])
+        ("run", "uniform+dst"), ("run", "pot-baseline")])
     def test_no_rows_for_search_or_steps_is_config_error(self, cfg_file, tmp_path,
                                                          capsys, command, method):
         out = tmp_path / "out"

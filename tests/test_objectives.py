@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptsparse.nn import predict_distribution
-from ptsparse.objectives import (DecaySchedule, base_decayed_kl, cross_entropy,
-                                 kl_loss, layerwise_mse)
+from ptsparse.objectives import (CLAMP_MIN, base_decayed_kl, cross_entropy,
+                                 decay_scale, kl_loss, layerwise_mse)
 
 
 def rand_dist(rng, b=4, c=5):
@@ -17,29 +17,22 @@ def rand_dist(rng, b=4, c=5):
 
 class TestDecaySchedule:
     def test_scale_at_zero_is_one(self):
-        assert DecaySchedule().scale(0) == 1.0
+        assert decay_scale(0, 0.99) == 1.0
 
     def test_scale_at_10_matches_hand_value(self):
         # 1 / (1 + 10*ln 0.99) with ln 0.99 = -0.0100503...
-        assert DecaySchedule(gamma=0.99).scale(10) == pytest.approx(1.1118, abs=1e-3)
+        assert decay_scale(10, 0.99) == pytest.approx(1.1118, abs=1e-3)
 
     def test_clamp_engages_for_large_t(self):
-        sched = DecaySchedule(gamma=0.99, clamp_min=0.05)
+        assert CLAMP_MIN == 0.05
         for t in (100, 150, 10_000):
-            assert sched.scale(t) == pytest.approx(20.0)
+            assert decay_scale(t, 0.99) == pytest.approx(20.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 500), st.integers(0, 500))
     def test_monotone_nondecreasing(self, t1, t2):
-        sched = DecaySchedule(gamma=0.99)
         lo, hi = sorted((t1, t2))
-        assert sched.scale(hi) >= sched.scale(lo)
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            DecaySchedule(gamma=1.5)
-        with pytest.raises(ValueError):
-            DecaySchedule(clamp_min=0.0)
+        assert decay_scale(hi, 0.99) >= decay_scale(lo, 0.99)
 
 
 class TestKLLoss:
@@ -97,48 +90,44 @@ class TestKLLoss:
 class TestBaseDecayedKL:
     def test_t0_equals_plain_kl(self, rng):
         z, zh = rand_dist(rng), rand_dist(rng)
-        sched = DecaySchedule()
-        assert base_decayed_kl(z, zh, 0, sched)[0] == kl_loss(z, zh)[0]
+        assert base_decayed_kl(z, zh, 0, 0.99)[0] == kl_loss(z, zh)[0]
 
     def test_scale_at_t10(self, rng):
         z, zh = rand_dist(rng), rand_dist(rng)
-        sched = DecaySchedule(gamma=0.99)
-        loss, _ = base_decayed_kl(z, zh, 10, sched)
+        loss, _ = base_decayed_kl(z, zh, 10, 0.99)
         expected_scale = 1.0 / (1.0 + 10 * math.log(0.99))
         assert expected_scale == pytest.approx(1.1118, abs=1e-3)
         assert loss == pytest.approx(expected_scale * kl_loss(z, zh)[0])
 
     def test_clamped_scale_pinned_at_20(self, rng):
         z, zh = rand_dist(rng), rand_dist(rng)
-        sched = DecaySchedule(gamma=0.99, clamp_min=0.05)
-        loss, _ = base_decayed_kl(z, zh, 150, sched)
+        loss, _ = base_decayed_kl(z, zh, 150, 0.99)
         assert loss == pytest.approx(20.0 * kl_loss(z, zh)[0])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(0, 2**32 - 1))
-    def test_scale_law_exact(self, t, seed):
-        # same floating path: scale(t) * kl_loss, bit for bit
+    @given(st.integers(0, 10_000), st.floats(0, 1, exclude_min=True),
+           st.integers(0, 2**32 - 1))
+    def test_scale_law_exact(self, t, gamma, seed):
+        # same floating path: decay_scale(t, gamma) * kl_loss, bit for bit
         rng = np.random.default_rng(seed)
         z, zh = rand_dist(rng), rand_dist(rng)
-        sched = DecaySchedule(gamma=0.99)
-        loss, grad = base_decayed_kl(z, zh, t, sched)
+        loss, grad = base_decayed_kl(z, zh, t, gamma)
         kl, kg = kl_loss(z, zh)
-        s = sched.scale(t)
+        s = decay_scale(t, gamma)
         assert loss == s * kl
         np.testing.assert_array_equal(grad, s * kg)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.integers(0, 10**9), st.floats(0, 1e12)),
-           st.floats(0, 1, exclude_min=True), st.integers(0, 2**32 - 1),
-           st.booleans())
-    def test_gamma_one_is_plain_kl_bytes(self, t, clamp_min, seed, one_hot):
-        # scale(t) = 1 / max(1 + t*ln 1, clamp_min) = 1.0 exactly, and 1.0 * x
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_gamma_one_is_plain_kl_bytes(self, t, seed, one_hot):
+        # scale(t) = 1 / max(1 + t*ln 1, CLAMP_MIN) = 1.0 exactly, and 1.0 * x
         # is x: plain KL is the base-decayed KL at gamma = 1
         rng = np.random.default_rng(seed)
         z, zh = rand_dist(rng), rand_dist(rng)
         if one_hot:  # zero teacher entries take the 0 * log 0 branch
             z = np.eye(z.shape[1])[rng.integers(0, z.shape[1], z.shape[0])]
-        loss, grad = base_decayed_kl(z, zh, t, DecaySchedule(1.0, clamp_min))
+        loss, grad = base_decayed_kl(z, zh, t, 1.0)
         kl, kg = kl_loss(z, zh)
         assert np.float64(loss).tobytes() == np.float64(kl).tobytes()
         assert grad.tobytes() == kg.tobytes()

@@ -125,7 +125,7 @@ class TestFitness:
         calib = CalibrationSet(inputs=np.zeros((0, 6)),
                                labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            fitness(np.zeros(2), tiny_mlp(), calib, fast_cfg())
+            fitness(np.zeros(2), tiny_mlp(), calib, fast_cfg(), seed=0)
 
     def test_recal_uses_noised_eval_uses_clean(self, monkeypatch):
         # BN recalibration must see perturbed inputs, accuracy the clean ones

@@ -163,7 +163,6 @@ class TestUpdateRule:
         state = TrainState(student=net, masks=build_masks(net, dist), distribution=dist)
         cfg = TrainConfig(iterations=5, batch_size=16, lr=0.05, alpha=0.0,
                           delta_t=1, gamma=1.0)  # gamma = 1: plain KL
-        sched = cfg.schedule()
 
         ref = teacher.copy()
         from ptsparse.nn.network import predict_distribution
@@ -173,7 +172,7 @@ class TestUpdateRule:
             sel = rng.permutation(len(calib.inputs))[:cfg.batch_size]
             x = calib.inputs[sel]
             z = teacher.predict(x)
-            train_step(state, (x, z), cfg, sched, len(calib.inputs))
+            train_step(state, (x, z), cfg, len(calib.inputs))
             trace = ref.forward(x, mode="train")
             _, gl = kl_loss(z, predict_distribution(trace.logits))
             grads = ref.backward(trace, gl)
@@ -335,7 +334,7 @@ class TestRunTraining:
         for it in range(cfg.iterations):
             epoch, start = divmod(it, 3)
             sel = orders[epoch][16 * start:16 * (start + 1)]
-            train_step(state, (calib.inputs[sel], z[sel]), cfg, cfg.schedule(), 40)
+            train_step(state, (calib.inputs[sel], z[sel]), cfg, 40)
         for i, m in state.masks.items():
             net.layers[i].weight *= m
         assert net.param_hash() == res.student.param_hash()
