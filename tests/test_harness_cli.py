@@ -509,10 +509,12 @@ class TestStageSettingsAtParseTime:
         (("method=unipts", "generations=-1"), "generations must be >= 0"),
         (("method=unipts", "tournament=0"), "tournament must be >= 1"),
     ])
-    def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, overrides, message):
+    @pytest.mark.parametrize("command", ["run", "prune"])
+    def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
+                                   overrides, message):
         out = tmp_path / "out"
         args = [arg for ov in overrides for arg in ("-o", ov)]
-        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 1
+        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert message in err[0]
