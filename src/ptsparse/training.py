@@ -48,6 +48,7 @@ class TrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma} outside (0,1]")
+        self.alpha += 0.0  # -0.0 passes the check above; kept entries decay by +0.0
 
 
 @dataclass
@@ -131,9 +132,12 @@ def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0
 
 def _decay_rates(mask: np.ndarray, alpha: float) -> np.ndarray:
     """Per-entry decay of a 0/1 mask: alpha where it is 0, 0.0 where it is 1.
-    A two-entry lookup: the bytes of np.where(mask == 0, alpha, 0.0) for any
-    alpha, signed zeros included, without its data-dependent branch."""
-    return np.array([alpha, 0.0]).take(mask.astype(np.intp))
+    (1 - mask) * alpha gives the bytes of np.where(mask == 0, alpha, 0.0)
+    without its data-dependent branch for any alpha but -0.0, whose kept
+    entries would get -0.0; TrainConfig stores alpha + 0.0."""
+    buf = 1.0 - mask
+    buf *= alpha
+    return buf
 
 
 @dataclass

@@ -42,6 +42,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(iterations=-1)
 
+    def test_negative_zero_alpha_stored_as_positive_zero(self):
+        # -0.0 >= 0, so it is accepted; stored as is, the kept entries'
+        # (1 - mask) * alpha decay would be -0.0 instead of +0.0
+        assert math.copysign(1.0, TrainConfig(alpha=-0.0).alpha) == 1.0
+        assert TrainConfig(alpha=3e-5).alpha == 3e-5
+
     @pytest.mark.parametrize("values,message", [
         ({"gamma": 1.5}, "gamma 1.5 outside (0,1]"),
         ({"lr": math.nan}, "lr must be >= 0 and finite"),
@@ -108,8 +114,9 @@ class TestUpdateRule:
         bias = data.draw(hnp.arrays(np.float64, rows, elements=values))
         mask = data.draw(hnp.arrays(np.float64, (rows, cols),
                                     elements=st.sampled_from([0.0, 1.0])))
-        # -0.0 passes TrainConfig's >= 0 check
-        alpha = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e-2)))
+        # -0.0 passes TrainConfig's >= 0 check, which stores it as +0.0
+        alpha = TrainConfig(alpha=data.draw(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e-2)))).alpha
         layer = Dense(cols, rows)
         layer.weight, layer.bias = w.copy(), bias.copy()
         net = Network([layer])
