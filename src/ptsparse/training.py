@@ -232,7 +232,8 @@ def _run_dst(teacher, student, masks, distribution, calib, cfg):
 def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> list:
     """POT-style baseline: static one-shot masks, then each prunable layer is
     tuned in order, for iterations // layers steps, to reconstruct the dense
-    layer's output under MSE; only surviving weights move. The teacher's eval
+    layer's output under MSE. The masked forward never reads a pruned entry,
+    so pruned entries may drift; zero_pruned clears them. The teacher's eval
     forward has no side effects, so it stops at the tuned layer; the
     student's train forward runs every layer, because train-mode BN updates
     its running statistics. Returns the history."""
@@ -256,7 +257,6 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> list:
             gy = gy / y_dense.size  # per-element normalization keeps steps sane
             _, pg = layer.backward(gy, s_cache, input_grad=False)
             lr = cosine_lr(step_count, cfg.iterations, cfg.lr)
-            pg["weight"] = pg["weight"] * masks[li]  # pruned entries stay frozen
             _apply_update(student, {li: pg}, lr)
             step_count += 1
             if step_count % cfg.metrics_every == 0:

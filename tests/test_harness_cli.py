@@ -695,7 +695,7 @@ GOLDEN = {  # (preset, method[/nm pattern]): (metrics.csv row, masks.bin sha256,
     ("mlp3", "pot-baseline"): (
         "pot-baseline,0.5000,0.500000,0.633333,0,0.000",
         "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
-        "e4bc57b62f5f2b131568ac1a66c2ad994318f67af7a845608fd27644072eb763"),
+        "bdb55def6891ef3da4856760331768a676a69f458cfcb3556465b9f462ce03da"),
     ("mlp3", "oneshot"): (
         "oneshot,0.5000,0.500000,0.616667,0,0.000",
         "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",

@@ -135,10 +135,11 @@ class TestUpdateRule:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_pot_step_matches_masked_sgd_reference(self, data):
+    def test_pot_step_matches_sgd_reference(self, data):
         # one pot-baseline step of a lone Dense layer, with the layer's
-        # gradients replaced by drawn ones: oracle w - lr*g*m and b - lr*gb,
-        # compared by bytes, so a -0.0/+0.0 flip fails too
+        # gradients replaced by drawn ones: oracle w - lr*g and b - lr*gb,
+        # pruned entries included, compared by bytes, so a -0.0/+0.0 flip
+        # fails too
         rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
         values = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0]))
         w = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
@@ -158,7 +159,7 @@ class TestUpdateRule:
         with patch.object(Dense, "backward", lambda *args, **kwargs: (
                 None, {"weight": gw.copy(), "bias": gb.copy()})):
             _run_layerwise_reconstruction(student.copy(), student, {0: mask}, calib, cfg)
-        assert layer.weight.tobytes() == (w - rate * gw * mask).tobytes()
+        assert layer.weight.tobytes() == (w - rate * gw).tobytes()
         assert layer.bias.tobytes() == (bias - rate * gb).tobytes()
 
     def test_alpha_zero_all_ones_mask_is_plain_sgd(self):
