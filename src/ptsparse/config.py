@@ -9,9 +9,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .nn.presets import PRESETS
+from .nn.checkpoint import MAGIC, CheckpointError, read_header
+from .nn.layers import layer_from_spec
+from .nn.network import Network
+from .nn.presets import PRESETS, STAND_IN_SHAPES, build_preset
 from .search import SearchConfig
-from .sparsity import NMPattern
+from .sparsity import NMPattern, included_layers
 from .training import TrainConfig
 
 
@@ -116,6 +119,8 @@ class ExperimentConfig:
                               "(the train split)")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if self.exclude_layers:
+            self._check_exclude_layers()
         out = self.resolved_out_dir()
         existing = os.path.abspath(out)
         while not os.path.exists(existing):  # a file's first write makes the rest
@@ -132,6 +137,25 @@ class ExperimentConfig:
         if self.calib_size == 0 and (searches or steps):
             raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
         return self
+
+    def _check_exclude_layers(self) -> None:
+        """exclude_layers against the teacher's prunable layers, before any
+        training: those of the checkpoint's header (its payload is not read),
+        or of the preset, whose layer kinds do not depend on the input shape.
+        A header that does not parse is the teacher stage's failure."""
+        if self.teacher_checkpoint:
+            try:
+                with open(self.teacher_checkpoint, "rb") as f:
+                    layers = [layer_from_spec(s) for s in read_header(f, MAGIC)["layers"]]
+                teacher = Network(layers)
+            except (CheckpointError, KeyError, TypeError, ValueError):
+                return
+        else:
+            teacher = build_preset(self.preset, STAND_IN_SHAPES[self.preset], classes=1)
+        try:
+            included_layers(teacher, set(self.exclude_layers))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def search_config(self, seed: int) -> SearchConfig:
         """The distribution search's settings: P is the sparsity target."""

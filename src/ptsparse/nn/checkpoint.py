@@ -78,26 +78,34 @@ def save_network(net: Network, path) -> None:
                                   "arrays": arrays}, blobs)
 
 
-def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
-    """Split a ``magic | u64 length | JSON | payload`` file into its header
-    and payload; any mismatch or truncation raises CheckpointError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:len(magic)] != magic:
-        raise CheckpointError(f"bad magic {data[:len(magic)]!r}")
-    start = len(magic) + 8
-    if len(data) < start:
+def read_header(f, magic: bytes) -> dict:
+    """The JSON header of an open ``magic | u64 length | JSON | payload``
+    file, leaving f at the payload; any mismatch or truncation raises
+    CheckpointError."""
+    head = f.read(len(magic))
+    if head != magic:
+        raise CheckpointError(f"bad magic {head!r}")
+    raw = f.read(8)
+    if len(raw) < 8:
         raise CheckpointError("truncated header length")
-    (hlen,) = struct.unpack("<Q", data[len(magic):start])
-    if len(data) < start + hlen:
-        raise CheckpointError(f"truncated header: {len(data) - start} of {hlen} bytes")
+    (hlen,) = struct.unpack("<Q", raw)
+    text = f.read(hlen)
+    if len(text) < hlen:
+        raise CheckpointError(f"truncated header: {len(text)} of {hlen} bytes")
     try:
-        header = json.loads(data[start:start + hlen].decode())
+        header = json.loads(text.decode())
     except ValueError as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
-    return header, memoryview(data)[start + hlen:]
+    return header
+
+
+def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
+    """Split a ``magic | u64 length | JSON | payload`` file into its header
+    and payload; any mismatch or truncation raises CheckpointError."""
+    with open(path, "rb") as f:
+        return read_header(f, magic), memoryview(f.read())
 
 
 def payload_slice(payload: memoryview, rec: dict) -> memoryview:

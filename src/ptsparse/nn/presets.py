@@ -8,6 +8,8 @@ from .layers import AvgPool, BatchNorm, Conv2d, Dense, Flatten, ReLU
 from .network import Network
 
 PRESETS = ("mlp3", "convnet-small")
+# an input shape each preset accepts: its layer kinds do not depend on the shape
+STAND_IN_SHAPES = {"mlp3": (1,), "convnet-small": (1, 4, 4)}
 
 
 def build_preset(name: str, in_shape, classes: int, seed: int = 0) -> Network:

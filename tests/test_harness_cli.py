@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ptsparse.config import (OUT_ROOT_ENV, ConfigError, ExperimentConfig,
 from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
-from ptsparse.nn import load_masks, load_network
+from ptsparse.nn import build_preset, load_masks, load_network, save_network
 from ptsparse.search import SearchConfig
 from ptsparse.training import TrainConfig
 
@@ -411,43 +412,58 @@ class TestNonFiniteTeacher:
 
 
 class TestEveryLayerExcluded:
-    """Excluding every prunable layer of mlp3 is one stage failure, exit 2."""
+    """Excluding every prunable layer of mlp3 is one config error, exit 1,
+    before the teacher trains: nothing is written."""
 
     @pytest.mark.parametrize("command,extra", [
         ("prune", ()), ("prune", ("-o", "nm_pattern=2:4")), ("search", ()),
         ("run", ()), ("run", ("-o", "method=unipts")),
         ("search", ("-o", "method=unipts"))])
-    def test_one_stage_failure_line(self, cfg_file, tmp_path, capsys, command, extra):
+    def test_one_config_error_line(self, cfg_file, tmp_path, capsys, command, extra):
         out = tmp_path / command
         code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
                        "-o", "exclude_layers=0,3,6", *extra)
         err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("stage failure:")
-        assert "no prunable layers left after exclusion" in err[0]
-        assert not (out / "student.ckpt").exists()
+        assert code == 1
+        assert err == ["config error: no prunable layers left after exclusion"]
+        assert not out.exists()
 
 
 class TestExcludeLayersNamesNoPrunableLayer:
     """An exclude_layers index that names no prunable layer of mlp3 (layer 1
-    is a BatchNorm, 99 does not exist) is one [search] stage failure, exit 2,
-    naming the index and the prunable layers."""
+    is a BatchNorm, 99 does not exist) is one config error, exit 1, naming
+    the index and the prunable layers, before the teacher trains: nothing,
+    teacher.ckpt included, is written."""
 
     @pytest.mark.parametrize("exclude", ["99", "1", "0,1"])
     @pytest.mark.parametrize("command,extra", [
         ("run", ()), ("run", ("-o", "nm_pattern=2:4")), ("prune", ()),
         ("search", ("-o", "method=unipts"))])
-    def test_one_stage_failure_line(self, cfg_file, tmp_path, capsys, command, extra,
-                                    exclude):
+    def test_one_config_error_line(self, cfg_file, tmp_path, capsys, command, extra,
+                                   exclude):
         out = tmp_path / command
         code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
                        "-o", f"exclude_layers={exclude}", *extra)
         err = capsys.readouterr().err.strip().splitlines()
         stray = [int(exclude.split(",")[-1])]
-        assert code == 2
-        assert err == [f"stage failure: [search] exclude_layers {stray} name no "
-                       "prunable layer (prunable: [0, 3, 6])"]
-        assert not (out / "student.ckpt").exists()
+        assert code == 1
+        assert err == [f"config error: exclude_layers {stray} name no prunable "
+                       "layer (prunable: [0, 3, 6])"]
+        assert not (out / "teacher.ckpt").exists()
+        assert not out.exists()
+
+    def test_prunable_layers_come_from_the_checkpoint_header(self, cfg_file, tmp_path):
+        # a convnet-small teacher under the mlp3 config: its layer 3 is an
+        # AvgPool and its layer 4 a Conv2d. The payload is cut short, so a
+        # check that read more than the header would fail on it.
+        path = tmp_path / "teacher.ckpt"
+        save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError, match=re.escape(
+                "exclude_layers [3] name no prunable layer (prunable: [0, 4, 9])")):
+            parse_config(cfg_file(), [f"teacher_checkpoint={path}", "exclude_layers=3"])
+        cfg = parse_config(cfg_file(), [f"teacher_checkpoint={path}", "exclude_layers=4"])
+        assert cfg.exclude_layers == (4,)
 
 
 class TestEvalCorruptInputs:
@@ -645,19 +661,21 @@ class TestFailedStageWritesNothing:
 
     @pytest.mark.parametrize("command,overrides,failed,left", [
         ("run", ("method=unipts",), "train", ["teacher.ckpt"]),
-        ("run", ("exclude_layers=99",), "search", ["teacher.ckpt"]),
-        ("search", ("method=unipts", "exclude_layers=99"), "search", None),
+        ("run", (), "search", ["teacher.ckpt"]),
+        ("search", ("method=unipts",), "search", None),
         ("run", ("preset=convnet-small", "image_size=6"), "teacher", None),
         ("teacher", ("preset=convnet-small", "image_size=6"), "teacher", None),
-    ], ids=["train", "exclude", "search", "run-teacher", "teacher"])
+    ], ids=["train", "run-search", "search", "run-teacher", "teacher"])
     def test_output_holds_only_finished_stages(self, cfg_file, tmp_path, capsys,
                                                monkeypatch, command, overrides,
                                                failed, left):
         def diverged(*args):
             raise ValueError("loss diverged")
 
-        if failed == "train":
-            monkeypatch.setattr(harness, "run_training", diverged)
+        # uniform+dst (BASE) and unipts build their distributions here
+        stubbed = {"train": ["run_training"], "search": ["uniform_distribution", "evolve"]}
+        for name in stubbed.get(failed, []):
+            monkeypatch.setattr(harness, name, diverged)
         out = tmp_path / "out"
         args = [arg for ov in overrides for arg in ("-o", ov)]
         assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 2
