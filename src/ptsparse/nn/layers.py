@@ -163,6 +163,18 @@ class Conv2d(_Prunable):
         return gx, {"weight": gw, "bias": gb}
 
 
+def _channel_sum(a):
+    """Per-feature sum over every axis but 1: einsum on 4-D input, where it
+    beats sum(axis=(0, 2, 3)); sum(axis=0) on 2-D, where it is the faster."""
+    return np.einsum("nchw->c", a) if a.ndim == 4 else a.sum(axis=0)
+
+
+def _channel_dot(a, b):
+    """Per-feature sum of a * b over every axis but 1, without the product's
+    temporary."""
+    return np.einsum("nchw,nchw->c" if a.ndim == 4 else "nc,nc->c", a, b)
+
+
 class BatchNorm(Layer):
     """Batch normalization over features (2-D input) or channels (4-D input).
 
@@ -189,9 +201,6 @@ class BatchNorm(Layer):
         return {"gamma": self.gamma, "beta": self.beta,
                 "running_mean": self.running_mean, "running_var": self.running_var}
 
-    def _axes(self, x):
-        return (0,) if x.ndim == 2 else (0, 2, 3)
-
     def _bshape(self, x):
         return (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
 
@@ -215,53 +224,56 @@ class BatchNorm(Layer):
         self.running_var = m2_new / tot
 
     def forward(self, x, mode="eval", weff=None):
-        """Centre x on the mode's mean, then normalize it with the mode's
-        variance; only those moments differ by mode."""
+        """One per-channel affine in every mode: y = x * s + t, with
+        s = gamma * invstd and t = beta - mean * s, from the running moments
+        in eval mode and the batch moments otherwise. Train/recal mode keeps
+        the centred input for the backward, eval mode x and its mean."""
         shp = self._bshape(x)
-        axes = self._axes(x)
-        n = math.prod(x.shape[a] for a in axes)
         if mode == "eval":
-            d = x - self.running_mean.reshape(shp)
-            var = self.running_var
+            mean, var = self.running_mean, self.running_var
+            cache = {"x": x, "mean": mean}
         else:
-            # One reduction for the mean; the centred tensor d serves both the
-            # variance and xhat. Same bits as np.mean / np.var, one pass fewer.
-            mean_b = x.sum(axis=axes, keepdims=True) / n
-            d = x - mean_b
-            mean = mean_b.reshape(-1)
-            var = (d * d).sum(axis=axes) / n
+            n = x.size // self.num_features
+            mean = _channel_sum(x) / n
+            d = x - mean.reshape(shp)
+            var = _channel_dot(d, d) / n
             if mode == "recal":
                 self.accumulate_stats(n, mean, var)
             else:
                 m = self.MOMENTUM
                 self.running_mean = (1 - m) * self.running_mean + m * mean
                 self.running_var = (1 - m) * self.running_var + m * var
+            cache = {"d": d, "n": n}
         invstd = 1.0 / np.sqrt(var + self.EPS)
-        xhat = np.multiply(d, invstd.reshape(shp), out=d)  # d is not read again
-        y = self.gamma.reshape(shp) * xhat
-        y += self.beta.reshape(shp)
-        return y, {"xhat": xhat, "invstd": invstd, "mode": mode, "n": n}
+        s = self.gamma * invstd
+        y = x * s.reshape(shp)
+        y += (self.beta - mean * s).reshape(shp)
+        return y, {**cache, "invstd": invstd, "mode": mode}
 
     def backward(self, gy, cache, input_grad=True):
+        """Parameter gradients from the centred input d (xhat = d * invstd).
+        The train/recal input gradient,
+        gamma * invstd * (gy - gbeta / n - xhat * ggamma / n), reuses those
+        two reductions and is built in one buffer: four passes, no n * gy."""
         shp = self._bshape(gy)
-        axes = self._axes(gy)
-        xhat, invstd = cache["xhat"], cache["invstd"]
-        ggamma = (gy * xhat).sum(axis=axes)
-        gbeta = gy.sum(axis=axes)
-        if not input_grad:
-            return None, {"gamma": ggamma, "beta": gbeta}
+        invstd = cache["invstd"]
         if cache["mode"] == "eval":
-            gx = gy * self.gamma.reshape(shp)
-            gx *= invstd.reshape(shp)
+            d = cache["x"] - cache["mean"].reshape(shp)
         else:
-            # gamma*invstd/n * (n*gy - gbeta - xhat*ggamma), in place: the
-            # batch-statistic terms reuse the parameter-gradient reductions
-            n = cache["n"]
-            gx = xhat * ggamma.reshape(shp)
-            gx -= n * gy
-            gx += gbeta.reshape(shp)
-            gx *= (-self.gamma * invstd / n).reshape(shp)
-        return gx, {"gamma": ggamma, "beta": gbeta}
+            d = cache["d"]
+        ggamma, gbeta = _channel_dot(gy, d) * invstd, _channel_sum(gy)
+        grads = {"gamma": ggamma, "beta": gbeta}
+        if not input_grad:
+            return None, grads
+        s = (self.gamma * invstd).reshape(shp)
+        if cache["mode"] == "eval":
+            return gy * s, grads
+        n = cache["n"]
+        gx = d * (invstd * ggamma / n).reshape(shp)
+        gx += (gbeta / n).reshape(shp)
+        np.subtract(gy, gx, out=gx)
+        gx *= s
+        return gx, grads
 
 
 class ReLU(Layer):

@@ -1,9 +1,10 @@
 """Reference layer kernels and a full-trace network loop, kept as the oracle
 of the fast paths in ptsparse.nn: the reshape-mean and out-of-place strided
-AvgPool, the np.repeat AvgPool backward, the two-pass BatchNorm moments, the
-out-of-place bias and BN epilogues, the loop im2col and the np.pad padding,
-the einsum Conv2d weight gradient, the batch-first col2im, the BatchNorm input
-gradient with its own two reductions, and a forward that keeps every
+AvgPool, the np.repeat AvgPool backward, the BatchNorm that normalizes
+x to xhat and then scales and shifts it (two-pass np.mean/np.var moments,
+out-of-place epilogues, an input gradient with its own two reductions), the
+out-of-place bias epilogue, the loop im2col and the np.pad padding, the einsum
+Conv2d weight gradient, the batch-first col2im, and a forward that keeps every
 activation and cache."""
 
 import copy
@@ -96,9 +97,14 @@ class AvgPoolReference(AvgPool):
 
 
 class BatchNormReference(BatchNorm):
-    """BatchNorm whose train/recal forward reduces x with np.mean and np.var,
-    whose recalibration reduces x again for the batch moments, and whose
-    epilogues are out of place."""
+    """BatchNorm as xhat = (x - mean) * invstd, y = gamma * xhat + beta: its
+    train/recal forward reduces x with np.mean and np.var, its recalibration
+    reduces x again for the batch moments, and its epilogues are out of
+    place. Its forward has the bits of the kernel that preceded the
+    per-channel affine y = x * s + t."""
+
+    def _axes(self, x):
+        return (0,) if x.ndim == 2 else (0, 2, 3)
 
     def accumulate_stats(self, x):
         axes = self._axes(x)

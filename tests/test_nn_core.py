@@ -187,7 +187,7 @@ SCALES = st.sampled_from([1e-3, 1.0, 1e3])
 
 
 class TestLayersMatchReference:
-    """The strided AvgPool and the single-pass BN moments against the
+    """The strided AvgPool and the BN moments and affine against the
     reshape-mean and two-pass np.mean/np.var oracles in layer_reference."""
 
     @given(k=st.integers(1, 4), oh=st.integers(1, 4), ow=st.integers(1, 4),
@@ -234,14 +234,8 @@ class TestLayersMatchReference:
             ref.reset_stats()
         for _ in range(batches):
             x = r.standard_normal(shape) * scale + r.standard_normal()
-            y, cache = fast.forward(x, mode=mode)
-            y_ref, cache_ref = ref.forward(x, mode=mode)
-            assert_same_bits(y, y_ref)
-            assert_same_bits(cache["xhat"], cache_ref["xhat"])
-            assert_same_bits(cache["invstd"], cache_ref["invstd"])
+            cache, cache_ref = check_bn_forward(fast, ref, x, mode)
             assert cache["n"] == cache_ref["n"]
-            assert_same_bits(fast.running_mean, ref.running_mean)
-            assert_same_bits(fast.running_var, ref.running_var)
 
 
 def assert_close(a, ref, scale=None):
@@ -253,43 +247,78 @@ def assert_close(a, ref, scale=None):
     np.testing.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
-def check_layer(layer, x, gy, weff=None, mode="eval", approx=()):
+def check_layer(layer, x, gy, weff=None, approx=()):
     """Forward output, cache arrays, input and parameter gradients of layer
     bit-equal to its reference kernels; without the input gradient, the same
-    parameter gradients. The gradients named in approx ("input" or a
-    parameter name) are compared with assert_close instead. For the
-    BatchNorm input gradient, the scale is the largest gamma*invstd*gy: with
-    two rows per channel the true gradient cancels to rounding noise."""
+    parameter gradients. The parameter gradients named in approx are
+    compared with assert_close instead."""
     ref = reference_layer(layer)
-    y, cache = layer.forward(x, mode=mode, weff=weff)
-    y_ref, cache_ref = ref.forward(x, mode=mode, weff=weff)
+    y, cache = layer.forward(x, weff=weff)
+    y_ref, cache_ref = ref.forward(x, weff=weff)
     assert_same_bits(y, y_ref)
     for key, value in cache_ref.items():
         if isinstance(value, np.ndarray):
             assert_same_bits(cache[key], value)
-
-    def compare(name, got, want):
-        if name not in approx:
-            assert_same_bits(got, want)
-        elif isinstance(layer, BatchNorm) and name == "input":
-            terms = gy * (layer.gamma * cache_ref["invstd"]).reshape(layer._bshape(gy))
-            assert_close(got, want, np.abs(terms).max())
-        else:
-            assert_close(got, want)
-
     gx, grads = layer.backward(gy, cache)
     gx_ref, grads_ref = ref.backward(gy, cache_ref)
-    compare("input", gx, gx_ref)
+    assert_same_bits(gx, gx_ref)
     none, grads_only = layer.backward(gy, cache, input_grad=False)
     assert none is None
     for got in (grads, grads_only):
         assert got.keys() == grads_ref.keys()
         for name in grads_ref:
-            compare(name, got[name], grads_ref[name])
+            if name in approx:
+                assert_close(got[name], grads_ref[name])
+            else:
+                assert_same_bits(got[name], grads_ref[name])
 
 
-def bn_approx(mode):
-    return () if mode == "eval" else ("input",)
+def check_bn_forward(bn, ref, x, mode):
+    """BatchNorm's per-channel affine against the xhat-then-scale reference
+    in one forward, each output within assert_close of the largest term it
+    sums: for y, |x| or |mean| times |gamma * invstd|, plus |beta|; for the
+    mean and xhat, |x| or |mean| (times invstd). Returns both caches."""
+    shift = max(np.abs(x).max(initial=0.0), np.abs(bn.running_mean).max())
+    y, cache = bn.forward(x, mode=mode)
+    y_ref, cache_ref = ref.forward(x, mode=mode)
+    invstd = cache_ref["invstd"]
+    assert_close(cache["invstd"], invstd)
+    shp = bn._bshape(x)
+    d = cache["x"] - cache["mean"].reshape(shp) if mode == "eval" else cache["d"]
+    assert_close(d * cache["invstd"].reshape(shp), cache_ref["xhat"],
+                 shift * invstd.max())
+    assert_close(y, y_ref, shift * np.abs(bn.gamma * invstd).max() + np.abs(bn.beta).max())
+    assert_close(bn.running_mean, ref.running_mean, shift)
+    assert_close(bn.running_var, ref.running_var)
+    return cache, cache_ref
+
+
+def check_batchnorm(bn, x, gy, mode):
+    """check_bn_forward, then the gradients within assert_close of the
+    largest term each sums: |gy * xhat| for gamma, |gy| for beta and, for the
+    input, gamma * invstd times |gy|, |xhat * ggamma / n| or |gbeta / n| (with
+    two rows per channel the true train/recal gradient cancels to rounding
+    noise); without the input gradient, the same parameter gradients."""
+    ref = reference_layer(bn)
+    cache, cache_ref = check_bn_forward(bn, ref, x, mode)
+    gx, grads = bn.backward(gy, cache)
+    gx_ref, grads_ref = ref.backward(gy, cache_ref)
+    xhat, invstd = cache_ref["xhat"], cache_ref["invstd"]
+    shp = bn._bshape(x)
+    assert grads.keys() == grads_ref.keys() == {"gamma", "beta"}
+    assert_close(grads["gamma"], grads_ref["gamma"], np.abs(gy * xhat).max())
+    assert_close(grads["beta"], grads_ref["beta"], np.abs(gy).max())
+    terms = [gy]
+    if mode != "eval":
+        n = x.size // bn.num_features
+        terms += [xhat * (grads_ref["gamma"] / n).reshape(shp),
+                  (grads_ref["beta"] / n).reshape(shp)]
+    scale = max(np.abs(t * (bn.gamma * invstd).reshape(shp)).max() for t in terms)
+    assert_close(gx, gx_ref, scale)
+    none, grads_only = bn.backward(gy, cache, input_grad=False)
+    assert none is None
+    for name in grads:  # the same kernel: the same bits
+        assert_same_bits(grads_only[name], grads[name])
 
 
 def random_weff(layer, r):
@@ -306,10 +335,10 @@ BN_SHAPES = [(64, 256), (64, 128), (64, 8, 16, 16), (64, 16, 8, 8)]
 class TestKernelsMatchReference:
     """In-place epilogues, the window-view im2col, zero-array padding, the
     strided AvgPool backward, the batch-last col2im, the GEMM Conv2d weight
-    gradient and the in-place BatchNorm input gradient against the
-    out-of-place, loop, np.pad, np.repeat, batch-first, einsum and
-    two-reduction oracles in layer_reference. Only the weight gradient and
-    the train/recal BatchNorm input gradient sum in another order."""
+    gradient and the per-channel affine BatchNorm against the out-of-place,
+    loop, np.pad, np.repeat, batch-first, einsum and xhat-then-scale oracles
+    in layer_reference. Only the Conv2d weight gradient and BatchNorm sum
+    in another order."""
 
     @given(k=st.integers(1, 4), stride=st.integers(1, 2), pad=st.integers(0, 2),
            b=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
@@ -364,16 +393,17 @@ class TestKernelsMatchReference:
             setattr(bn, name, r.uniform(0.5, 2.0, shape[1]))
         if mode == "recal":
             bn.reset_stats()
-        check_layer(bn, r.standard_normal(shape) * scale + r.standard_normal(),
-                    r.standard_normal(shape), mode=mode, approx=bn_approx(mode))
+        check_batchnorm(bn, r.standard_normal(shape) * scale + r.standard_normal(),
+                        r.standard_normal(shape), mode)
 
-    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("mode", ["eval", "train", "recal"])
     @pytest.mark.parametrize("shape", BN_SHAPES)
     def test_batchnorm_preset_shapes(self, shape, mode, rng):
         bn = BatchNorm(shape[1])
         bn.gamma, bn.beta = rng.uniform(0.5, 2.0, (2, shape[1]))
-        check_layer(bn, rng.standard_normal(shape), rng.standard_normal(shape), mode=mode,
-                    approx=bn_approx(mode))
+        if mode == "recal":
+            bn.reset_stats()
+        check_batchnorm(bn, rng.standard_normal(shape), rng.standard_normal(shape), mode)
 
     @given(k=st.integers(1, 4), oh=st.integers(1, 4), ow=st.integers(1, 4),
            b=st.integers(1, 3), c=st.integers(1, 3), seed=SEEDS, scale=SCALES)
@@ -405,9 +435,22 @@ def preset_and_input(name, in_shape, rows, seed=0):
     return net, masks, r.standard_normal((rows,) + in_shape), r.integers(0, 10, rows)
 
 
+def assert_params_close(net, ref):
+    """Every parameter bit-equal, but the BatchNorm running moments, which
+    the affine kernel and the reference sum in another order: those within
+    assert_close."""
+    for layer, other in zip(net.layers, ref.layers):
+        for name, value in other.params().items():
+            if name.startswith("running_"):
+                assert_close(layer.params()[name], value)
+            else:
+                assert_same_bits(layer.params()[name], value)
+
+
 class TestTraceFreeForwards:
     """predict, accuracy and bn_recalibrate keep no trace; their results
-    equal a forward that keeps every activation, on the reference kernels."""
+    equal a forward that keeps every activation, on the reference kernels
+    (within assert_close where BatchNorm's kernels differ)."""
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
@@ -415,10 +458,9 @@ class TestTraceFreeForwards:
         net, masks, x, y = preset_and_input(name, in_shape, 300)
         masks = masks if masked else None
         logits = full_trace_logits(reference_network(net), x, masks)
-        assert_same_bits(net.predict(x, masks=masks), predict_distribution(logits))
+        assert_close(net.predict(x, masks=masks), predict_distribution(logits))
         assert net.accuracy(x, y, masks=masks) == np.mean(np.argmax(logits, axis=1) == y)
-        assert_same_bits(net.forward(x[:256], masks=masks, mode="eval").logits,
-                         logits[:256])
+        assert_close(net.forward(x[:256], masks=masks, mode="eval").logits, logits[:256])
 
     @settings(max_examples=10)
     @given(r=st.integers(0, EVAL_CHUNK), seed=st.integers(0, 2**16))
@@ -446,7 +488,7 @@ class TestTraceFreeForwards:
                 layer.reset_stats()
         for batch in batches:
             full_trace_forward(ref, batch, masks, "recal")
-        assert net.param_hash() == ref.param_hash()
+        assert_params_close(net, ref)
 
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
     def test_bn_recalibrate_stops_after_last_bn(self, name, in_shape):
@@ -507,7 +549,10 @@ class TestTraceFreeForwards:
                         assert_same_bits(grads[i][p], grads_ref[i][p])
                     else:
                         assert_close(grads[i][p], grads_ref[i][p], scale)
-            assert net.param_hash() == other.param_hash()  # same BN updates in train
+            if exact:  # the same BN updates in train
+                assert net.param_hash() == other.param_hash()
+            else:
+                assert_params_close(net, other)
 
     def test_backward_asks_layer0_for_parameter_grads_only(self, monkeypatch):
         net = tiny_conv(seed=2)
