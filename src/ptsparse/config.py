@@ -148,7 +148,7 @@ class ExperimentConfig:
                 with open(self.teacher_checkpoint, "rb") as f:
                     layers = [layer_from_spec(s) for s in read_header(f, MAGIC)["layers"]]
                 teacher = Network(layers)
-            except (CheckpointError, KeyError, TypeError, ValueError):
+            except (OSError, CheckpointError, KeyError, TypeError, ValueError):
                 return
         else:
             teacher = build_preset(self.preset, STAND_IN_SHAPES[self.preset], classes=1)

@@ -163,15 +163,11 @@ class Conv2d(_Prunable):
         return gx, {"weight": gw, "bias": gb}
 
 
-def _channel_sum(a):
-    """Per-feature sum over every axis but 1: einsum on 4-D input, where it
-    beats sum(axis=(0, 2, 3)); sum(axis=0) on 2-D, where it is the faster."""
+def _channel_sum(a):  # on 2-D input sum(axis=0) is faster than einsum
     return np.einsum("nchw->c", a) if a.ndim == 4 else a.sum(axis=0)
 
 
-def _channel_dot(a, b):
-    """Per-feature sum of a * b over every axis but 1, without the product's
-    temporary."""
+def _channel_dot(a, b):  # per-channel sum of a * b, with no temporary
     return np.einsum("nchw,nchw->c" if a.ndim == 4 else "nc,nc->c", a, b)
 
 
@@ -224,10 +220,9 @@ class BatchNorm(Layer):
         self.running_var = m2_new / tot
 
     def forward(self, x, mode="eval", weff=None):
-        """One per-channel affine in every mode: y = x * s + t, with
-        s = gamma * invstd and t = beta - mean * s, from the running moments
-        in eval mode and the batch moments otherwise. Train/recal mode keeps
-        the centred input for the backward, eval mode x and its mean."""
+        """y = x * s + t per channel, s = gamma * invstd, t = beta - mean * s,
+        from the mode's moments; the cache keeps the centred input d, or in
+        eval mode x and the running mean."""
         shp = self._bshape(x)
         if mode == "eval":
             mean, var = self.running_mean, self.running_var
@@ -251,26 +246,20 @@ class BatchNorm(Layer):
         return y, {**cache, "invstd": invstd, "mode": mode}
 
     def backward(self, gy, cache, input_grad=True):
-        """Parameter gradients from the centred input d (xhat = d * invstd).
-        The train/recal input gradient,
-        gamma * invstd * (gy - gbeta / n - xhat * ggamma / n), reuses those
-        two reductions and is built in one buffer: four passes, no n * gy."""
+        """The train/recal input gradient
+        gamma * invstd * (gy - gbeta / n - xhat * ggamma / n), xhat = d * invstd,
+        reuses the parameter gradients' reductions, in one buffer."""
         shp = self._bshape(gy)
         invstd = cache["invstd"]
-        if cache["mode"] == "eval":
-            d = cache["x"] - cache["mean"].reshape(shp)
-        else:
-            d = cache["d"]
-        ggamma, gbeta = _channel_dot(gy, d) * invstd, _channel_sum(gy)
-        grads = {"gamma": ggamma, "beta": gbeta}
+        d = cache["d"] if "d" in cache else cache["x"] - cache["mean"].reshape(shp)
+        grads = {"gamma": _channel_dot(gy, d) * invstd, "beta": _channel_sum(gy)}
         if not input_grad:
             return None, grads
         s = (self.gamma * invstd).reshape(shp)
         if cache["mode"] == "eval":
             return gy * s, grads
-        n = cache["n"]
-        gx = d * (invstd * ggamma / n).reshape(shp)
-        gx += (gbeta / n).reshape(shp)
+        gx = d * (invstd * grads["gamma"] / cache["n"]).reshape(shp)
+        gx += (grads["beta"] / cache["n"]).reshape(shp)
         np.subtract(gy, gx, out=gx)
         gx *= s
         return gx, grads

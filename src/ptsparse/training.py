@@ -131,10 +131,8 @@ def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0
 
 
 def _decay_rates(mask: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-entry decay of a 0/1 mask: alpha where it is 0, 0.0 where it is 1.
-    (1 - mask) * alpha gives the bytes of np.where(mask == 0, alpha, 0.0)
-    without its data-dependent branch for any alpha but -0.0, whose kept
-    entries would get -0.0; TrainConfig stores alpha + 0.0."""
+    """(1 - mask) * alpha: the bytes of np.where(mask == 0, alpha, 0.0) with no
+    data-dependent branch, for any alpha but -0.0 (TrainConfig adds 0.0)."""
     buf = 1.0 - mask
     buf *= alpha
     return buf
