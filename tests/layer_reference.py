@@ -106,6 +106,9 @@ class BatchNormReference(BatchNorm):
     def _axes(self, x):
         return (0,) if x.ndim == 2 else (0, 2, 3)
 
+    def _bshape(self, x):
+        return (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+
     def accumulate_stats(self, x):
         axes = self._axes(x)
         nb = int(np.prod([x.shape[a] for a in axes]))

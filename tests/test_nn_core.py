@@ -283,7 +283,7 @@ def check_bn_forward(bn, ref, x, mode):
     y_ref, cache_ref = ref.forward(x, mode=mode)
     invstd = cache_ref["invstd"]
     assert_close(cache["invstd"], invstd)
-    shp = bn._bshape(x)
+    shp = ref._bshape(x)
     d = cache["x"] - cache["mean"].reshape(shp) if mode == "eval" else cache["d"]
     assert_close(d * cache["invstd"].reshape(shp), cache_ref["xhat"],
                  shift * invstd.max())
@@ -304,7 +304,7 @@ def check_batchnorm(bn, x, gy, mode):
     gx, grads = bn.backward(gy, cache)
     gx_ref, grads_ref = ref.backward(gy, cache_ref)
     xhat, invstd = cache_ref["xhat"], cache_ref["invstd"]
-    shp = bn._bshape(x)
+    shp = ref._bshape(x)
     assert grads.keys() == grads_ref.keys() == {"gamma", "beta"}
     assert_close(grads["gamma"], grads_ref["gamma"], np.abs(gy * xhat).max())
     assert_close(grads["beta"], grads_ref["beta"], np.abs(gy).max())
