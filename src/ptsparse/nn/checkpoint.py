@@ -89,9 +89,10 @@ def read_header(f, magic: bytes) -> dict:
     if len(raw) < 8:
         raise CheckpointError("truncated header length")
     (hlen,) = struct.unpack("<Q", raw)
+    left = os.fstat(f.fileno()).st_size - f.tell()  # read(hlen) would allocate hlen
+    if left < hlen:
+        raise CheckpointError(f"truncated header: {left} of {hlen} bytes")
     text = f.read(hlen)
-    if len(text) < hlen:
-        raise CheckpointError(f"truncated header: {len(text)} of {hlen} bytes")
     try:
         header = json.loads(text.decode())
     except ValueError as exc:

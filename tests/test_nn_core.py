@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -691,6 +692,12 @@ class TestPresetsAndCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
         with pytest.raises(CheckpointError):
+            load_network(path)
+
+    def test_header_length_past_the_end_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"PTSNET01" + struct.pack("<Q", 2**62) + b"{}")
+        with pytest.raises(CheckpointError, match=f"truncated header: 2 of {2**62} bytes"):
             load_network(path)
 
     def test_no_layers_raise_checkpoint_error(self, tmp_path):
