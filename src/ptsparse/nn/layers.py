@@ -171,10 +171,7 @@ def _channel_dot(a, b):  # per-channel sum of a * b, with no temporary
     return np.einsum("nchw,nchw->c" if a.ndim == 4 else "nc,nc->c", a, b)
 
 
-def _per_sample(v, x):
-    """v, one value per channel, laid out as one sample of x: an op between x
-    and it runs over rows of c*h*w contiguous values rather than h*w, with
-    the same bits as the (1, c, 1, 1) broadcast, about 20% faster."""
+def _per_sample(v, x):  # per-channel v as one (c, h, w) sample: ops on x run over long rows
     return v if x.ndim == 2 else np.repeat(v, math.prod(x.shape[2:])).reshape(x.shape[1:])
 
 
