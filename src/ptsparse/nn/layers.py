@@ -3,6 +3,11 @@
 All arithmetic is float64. Each layer is a small stateful object holding its
 parameters; forward returns (output, cache) and backward consumes the cache.
 Only Dense and Conv2d carry prunable weight tensors.
+
+Every 4-D activation and gradient is batch last, (C, H, W, N): a channel is
+one contiguous row of H*W*N values. Network.forward_layers turns its NCHW input
+batch last and Flatten gives the Dense head (N, C*H*W) rows in NCHW feature
+order; nothing else converts. 2-D activations are (N, features).
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatchError(ValueError):
@@ -84,24 +88,23 @@ class Dense(_Prunable):
         return gy @ w, grads
 
 
-def _im2col(x, kh, kw, stride, oh, ow):
-    """(b, c*kh*kw, oh*ow) patch matrix: one copy out of the window view.
-    For some shapes (a 1-wide output) the reshape is a strided view, on
-    which the GEMM sums in another order, so it is made contiguous."""
-    b, c, _, _ = x.shape
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(
-        win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow))
+def _im2col(x, k, stride, oh, ow):
+    """(c*k*k, oh*ow*b) patch matrix of the (c, h, w, b) input: one slice
+    copy per kernel offset, over runs of ow*b contiguous values at stride 1."""
+    c, _, _, b = x.shape
+    cols = np.empty((c, k, k, oh, ow, b), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = x[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(c * k * k, oh * ow * b)
 
 
 def _col2im(gcols, xp_shape, k, stride, oh, ow):
-    """(c, h, w, b) gradient of the padded input from the batch-last
-    (c*k*k, oh*ow*b) column gradient: each of the k*k adds runs over rows
-    of ow*b contiguous values, in the same order per element as a
-    batch-first scatter."""
-    b, c, h, w = xp_shape
+    """(c, h, w, b) padded-input gradient from the (c*k*k, oh*ow*b) one: k*k adds
+    over rows of ow*b contiguous values, in a batch-first scatter's order."""
+    c, h, w, b = xp_shape
     gcols = gcols.reshape(c, k, k, oh, ow, b)
-    gx = np.zeros((c, h, w, b), dtype=gcols.dtype)
+    gx = np.zeros(xp_shape, dtype=gcols.dtype)
     for i in range(k):
         for j in range(k):
             gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, i, j]
@@ -125,64 +128,52 @@ class Conv2d(_Prunable):
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
     def forward(self, x, mode="eval", weff=None):
+        """One GEMM over the whole batch: (out, c*k*k) @ (c*k*k, oh*ow*b)."""
         w = self.weight if weff is None else weff
         k, s, p = self.kernel_size, self.stride, self.padding
+        c, h, wd, b = x.shape
         if p:
-            b, c, h, wd = x.shape
-            x_p = np.zeros((b, c, h + 2 * p, wd + 2 * p), dtype=x.dtype)
-            x_p[:, :, p:-p, p:-p] = x
+            x_p = np.zeros((c, h + 2 * p, wd + 2 * p, b), dtype=x.dtype)
+            x_p[:, p:-p, p:-p] = x
         else:
             x_p = x
-        oh, ow = self._out_hw(x.shape[2], x.shape[3])
-        cols = _im2col(x_p, k, k, s, oh, ow)
-        wmat = w.reshape(self.out_channels, -1)
-        y = np.matmul(wmat, cols)
+        oh, ow = self._out_hw(h, wd)
+        cols = _im2col(x_p, k, s, oh, ow)
+        y = w.reshape(self.out_channels, -1) @ cols
         y += self.bias[:, None]
-        y = y.reshape(x.shape[0], self.out_channels, oh, ow)
-        return y, {"cols": cols, "x_shape": x.shape, "xp_shape": x_p.shape,
-                   "oh": oh, "ow": ow, "weff": weff}
+        return y.reshape(-1, oh, ow, b), {"cols": cols, "xp_shape": x_p.shape, "weff": weff}
 
     def backward(self, gy, cache, input_grad=True):
+        """gy as it arrives, (out, oh, ow, b). The weight gradient is one GEMM
+        per output row, summed, which is faster here than one over all rows."""
         k, s, p = self.kernel_size, self.stride, self.padding
-        b = gy.shape[0]
-        oh, ow = cache["oh"], cache["ow"]
-        gy_mat = gy.reshape(b, self.out_channels, oh * ow)
+        out, oh, ow, _ = gy.shape
+        gy_mat = gy.reshape(out, -1)
         cols = cache["cols"]
-        # one GEMM per image, summed over the batch
-        gw = np.matmul(gy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.shape)
-        gb = gy_mat.sum(axis=(0, 2))
+        gw = np.matmul(gy.reshape(out, oh, -1).transpose(1, 0, 2),
+                       cols.reshape(len(cols), oh, -1).transpose(1, 2, 0))
+        grads = {"weight": gw.sum(axis=0).reshape(self.weight.shape), "bias": gy_mat.sum(axis=1)}
         if not input_grad:
-            return None, {"weight": gw, "bias": gb}
+            return None, grads
         w = self.weight if cache["weff"] is None else cache["weff"]
-        wmat = w.reshape(self.out_channels, -1)
-        # one GEMM over every image at once, batch last
-        gcols = wmat.T @ gy_mat.transpose(1, 2, 0).reshape(self.out_channels, -1)
-        gxp = _col2im(gcols, cache["xp_shape"], k, s, oh, ow)
-        h, wd = cache["x_shape"][2:]
-        gx = np.ascontiguousarray(gxp[:, p:p + h, p:p + wd].transpose(3, 0, 1, 2))
-        return gx, {"weight": gw, "bias": gb}
+        gxp = _col2im(w.reshape(out, -1).T @ gy_mat, cache["xp_shape"], k, s, oh, ow)
+        _, hp, wp, _ = gxp.shape
+        return gxp[:, p:hp - p, p:wp - p], grads
 
 
-def _channel_sum(a):  # on 2-D input sum(axis=0) is faster than einsum
-    return np.einsum("nchw->c", a) if a.ndim == 4 else a.sum(axis=0)
+def _rows(a):  # (channels, values): a view of batch-last 4-D a, the transpose of 2-D a
+    return a.reshape(len(a), -1) if a.ndim == 4 else a.T
 
 
-def _channel_dot(a, b):  # per-channel sum of a * b, with no temporary
-    return np.einsum("nchw,nchw->c" if a.ndim == 4 else "nc,nc->c", a, b)
-
-
-def _per_sample(v, x):  # per-channel v as one (c, h, w) sample: ops on x run over long rows
-    return v if x.ndim == 2 else np.repeat(v, math.prod(x.shape[2:])).reshape(x.shape[1:])
+def _unrows(r, shape):
+    return r.reshape(shape) if len(shape) == 4 else r.T
 
 
 class BatchNorm(Layer):
     """Batch normalization over features (2-D input) or channels (4-D input).
-
-    eval mode normalizes with stored running statistics; train mode uses batch
-    statistics and folds them into the running values with momentum 0.1.
-    recal mode also uses batch statistics and folds them into exact streaming
-    moments over every batch since the last reset_stats.
-    """
+    eval mode normalizes with the running statistics; train and recal mode
+    with the batch's, which fold_moments folds into them: with momentum 0.1 in
+    train mode, as exact streaming moments since reset_stats in recal mode."""
 
     kind = "BatchNorm"
     SPEC = ("num_features",)
@@ -206,19 +197,27 @@ class BatchNorm(Layer):
         self.running_var = np.zeros(self.num_features)
         self._acc = (0, np.zeros(self.num_features), np.zeros(self.num_features))
 
-    def accumulate_stats(self, nb, mb, vb):
-        """Fold one batch's count, mean and biased variance into the
-        recalibration moments (Chan parallel combine of (count, mean, M2);
-        exact streaming moments)."""
-        m2b = vb * nb
-        n, m, m2 = self._acc
-        tot = n + nb
-        delta = mb - m
-        m_new = m + delta * (nb / tot)
-        m2_new = m2 + m2b + delta * delta * (n * nb / tot)
-        self._acc = (tot, m_new, m2_new)
-        self.running_mean = m_new
-        self.running_var = m2_new / tot
+    def fold_moments(self, x, mode="recal"):
+        """Fold the batch moments of x into the running statistics: momentum
+        in train mode, the Chan parallel combine of (count, mean, M2) in recal
+        mode. Returns (n, mean, var, centred rows d) for the epilogue."""
+        xr = _rows(x)
+        n = xr.shape[1]
+        mean = xr.sum(axis=1) / n
+        d = xr - mean[:, None]
+        var = np.einsum("cm,cm->c", d, d) / n
+        if mode == "recal":
+            count, m, m2 = self._acc
+            tot = count + n
+            delta = mean - m
+            m2 = m2 + var * n + delta * delta * (count * n / tot)
+            self.running_mean, self.running_var = m + delta * (n / tot), m2 / tot
+            self._acc = (tot, self.running_mean, m2)
+        else:
+            m = self.MOMENTUM
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            self.running_var = (1 - m) * self.running_var + m * var
+        return n, mean, var, d
 
     def forward(self, x, mode="eval", weff=None):
         """y = x * s + t per channel, s = gamma * invstd, t = beta - mean * s,
@@ -228,40 +227,32 @@ class BatchNorm(Layer):
             mean, var = self.running_mean, self.running_var
             cache = {"x": x, "mean": mean}
         else:
-            n = x.size // self.num_features
-            mean = _channel_sum(x) / n
-            d = x - _per_sample(mean, x)
-            var = _channel_dot(d, d) / n
-            if mode == "recal":
-                self.accumulate_stats(n, mean, var)
-            else:
-                m = self.MOMENTUM
-                self.running_mean = (1 - m) * self.running_mean + m * mean
-                self.running_var = (1 - m) * self.running_var + m * var
-            cache = {"d": d, "n": n}
+            n, mean, var, d = self.fold_moments(x, mode)
+            cache = {"d": _unrows(d, x.shape), "n": n}
         invstd = 1.0 / np.sqrt(var + self.EPS)
         s = self.gamma * invstd
-        y = x * _per_sample(s, x)
-        y += _per_sample(self.beta - mean * s, x)
-        return y, {**cache, "invstd": invstd, "mode": mode}
+        y = _rows(x) * s[:, None]
+        y += (self.beta - mean * s)[:, None]
+        return _unrows(y, x.shape), {**cache, "invstd": invstd, "mode": mode}
 
     def backward(self, gy, cache, input_grad=True):
         """The train/recal input gradient
         gamma * invstd * (gy - gbeta / n - xhat * ggamma / n), xhat = d * invstd,
         reuses the parameter gradients' reductions, in one buffer."""
         invstd = cache["invstd"]
-        d = cache["d"] if "d" in cache else cache["x"] - _per_sample(cache["mean"], gy)
-        grads = {"gamma": _channel_dot(gy, d) * invstd, "beta": _channel_sum(gy)}
+        g = _rows(gy)
+        d = _rows(cache["d"]) if "d" in cache else _rows(cache["x"]) - cache["mean"][:, None]
+        grads = {"gamma": np.einsum("cm,cm->c", g, d) * invstd, "beta": g.sum(axis=1)}
         if not input_grad:
             return None, grads
-        s = _per_sample(self.gamma * invstd, gy)
+        s = (self.gamma * invstd)[:, None]
         if cache["mode"] == "eval":
-            return gy * s, grads
-        gx = d * _per_sample(invstd * grads["gamma"] / cache["n"], gy)
-        gx += _per_sample(grads["beta"] / cache["n"], gy)
-        np.subtract(gy, gx, out=gx)
+            return _unrows(g * s, gy.shape), grads
+        gx = d * (invstd * grads["gamma"] / cache["n"])[:, None]
+        gx += (grads["beta"] / cache["n"])[:, None]
+        np.subtract(g, gx, out=gx)
         gx *= s
-        return gx, grads
+        return _unrows(gx, gy.shape), grads
 
 
 class ReLU(Layer):
@@ -269,20 +260,22 @@ class ReLU(Layer):
 
     def forward(self, x, mode="eval", weff=None):
         y = np.maximum(x, 0.0)
-        return y, {"pos": x > 0}
+        return y, {"y": y}
 
     def backward(self, gy, cache, input_grad=True):
-        return (gy * cache["pos"] if input_grad else None), {}
+        # y > 0 is x > 0, NaN included: max(NaN, 0) is NaN
+        return (gy * (cache["y"] > 0) if input_grad else None), {}
 
 
 class Flatten(Layer):
     kind = "Flatten"
 
     def forward(self, x, mode="eval", weff=None):
-        return x.reshape(x.shape[0], -1), {"shape": x.shape}
+        return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T), {"shape": x.shape}
 
     def backward(self, gy, cache, input_grad=True):
-        return (gy.reshape(cache["shape"]) if input_grad else None), {}
+        return (np.ascontiguousarray(gy.T).reshape(cache["shape"]) if input_grad
+                else None), {}
 
 
 class AvgPool(Layer):
@@ -296,20 +289,19 @@ class AvgPool(Layer):
 
     def forward(self, x, mode="eval", weff=None):
         k = self.kernel_size
-        h, w = x.shape[2:]
+        c, h, w, b = x.shape
         if h % k or w % k:
             raise ValueError(f"AvgPool input {h}x{w} not divisible by {k}")
-        # Sum the k*k strided views: each kernel row left to right, then the
-        # row sums top to bottom. This is numpy's order for reshape + mean
-        # over (3, 5) whenever the output is at least 2 wide. Two buffers of
-        # the output's size take every partial sum in place.
-        y = np.empty(x.shape[:2] + (h // k, w // k))
+        # Sum the k*k strided views, each kernel row left to right, then the
+        # row sums top to bottom: an NCHW reshape + mean over (3, 5) has this
+        # order if the output is 2+ wide. Two output-size buffers take them.
+        y = np.empty((c, h // k, w // k, b))
         row = np.empty_like(y) if k > 1 else None
         for i in range(k):
             acc = y if i == 0 else row
-            acc[...] = x[:, :, i::k, 0::k]
+            acc[...] = x[:, i::k, 0::k]
             for j in range(1, k):
-                acc += x[:, :, i::k, j::k]
+                acc += x[:, i::k, j::k]
             if i:
                 y += row
         y /= k * k
@@ -323,7 +315,7 @@ class AvgPool(Layer):
         share = gy / (k * k)
         for i in range(k):
             for j in range(k):
-                gx[:, :, i::k, j::k] = share
+                gx[:, i::k, j::k] = share
         return gx, {}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy as _copy
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -16,6 +17,11 @@ from .layers import BatchNorm, Layer, ShapeMismatchError
 # under them and give the same logits bit for bit. 64 rows would not: the
 # 10-wide Dense head of a 64-row forward differs by about 1e-16.
 EVAL_CHUNK = 128
+
+
+def _layer_input(x):  # x as float64; a 4-D NCHW batch as a batch-last view
+    h = np.asarray(x, dtype=np.float64)
+    return h.transpose(1, 2, 3, 0) if h.ndim == 4 else h
 
 
 @dataclass
@@ -65,10 +71,11 @@ class Network:
 
     def forward_layers(self, x, masks: dict | None = None, mode: str = "eval"):
         """(index, output, cache) of each layer in turn: the one forward loop.
-        A consumer that keeps neither the output nor the cache lets both go
-        once the next layer has run."""
+        The layers get a 4-D NCHW input batch last, (C, H, W, N); Flatten turns
+        it into (N, C*H*W) rows. A consumer that keeps neither the output nor
+        the cache lets both go once the next layer has run."""
         self._check_masks(masks)
-        h = np.asarray(x, dtype=np.float64)
+        h = _layer_input(x)
         for i, layer in enumerate(self.layers):
             weff = None
             if layer.prunable and masks and i in masks:
@@ -102,19 +109,19 @@ class Network:
 
     def bn_recalibrate(self, batches, masks: dict | None = None) -> "Network":
         """Replace all BN statistics by exact streaming moments over batches.
-        Each forward stops after the last BatchNorm (after layer 0 when there
-        is none): no later layer changes a running statistic."""
-        seen = False
-        last = 0
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm):
-                layer.reset_stats()
-                last = i
-        for batch in batches:
-            seen = True
-            for i, _, _ in self.forward_layers(batch, masks, "recal"):
-                if i == last:
-                    break
+        Each forward stops before the last BatchNorm, which folds the
+        moments of its input and computes no output: no later layer changes
+        a running statistic."""
+        bns = [i for i, layer in enumerate(self.layers) if isinstance(layer, BatchNorm)]
+        for i in bns:
+            self.layers[i].reset_stats()
+        seen = 0
+        for seen, batch in enumerate(batches, 1):
+            if bns:
+                h = _layer_input(batch)
+                for _, h, _ in islice(self.forward_layers(batch, masks, "recal"), bns[-1]):
+                    pass
+                self.layers[bns[-1]].fold_moments(h)
         if not seen:
             raise ValueError("bn_recalibrate: empty batch stream")
         return self

@@ -5,13 +5,35 @@ x to xhat and then scales and shifts it (two-pass np.mean/np.var moments,
 out-of-place epilogues, an input gradient with its own two reductions), the
 out-of-place bias epilogue, the loop im2col and the np.pad padding, the einsum
 Conv2d weight gradient, the batch-first col2im, and a forward that keeps every
-activation and cache."""
+activation and cache.
+
+The reference kernels take 4-D activations batch first, (N, C, H, W), as
+ptsparse.nn did before its layers went batch last, (C, H, W, N).
+batch_last and batch_first carry arrays between the two layouts, so a test
+feeds both sides the same batch-first data and compares batch-first results."""
 
 import copy
 
 import numpy as np
 
-from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d, Dense
+from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d, Dense, Flatten
+from ptsparse.nn.network import Network
+
+
+def batch_last(a):
+    """A batch-first (N, C, H, W) array as the layers take it, (C, H, W, N);
+    other arrays as they are."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)) if a.ndim == 4 else a
+
+
+def batch_first(a, shape):
+    """The batch-first array of the given shape whose batch-last form is a:
+    a 4-D activation (C, H, W, N) as (N, C, H, W), a Conv2d patch matrix
+    (c*k*k, oh*ow*N) as (N, c*k*k, oh*ow); an array of shape (N, features)
+    or (features,) as it is."""
+    if len(shape) < 3:
+        return a
+    return np.moveaxis(a.reshape(tuple(shape[1:]) + tuple(shape[:1])), -1, 0)
 
 
 def avgpool_reference(x: np.ndarray, k: int) -> np.ndarray:
@@ -88,6 +110,14 @@ class Conv2dReference(Conv2d):
         return (gxp[:, :, p:-p, p:-p] if p else gxp), grads
 
 
+class FlattenReference(Flatten):
+    def forward(self, x, mode="eval", weff=None):
+        return x.reshape(x.shape[0], -1), {"shape": x.shape}
+
+    def backward(self, gy, cache, input_grad=True):
+        return gy.reshape(cache["shape"]), {}
+
+
 class AvgPoolReference(AvgPool):
     def forward(self, x, mode="eval", weff=None):
         return avgpool_strided_reference(x, self.kernel_size), {"shape": x.shape}
@@ -162,8 +192,13 @@ class BatchNormReference(BatchNorm):
         return (invstd.reshape(shp) / n) * (n * gxhat - s1 - xhat * s2), grads
 
 
-REFERENCE_KINDS = {Dense: DenseReference, Conv2d: Conv2dReference,
+REFERENCE_KINDS = {Dense: DenseReference, Conv2d: Conv2dReference, Flatten: FlattenReference,
                    AvgPool: AvgPoolReference, BatchNorm: BatchNormReference}
+
+
+class NetworkReference(Network):
+    """A network of reference kernels: full_trace_forward gives it 4-D input
+    batch first, as it comes."""
 
 
 def reference_layer(layer):
@@ -176,14 +211,18 @@ def reference_layer(layer):
 def reference_network(net):
     """A deep copy of net whose layers run the reference kernels."""
     ref = copy.deepcopy(net)
+    ref.__class__ = NetworkReference
     ref.layers = [reference_layer(layer) for layer in ref.layers]
     return ref
 
 
 def full_trace_forward(net, x, masks=None, mode="eval"):
     """The forward loop that keeps everything: (caches, activations), where
-    activations are the input, then each layer's output."""
+    activations are the input, then each layer's output. A 4-D input is
+    batch first; unless net is a NetworkReference, it runs batch last."""
     h = np.asarray(x, dtype=np.float64)
+    if not isinstance(net, NetworkReference):
+        h = batch_last(h)
     caches, activations = [], [h]
     for i, layer in enumerate(net.layers):
         weff = None

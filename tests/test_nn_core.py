@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, tiny_conv, tiny_conv_stride2, tiny_mlp
-from layer_reference import (BatchNormReference, avgpool_reference, full_trace_backward,
-                             full_trace_forward, full_trace_logits, reference_layer,
-                             reference_network)
+from layer_reference import (BatchNormReference, avgpool_reference, batch_first, batch_last,
+                             full_trace_backward, full_trace_forward, full_trace_logits,
+                             reference_layer, reference_network)
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, load_network, predict_distribution,
                          save_network)
@@ -170,6 +171,18 @@ class TestBNRecalibrate:
         with pytest.raises(ValueError):
             self._bn_net().bn_recalibrate([])
 
+    def test_first_layer_bn_on_nchw_batches(self, rng):
+        # the last BatchNorm is layer 0: it folds the moments of the network
+        # input, per channel of the NCHW batches
+        net = Network([BatchNorm(3), ReLU()])
+        a, b = rng.standard_normal((4, 3, 2, 5)), rng.standard_normal((6, 3, 2, 5)) + 1.0
+        net.bn_recalibrate([a, b])
+        both = np.concatenate([a, b])
+        np.testing.assert_allclose(net.layers[0].running_mean, both.mean(axis=(0, 2, 3)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(net.layers[0].running_var, both.var(axis=(0, 2, 3)),
+                                   atol=1e-12)
+
     def test_deterministic_given_stream_order(self, rng):
         batches = [rng.standard_normal((4, 3)) for _ in range(3)]
         one, two = self._bn_net(), self._bn_net()
@@ -195,8 +208,8 @@ class TestLayersMatchReference:
            b=st.integers(1, 3), c=st.integers(1, 3), seed=SEEDS, scale=SCALES)
     def test_avgpool(self, k, oh, ow, b, c, seed, scale):
         x = np.random.default_rng(seed).standard_normal((b, c, oh * k, ow * k)) * scale
-        got, _ = AvgPool(k).forward(x)
         ref = avgpool_reference(x, k)
+        got = batch_first(AvgPool(k).forward(batch_last(x))[0], ref.shape)
         if ow >= 2:
             assert_same_bits(got, ref)
         else:
@@ -208,7 +221,8 @@ class TestLayersMatchReference:
     @pytest.mark.parametrize("shape,k", [((64, 8, 16, 16), 2), ((64, 16, 8, 8), 2)])
     def test_avgpool_preset_shapes(self, shape, k, rng):
         x = rng.standard_normal(shape)
-        assert_same_bits(AvgPool(k).forward(x)[0], avgpool_reference(x, k))
+        ref = avgpool_reference(x, k)
+        assert_same_bits(batch_first(AvgPool(k).forward(batch_last(x))[0], ref.shape), ref)
 
     @given(shape=st.one_of(
                st.tuples(st.integers(1, 70), st.integers(1, 8)),
@@ -250,20 +264,22 @@ def assert_close(a, ref, scale=None):
 
 def check_layer(layer, x, gy, weff=None, approx=()):
     """Forward output, cache arrays, input and parameter gradients of layer
-    bit-equal to its reference kernels; without the input gradient, the same
-    parameter gradients. The parameter gradients named in approx are
-    compared with assert_close instead."""
+    bit-equal to its reference kernels, on batch-first x and gy that the
+    layer gets batch last; without the input gradient, the same parameter
+    gradients. The output ("y"), input gradient ("gx") and parameter
+    gradients named in approx are compared with assert_close instead."""
     ref = reference_layer(layer)
-    y, cache = layer.forward(x, weff=weff)
+    y, cache = layer.forward(batch_last(x), weff=weff)
     y_ref, cache_ref = ref.forward(x, weff=weff)
-    assert_same_bits(y, y_ref)
+    (assert_close if "y" in approx else assert_same_bits)(batch_first(y, y_ref.shape), y_ref)
     for key, value in cache_ref.items():
-        if isinstance(value, np.ndarray):
-            assert_same_bits(cache[key], value)
-    gx, grads = layer.backward(gy, cache)
+        if isinstance(value, np.ndarray):  # weff is a weight, not an activation
+            got = cache[key] if key == "weff" else batch_first(cache[key], value.shape)
+            assert_same_bits(got, value)
+    gx, grads = layer.backward(batch_last(gy), cache)
     gx_ref, grads_ref = ref.backward(gy, cache_ref)
-    assert_same_bits(gx, gx_ref)
-    none, grads_only = layer.backward(gy, cache, input_grad=False)
+    (assert_close if "gx" in approx else assert_same_bits)(batch_first(gx, gx_ref.shape), gx_ref)
+    none, grads_only = layer.backward(batch_last(gy), cache, input_grad=False)
     assert none is None
     for got in (grads, grads_only):
         assert got.keys() == grads_ref.keys()
@@ -280,15 +296,17 @@ def check_bn_forward(bn, ref, x, mode):
     sums: for y, |x| or |mean| times |gamma * invstd|, plus |beta|; for the
     mean and xhat, |x| or |mean| (times invstd). Returns both caches."""
     shift = max(np.abs(x).max(initial=0.0), np.abs(bn.running_mean).max())
-    y, cache = bn.forward(x, mode=mode)
+    y, cache = bn.forward(batch_last(x), mode=mode)
     y_ref, cache_ref = ref.forward(x, mode=mode)
     invstd = cache_ref["invstd"]
     assert_close(cache["invstd"], invstd)
     shp = ref._bshape(x)
-    d = cache["x"] - cache["mean"].reshape(shp) if mode == "eval" else cache["d"]
+    d = (batch_first(cache["x"], x.shape) - cache["mean"].reshape(shp) if mode == "eval"
+         else batch_first(cache["d"], x.shape))
     assert_close(d * cache["invstd"].reshape(shp), cache_ref["xhat"],
                  shift * invstd.max())
-    assert_close(y, y_ref, shift * np.abs(bn.gamma * invstd).max() + np.abs(bn.beta).max())
+    assert_close(batch_first(y, y_ref.shape), y_ref,
+                 shift * np.abs(bn.gamma * invstd).max() + np.abs(bn.beta).max())
     assert_close(bn.running_mean, ref.running_mean, shift)
     assert_close(bn.running_var, ref.running_var)
     return cache, cache_ref
@@ -302,7 +320,7 @@ def check_batchnorm(bn, x, gy, mode):
     noise); without the input gradient, the same parameter gradients."""
     ref = reference_layer(bn)
     cache, cache_ref = check_bn_forward(bn, ref, x, mode)
-    gx, grads = bn.backward(gy, cache)
+    gx, grads = bn.backward(batch_last(gy), cache)
     gx_ref, grads_ref = ref.backward(gy, cache_ref)
     xhat, invstd = cache_ref["xhat"], cache_ref["invstd"]
     shp = ref._bshape(x)
@@ -315,8 +333,8 @@ def check_batchnorm(bn, x, gy, mode):
         terms += [xhat * (grads_ref["gamma"] / n).reshape(shp),
                   (grads_ref["beta"] / n).reshape(shp)]
     scale = max(np.abs(t * (bn.gamma * invstd).reshape(shp)).max() for t in terms)
-    assert_close(gx, gx_ref, scale)
-    none, grads_only = bn.backward(gy, cache, input_grad=False)
+    assert_close(batch_first(gx, gx_ref.shape), gx_ref, scale)
+    none, grads_only = bn.backward(batch_last(gy), cache, input_grad=False)
     assert none is None
     for name in grads:  # the same kernel: the same bits
         assert_same_bits(grads_only[name], grads[name])
@@ -334,12 +352,16 @@ BN_SHAPES = [(64, 256), (64, 128), (64, 8, 16, 16), (64, 16, 8, 8)]
 
 
 class TestKernelsMatchReference:
-    """In-place epilogues, the window-view im2col, zero-array padding, the
-    strided AvgPool backward, the batch-last col2im, the GEMM Conv2d weight
-    gradient and the per-channel affine BatchNorm against the out-of-place,
-    loop, np.pad, np.repeat, batch-first, einsum and xhat-then-scale oracles
-    in layer_reference. Only the Conv2d weight gradient and BatchNorm sum
-    in another order."""
+    """The batch-last kernels: in-place epilogues, the slice-copy im2col,
+    zero-array padding, the strided AvgPool backward, the batch-last col2im,
+    the GEMM Conv2d gradients and the per-channel affine BatchNorm, against
+    the batch-first out-of-place, loop, np.pad, np.repeat, batch-first,
+    einsum and xhat-then-scale oracles in layer_reference. The Conv2d
+    parameter gradients and BatchNorm sum in another order. The Conv2d
+    forward and input gradient are one GEMM over the whole batch, where the
+    oracle makes one per image: on some shapes (a kernel of 2 or 4, a 1-wide
+    output) BLAS picks another kernel for them and rounds differently, so
+    only the preset's kernels of 1 and 3 are compared bit for bit."""
 
     @given(k=st.integers(1, 4), stride=st.integers(1, 2), pad=st.integers(0, 2),
            b=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
@@ -354,7 +376,8 @@ class TestKernelsMatchReference:
         oh, ow = conv._out_hw(h, w)
         check_layer(conv, r.standard_normal((b, cin, h, w)),
                     r.standard_normal((b, cout, oh, ow)),
-                    weff=random_weff(conv, r) if masked else None, approx=("weight",))
+                    weff=random_weff(conv, r) if masked else None,
+                    approx=("y", "gx", "weight", "bias"))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("b,cin,cout,size", CONVNET_CONV)
@@ -363,7 +386,29 @@ class TestKernelsMatchReference:
         oh, ow = conv._out_hw(size, size)
         check_layer(conv, rng.standard_normal((b, cin, size, size)),
                     rng.standard_normal((b, cout, oh, ow)), weff=random_weff(conv, rng),
-                    approx=("weight",))
+                    approx=("weight", "bias") + (("y",) if k in (2, 4) else ()))
+
+    @given(b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4),
+           w=st.integers(1, 4), seed=SEEDS)
+    def test_flatten_and_relu(self, b, c, h, w, seed):
+        r = np.random.default_rng(seed)
+        x = r.standard_normal((b, c, h, w))
+        check_layer(Flatten(), x, r.standard_normal((b, c * h * w)))
+        check_layer(ReLU(), x, r.standard_normal(x.shape))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    @pytest.mark.parametrize("mode", ["eval", "train", "recal"])
+    def test_relu_nan_and_signed_zero(self, mode):
+        """The backward reads the cached output: gy * (y > 0) has the bits
+        of the input-mask gy * (x > 0), NaN and -0.0 included."""
+        x = np.array([[np.nan, -0.0, 0.0, -1.0, 2.0, -np.inf, np.inf, np.nan]])
+        gy = np.array([[1.0, -1.0, -1.0, -2.0, 3.0, np.nan, -np.inf, -np.inf]])
+        y, cache = ReLU().forward(x, mode=mode)
+        assert list(cache) == ["y"]
+        assert_same_bits(y, np.maximum(x, 0.0))
+        gx, grads = ReLU().backward(gy, cache)
+        assert grads == {}
+        assert_same_bits(gx, gy * (x > 0))
 
     @given(b=st.integers(1, 70), fin=st.integers(1, 8), fout=st.integers(1, 8),
            masked=st.booleans(), seed=SEEDS)
@@ -492,12 +537,14 @@ class TestTraceFreeForwards:
         assert_params_close(net, ref)
 
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
-    def test_bn_recalibrate_stops_after_last_bn(self, name, in_shape):
+    def test_bn_recalibrate_stops_at_last_bn(self, name, in_shape):
+        """The last BatchNorm folds its moments and runs no forward, nor does
+        any later layer; the statistics are those of full-depth forwards."""
         net, masks, x, _ = preset_and_input(name, in_shape, 150)
         full = net.copy()
         last = max(i for i, l in enumerate(net.layers) if isinstance(l, BatchNorm))
         ran = []
-        for i in range(last + 1, len(net.layers)):
+        for i in range(last, len(net.layers)):
             net.layers[i].forward = lambda *a, i=i, **k: ran.append(i)
         batches = [x[s:s + 64] for s in range(0, len(x), 64)]
         net.bn_recalibrate(batches, masks=masks)
@@ -577,9 +624,10 @@ class TestTraceFreeForwards:
 
     def test_eval_peak_memory(self):
         # a 256-row convnet-small accuracy runs EVAL_CHUNK = 128-row forwards,
-        # each holding at most a layer's arrays and the next one's: 8.3 MiB.
-        # One 256-row forward peaked at 16.6 MiB, and a forward that kept
-        # every activation and cache at 40.8 MiB
+        # each holding at most a layer's arrays and the next one's: 6.8 MiB
+        # with batch-last activations (6.9 MiB batch first). One 256-row
+        # forward peaks at 13.6 MiB, and one that keeps every activation and
+        # cache at 34.1 MiB
         net = build_preset("convnet-small", (1, 16, 16), 10, seed=0)
         r = np.random.default_rng(0)
         x, y = r.standard_normal((256, 1, 16, 16)), r.integers(0, 10, 256)
@@ -590,6 +638,45 @@ class TestTraceFreeForwards:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+
+# A seeded convnet-small with non-unit BatchNorm statistics and 0.9 masks:
+# the sha256 of its saved checkpoint and of its predict bytes on 300 rows,
+# recorded with the batch-first layers that preceded the batch-last ones.
+# Same float-library caveat as the goldens in test_harness_cli.
+PINNED_CKPT_SHA256 = "9226a7da7adf6592f410aa0e49db414eb387b5fe65fc92488e2ca03cfb952648"
+PINNED_PREDICT_SHA256 = "f78845d05c312dc1a16dcb7813a0d4b0266666cf80cefbc3d1febecd3bb3f643"
+
+
+def pinned_convnet():
+    net = build_preset("convnet-small", (1, 16, 16), 10, seed=18)
+    r = np.random.default_rng(18)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            layer.gamma, layer.beta, layer.running_mean, layer.running_var = (
+                r.uniform(0.5, 2.0, (4, layer.num_features)))
+    masks = {i: topk_mask(net.layers[i].weight, 0.9) for i in net.prunable_indices()}
+    return net, masks, r.standard_normal((300, 1, 16, 16))
+
+
+class TestBatchLastLayout:
+    """Networks take NCHW input and read the same checkpoints; only inside
+    do their 4-D activations run batch last."""
+
+    def test_eval_logits_pinned(self):
+        net, masks, x = pinned_convnet()
+        assert hashlib.sha256(net.predict(x, masks=masks).tobytes()).hexdigest() \
+            == PINNED_PREDICT_SHA256
+
+    def test_checkpoint_logits_equal_oracle(self, tmp_path):
+        net, masks, x = pinned_convnet()
+        path = tmp_path / "net.ckpt"
+        save_network(net, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CKPT_SHA256
+        loaded = load_network(path)
+        logits = loaded.forward(x, masks=masks).logits
+        assert logits.shape == (300, 10)
+        assert_close(logits, full_trace_logits(reference_network(loaded), x, masks))
 
 
 class TestAccuracy:
