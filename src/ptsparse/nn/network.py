@@ -118,7 +118,7 @@ class Network:
         seen = 0
         for seen, batch in enumerate(batches, 1):
             if bns:
-                h = _layer_input(batch)
+                h = _layer_input(batch)  # its input, if it is layer 0
                 for _, h, _ in islice(self.forward_layers(batch, masks, "recal"), bns[-1]):
                     pass
                 self.layers[bns[-1]].fold_moments(h)
