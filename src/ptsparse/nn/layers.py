@@ -132,11 +132,10 @@ class Conv2d(_Prunable):
         w = self.weight if weff is None else weff
         k, s, p = self.kernel_size, self.stride, self.padding
         c, h, wd, b = x.shape
+        x_p = x
         if p:
             x_p = np.zeros((c, h + 2 * p, wd + 2 * p, b), dtype=x.dtype)
             x_p[:, p:-p, p:-p] = x
-        else:
-            x_p = x
         oh, ow = self._out_hw(h, wd)
         cols = _im2col(x_p, k, s, oh, ow)
         y = w.reshape(self.out_channels, -1) @ cols
@@ -144,29 +143,29 @@ class Conv2d(_Prunable):
         return y.reshape(-1, oh, ow, b), {"cols": cols, "xp_shape": x_p.shape, "weff": weff}
 
     def backward(self, gy, cache, input_grad=True):
-        """gy as it arrives, (out, oh, ow, b). The weight gradient is one GEMM
-        per output row, summed, which is faster here than one over all rows."""
+        """gy as it arrives, (out, oh, ow, b). The weight gradient is one GEMM per
+        output row, summed: faster here than one over all rows. The bias gradient
+        sums each image, then the images, in the NCHW kernel's order."""
         k, s, p = self.kernel_size, self.stride, self.padding
-        out, oh, ow, _ = gy.shape
-        gy_mat = gy.reshape(out, -1)
+        out, oh, ow, b = gy.shape
         cols = cache["cols"]
         gw = np.matmul(gy.reshape(out, oh, -1).transpose(1, 0, 2),
                        cols.reshape(len(cols), oh, -1).transpose(1, 2, 0))
-        grads = {"weight": gw.sum(axis=0).reshape(self.weight.shape), "bias": gy_mat.sum(axis=1)}
+        gb = np.ascontiguousarray(gy.reshape(out, -1, b).transpose(2, 0, 1)).sum(axis=(0, 2))
+        grads = {"weight": gw.sum(axis=0).reshape(self.weight.shape), "bias": gb}
         if not input_grad:
             return None, grads
         w = self.weight if cache["weff"] is None else cache["weff"]
-        gxp = _col2im(w.reshape(out, -1).T @ gy_mat, cache["xp_shape"], k, s, oh, ow)
-        _, hp, wp, _ = gxp.shape
-        return gxp[:, p:hp - p, p:wp - p], grads
+        gxp = _col2im(w.reshape(out, -1).T @ gy.reshape(out, -1), cache["xp_shape"], k, s, oh, ow)
+        return gxp[:, p:gxp.shape[1] - p, p:gxp.shape[2] - p], grads
 
 
-def _rows(a):  # (channels, values): a view of batch-last 4-D a, the transpose of 2-D a
-    return a.reshape(len(a), -1) if a.ndim == 4 else a.T
+def _rows(a):  # (values, channels): 2-D a as it is, 4-D a as its (C, H*W*N) rows transposed
+    return a.reshape(len(a), -1).T if a.ndim == 4 else a
 
 
 def _unrows(r, shape):
-    return r.reshape(shape) if len(shape) == 4 else r.T
+    return r.T.reshape(shape) if len(shape) == 4 else r
 
 
 class BatchNorm(Layer):
@@ -198,14 +197,15 @@ class BatchNorm(Layer):
         self._acc = (0, np.zeros(self.num_features), np.zeros(self.num_features))
 
     def fold_moments(self, x, mode="recal"):
-        """Fold the batch moments of x into the running statistics: momentum
-        in train mode, the Chan parallel combine of (count, mean, M2) in recal
-        mode. Returns (n, mean, var, centred rows d) for the epilogue."""
+        """Fold x's batch moments into the running statistics, with momentum in train
+        mode, by Chan's combine of (count, mean, M2) in recal: (n, mean, var, d)."""
         xr = _rows(x)
-        n = xr.shape[1]
-        mean = xr.sum(axis=1) / n
-        d = xr - mean[:, None]
-        var = np.einsum("cm,cm->c", d, d) / n
+        n, c = xr.shape
+        if c != self.num_features:
+            raise ValueError(f"{c} channels into BatchNorm({self.num_features})")
+        mean = xr.sum(axis=0) / n
+        d = xr - mean
+        var = np.einsum("nc,nc->c", d, d) / n
         if mode == "recal":
             count, m, m2 = self._acc
             tot = count + n
@@ -231,8 +231,8 @@ class BatchNorm(Layer):
             cache = {"d": _unrows(d, x.shape), "n": n}
         invstd = 1.0 / np.sqrt(var + self.EPS)
         s = self.gamma * invstd
-        y = _rows(x) * s[:, None]
-        y += (self.beta - mean * s)[:, None]
+        y = _rows(x) * s
+        y += self.beta - mean * s
         return _unrows(y, x.shape), {**cache, "invstd": invstd, "mode": mode}
 
     def backward(self, gy, cache, input_grad=True):
@@ -241,15 +241,15 @@ class BatchNorm(Layer):
         reuses the parameter gradients' reductions, in one buffer."""
         invstd = cache["invstd"]
         g = _rows(gy)
-        d = _rows(cache["d"]) if "d" in cache else _rows(cache["x"]) - cache["mean"][:, None]
-        grads = {"gamma": np.einsum("cm,cm->c", g, d) * invstd, "beta": g.sum(axis=1)}
+        d = _rows(cache["d"]) if "d" in cache else _rows(cache["x"]) - cache["mean"]
+        grads = {"gamma": np.einsum("nc,nc->c", g, d) * invstd, "beta": g.sum(axis=0)}
         if not input_grad:
             return None, grads
-        s = (self.gamma * invstd)[:, None]
+        s = self.gamma * invstd
         if cache["mode"] == "eval":
             return _unrows(g * s, gy.shape), grads
-        gx = d * (invstd * grads["gamma"] / cache["n"])[:, None]
-        gx += (grads["beta"] / cache["n"])[:, None]
+        gx = d * (invstd * grads["gamma"] / cache["n"])
+        gx += grads["beta"] / cache["n"]
         np.subtract(g, gx, out=gx)
         gx *= s
         return _unrows(gx, gy.shape), grads
@@ -263,8 +263,10 @@ class ReLU(Layer):
         return y, {"y": y}
 
     def backward(self, gy, cache, input_grad=True):
-        # y > 0 is x > 0, NaN included: max(NaN, 0) is NaN
-        return (gy * (cache["y"] > 0) if input_grad else None), {}
+        if not input_grad:
+            return None, {}
+        m = (cache["y"] > 0).astype(np.float64)  # y > 0 is x > 0: max(NaN, 0) is NaN
+        return np.multiply(m, gy, out=m), {}
 
 
 class Flatten(Layer):

@@ -19,11 +19,6 @@ from .layers import BatchNorm, Layer, ShapeMismatchError
 EVAL_CHUNK = 128
 
 
-def _layer_input(x):  # x as float64; a 4-D NCHW batch as a batch-last view
-    h = np.asarray(x, dtype=np.float64)
-    return h.transpose(1, 2, 3, 0) if h.ndim == 4 else h
-
-
 @dataclass
 class ForwardTrace:
     """Per-layer caches from one forward pass: what an exact backward reads,
@@ -75,7 +70,8 @@ class Network:
         it into (N, C*H*W) rows. A consumer that keeps neither the output nor
         the cache lets both go once the next layer has run."""
         self._check_masks(masks)
-        h = _layer_input(x)
+        h = np.asarray(x, dtype=np.float64)
+        h = h.transpose(1, 2, 3, 0) if h.ndim == 4 else h
         for i, layer in enumerate(self.layers):
             weff = None
             if layer.prunable and masks and i in masks:
@@ -109,19 +105,22 @@ class Network:
 
     def bn_recalibrate(self, batches, masks: dict | None = None) -> "Network":
         """Replace all BN statistics by exact streaming moments over batches.
-        Each forward stops before the last BatchNorm, which folds the
-        moments of its input and computes no output: no later layer changes
-        a running statistic."""
+        Each forward stops before the last BatchNorm, which folds its input's
+        moments and computes no output, as no later layer changes a running
+        statistic; as layer 0 (or with none), layer 0 runs a recal forward."""
         bns = [i for i, layer in enumerate(self.layers) if isinstance(layer, BatchNorm)]
         for i in bns:
             self.layers[i].reset_stats()
+        last = bns[-1] if bns else 0
         seen = 0
         for seen, batch in enumerate(batches, 1):
-            if bns:
-                h = _layer_input(batch)  # its input, if it is layer 0
-                for _, h, _ in islice(self.forward_layers(batch, masks, "recal"), bns[-1]):
-                    pass
-                self.layers[bns[-1]].fold_moments(h)
+            for _, h, _ in islice(self.forward_layers(batch, masks, "recal"), max(last, 1)):
+                pass
+            if last:
+                try:
+                    self.layers[last].fold_moments(h)
+                except ValueError as exc:
+                    raise ShapeMismatchError(last, str(exc)) from exc
         if not seen:
             raise ValueError("bn_recalibrate: empty batch stream")
         return self

@@ -698,7 +698,7 @@ class TestFailedStageWritesNothing:
 # not a bug.
 GOLDEN_TEACHER = {
     "mlp3": "93d22855b1ad261e348f256bcdcb0896aebd53d29d06e241ebcdf3a24cf509fb",
-    "convnet-small": "4dde120e1eae929a8b91629f8dc520ca7e93f931ed76e843a59e1967cc32cc1f",
+    "convnet-small": "9d9bdc15c46231caefd6ea95a4cef90906183cb14b7f418730dba0ec71946b0e",
 }
 GOLDEN = {  # (preset, method[/nm pattern]): (metrics.csv row, masks.bin sha256, student)
     ("mlp3", "unipts"): (
@@ -728,27 +728,27 @@ GOLDEN = {  # (preset, method[/nm pattern]): (metrics.csv row, masks.bin sha256,
     ("convnet-small", "unipts"): (
         "unipts,0.5000,0.501412,0.533333,0,0.000",
         "eb0f878d07d887e36c1da329cb1c8cb6799605cd4a5e132488dd5f65da3eb857",
-        "cf095ede1038a8b087becb03086c097422f4f31831d02f8330ddace48bc4d051"),
+        "03f865f4ab20efcdd94d622086d314f31047d1869d49d7413cdffd0b9b93dd81"),
     ("convnet-small", "uniform+dst"): (
         "uniform+dst,0.5000,0.500000,0.433333,0,0.000",
         "b200282d6c34732360e65664c1173da5cf91a5a8377d35cf9fa8a0dbe1e99989",
-        "b360014f1939fccc78ab7cb62b7b181c85b4df244c575b1a48f138bdcbef29ca"),
+        "b99fb96e86559852321642d49bfd960b3ed2e6240dfe72788f0eeaa35985f7f9"),
     ("convnet-small", "erk+dst"): (
         "erk+dst,0.5000,0.500000,0.516667,0,0.000",
         "70d4cb15360b61c9f2475131fb75e7fb555361e63c537b71e96c93f934fc220e",
-        "4fcf10f14c744dedbea6f52f44f6b7e45e5a433bf22b2273eb20ea63435eb42f"),
+        "5e5be882376e6bd1cbe60ebf0c4757426e21304b0b3faa28355ec2558bb2b009"),
     ("convnet-small", "pot-baseline"): (
         "pot-baseline,0.5000,0.500000,0.500000,0,0.000",
         "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
-        "3793a1a86bb2403af78e882a8ddce4c86f3e75f7042bb9e359f60a43396af0f8"),
+        "62eb28c5bc3d30776145edfa242bd1f0502a125e6679b6cafcb80712cf508cf0"),
     ("convnet-small", "oneshot"): (
         "oneshot,0.5000,0.500000,0.433333,0,0.000",
         "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
-        "d422eafa3e6766b7c23c480926bc6f36aff4f00bb31404ee6f5041a2310f31b2"),
+        "1224f44621080bac8fff640355d19485ce7e75904ca8528d6341e2662e0b29bf"),
     ("convnet-small", "uniform+dst/2:4"): (
         "uniform+dst,0.5000,0.497175,0.266667,0,0.000",
         "76b0527172c4cfcc1de630ca1deaa984a6b3215ee06131022f25a4f22ce66d53",
-        "f0b607a4de7be4883b4656d846eb31a30cd97173558a0ade0f9a32af20f68272"),
+        "3f9a7c9eb0e6464acfb2bc92d33d57cd2bf89c9dc810d17a9de9439fdee49d74"),
 }
 
 

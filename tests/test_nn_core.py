@@ -183,6 +183,18 @@ class TestBNRecalibrate:
         np.testing.assert_allclose(net.layers[0].running_var, both.var(axis=(0, 2, 3)),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("layers,shape,masks,index", [
+        ([BatchNorm(3), ReLU()], (4, 1, 2, 5), None, 0),  # the last BatchNorm is layer 0
+        ([ReLU(), BatchNorm(3), ReLU()], (4, 1, 2, 5), None, 1),  # it only folds moments
+        ([ReLU(), BatchNorm(3)], (4, 2), None, 1),
+        ([BatchNorm(3)], (4, 3), {0: np.ones((3, 3))}, 0),
+        ([Dense(6, 3)], (4, 5), None, 0),  # with no BatchNorm, layer 0 still checks the batch
+    ])
+    def test_malformed_batch_rejected(self, layers, shape, masks, index):
+        with pytest.raises(ShapeMismatchError) as exc:
+            Network(layers).bn_recalibrate([np.ones(shape)], masks=masks)
+        assert exc.value.layer_index == index
+
     def test_deterministic_given_stream_order(self, rng):
         batches = [rng.standard_normal((4, 3)) for _ in range(3)]
         one, two = self._bn_net(), self._bn_net()
@@ -351,17 +363,23 @@ CONVNET_CONV = [(64, 1, 8, 16), (64, 8, 16, 8)]
 BN_SHAPES = [(64, 256), (64, 128), (64, 8, 16, 16), (64, 16, 8, 8)]
 
 
+def batch_gemm_approx(b, oh, ow):
+    """Conv2d's forward and input gradient make one GEMM over the batch where
+    the oracle makes one per image. With the OpenBLAS these tests were
+    recorded with, the two round alike when b is 1 or oh * ow is a multiple
+    of 8 (checked on every shape test_conv2d can draw, two seeds each), and
+    then y and gx are compared bit for bit; otherwise with assert_close."""
+    return ("y", "gx") if b > 1 and oh * ow % 8 else ()
+
+
 class TestKernelsMatchReference:
     """The batch-last kernels: in-place epilogues, the slice-copy im2col,
     zero-array padding, the strided AvgPool backward, the batch-last col2im,
     the GEMM Conv2d gradients and the per-channel affine BatchNorm, against
     the batch-first out-of-place, loop, np.pad, np.repeat, batch-first,
-    einsum and xhat-then-scale oracles in layer_reference. The Conv2d
-    parameter gradients and BatchNorm sum in another order. The Conv2d
-    forward and input gradient are one GEMM over the whole batch, where the
-    oracle makes one per image: on some shapes (a kernel of 2 or 4, a 1-wide
-    output) BLAS picks another kernel for them and rounds differently, so
-    only the preset's kernels of 1 and 3 are compared bit for bit."""
+    einsum and xhat-then-scale oracles in layer_reference. Only the Conv2d
+    weight gradient and BatchNorm sum in another order, and on the shapes
+    batch_gemm_approx names, the Conv2d forward and input gradient."""
 
     @given(k=st.integers(1, 4), stride=st.integers(1, 2), pad=st.integers(0, 2),
            b=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
@@ -377,7 +395,7 @@ class TestKernelsMatchReference:
         check_layer(conv, r.standard_normal((b, cin, h, w)),
                     r.standard_normal((b, cout, oh, ow)),
                     weff=random_weff(conv, r) if masked else None,
-                    approx=("y", "gx", "weight", "bias"))
+                    approx=("weight",) + batch_gemm_approx(b, oh, ow))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("b,cin,cout,size", CONVNET_CONV)
@@ -386,7 +404,7 @@ class TestKernelsMatchReference:
         oh, ow = conv._out_hw(size, size)
         check_layer(conv, rng.standard_normal((b, cin, size, size)),
                     rng.standard_normal((b, cout, oh, ow)), weff=random_weff(conv, rng),
-                    approx=("weight", "bias") + (("y",) if k in (2, 4) else ()))
+                    approx=("weight",) + (("y",) if k in (2, 4) else ()))  # 15x15 outputs
 
     @given(b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4),
            w=st.integers(1, 4), seed=SEEDS)
