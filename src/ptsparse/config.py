@@ -13,9 +13,7 @@ from .nn.checkpoint import MAGIC, CheckpointError, read_header
 from .nn.layers import layer_from_spec
 from .nn.network import Network
 from .nn.presets import PRESETS, STAND_IN_SHAPES, build_preset
-from .search import SearchConfig
 from .sparsity import NMPattern, included_layers
-from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -73,13 +71,13 @@ class ExperimentConfig:
     generations: int = 20
     elites: int = 2
     tournament: int = 4
-    noise_std: float = 0.1
+    noise_std: float = 0.1                  # x per-channel input std
     # training
     iterations: int = 16000
     batch_size: int = 64
     lr: float = 0.01
-    alpha: float = 3e-5
-    delta_t: int = 1
+    alpha: float = 3e-5                     # pruned-weight decay
+    delta_t: int = 1                        # mask refresh interval
     gamma: float = 0.99                     # 1.0: plain KL
     metrics_every: int = 200
 
@@ -90,8 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"dataset {self.dataset!r} must be synthetic or idx")
         if self.preset not in PRESETS:
             raise ConfigError(f"preset {self.preset!r} not in {PRESETS}")
-        if self.teacher_epochs < 0:
-            raise ConfigError("teacher_epochs must be >= 0")
+        for key, value in (("teacher_epochs", self.teacher_epochs), ("data_seed", self.data_seed),
+                           ("seeds", min(self.seeds, default=0))):
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0")
         if self.nm_pattern:
             try:
                 nm = NMPattern.parse(self.nm_pattern)
@@ -127,14 +127,12 @@ class ExperimentConfig:
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise ConfigError(f"out_dir {out!r}: {existing!r} is not a directory")
+        from . import search, training  # both import this module
         searches = self.method == "unipts" and not self.nm_pattern
-        try:  # the stage settings this method will build, checked before any work
-            if searches:
-                self.search_config(seed=0)
-            steps = self.train_config(seed=0).iterations
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.calib_size == 0 and (searches or steps):
+        if searches:  # the settings of the stages this method runs, before any work
+            search.check_settings(self)
+        training.check_settings(self)
+        if self.calib_size == 0 and (searches or self.steps):
             raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
         return self
 
@@ -157,27 +155,19 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def search_config(self, seed: int) -> SearchConfig:
-        """The distribution search's settings: P is the sparsity target."""
-        return _derive(SearchConfig, self, p=self.sparsity, seed=seed)
+    @property
+    def reconstructs(self) -> bool:
+        """pot-baseline trains on layer outputs, the rest on the base-decayed KL."""
+        return self.method == "pot-baseline"
 
-    def train_config(self, seed: int) -> TrainConfig:
-        """The sparse training's settings: pot-baseline trains on the layerwise
-        reconstruction, the rest on the base-decayed KL; oneshot takes no step."""
-        objective = "layerwise_mse" if self.method == "pot-baseline" else "base_decayed_kl"
-        iterations = 0 if self.method == "oneshot" else self.iterations
-        return _derive(TrainConfig, self, objective=objective, iterations=iterations,
-                       seed=seed)
+    @property
+    def steps(self) -> int:
+        """The training steps: oneshot takes none."""
+        return 0 if self.method == "oneshot" else self.iterations
 
     def resolved_out_dir(self) -> str:
         root = os.environ.get(OUT_ROOT_ENV, "")
         return os.path.join(root, self.out_dir) if root else self.out_dir
-
-
-def _derive(cls, cfg: ExperimentConfig, **given):
-    """cls from every field of cfg that cls names too, then the given ones."""
-    shared = {f.name for f in fields(cls)} & {f.name for f in fields(cfg)}
-    return cls(**{**{name: getattr(cfg, name) for name in shared}, **given})
 
 
 # field annotations are strings (postponed evaluation); other types parse as str

@@ -32,7 +32,10 @@ def load_idx(path) -> np.ndarray:
         code, ndim = header[2], header[3]
         if code not in IDX_DTYPES:
             raise IdxFormatError(f"{path}: unknown IDX dtype code 0x{code:02x}")
-        dims = struct.unpack(f">{ndim}I", f.read(4 * ndim))
+        raw = f.read(4 * ndim)
+        if len(raw) < 4 * ndim:
+            raise IdxFormatError(f"{path}: header ends inside its {ndim} dimensions")
+        dims = struct.unpack(f">{ndim}I", raw)
         data = f.read()
     dtype = IDX_DTYPES[code]
     expected = int(np.prod(dims)) * dtype.itemsize
@@ -51,7 +54,10 @@ class Splits:
     classes: int
 
     def __post_init__(self):
-        for y, k in ((self.train_y, "train"), (self.eval_y, "eval")):
+        for x, y, k in ((self.train_x, self.train_y, "train"),
+                        (self.eval_x, self.eval_y, "eval")):
+            if len(x) != len(y):
+                raise ValueError(f"{k} split: {len(x)} images but {len(y)} labels")
             if len(y) and (y.min() < 0 or y.max() >= self.classes):
                 raise ValueError(f"{k} labels outside [0, {self.classes})")
 

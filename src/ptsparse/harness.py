@@ -99,7 +99,7 @@ def select_distribution(cfg: ExperimentConfig, teacher: Network, calib: Calibrat
         if cfg.nm_pattern:
             return nm_distribution(teacher, NMPattern.parse(cfg.nm_pattern), exclude), []
         if cfg.method == "unipts":
-            best, stats = evolve(teacher, calib, cfg.search_config(seed))
+            best, stats = evolve(teacher, calib, cfg, seed)
             return best.distribution, stats
         if cfg.method == "erk+dst":
             return erk_distribution(teacher, cfg.sparsity, exclude), []
@@ -155,7 +155,7 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
     calib = calibration_set(cfg, splits, seed)
     distribution, stats = select_distribution(cfg, teacher, calib, seed)
     with stage("train"):
-        result = run_training(teacher, distribution, calib, cfg.train_config(seed))
+        result = run_training(teacher, distribution, calib, cfg, seed)
     top1 = evaluate(result.student, splits, result.masks)
     with stage("artifacts"):
         write_artifacts(out_dir, result, distribution, stats)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError, ExperimentConfig
 from .nn.network import Network
 from .sparsity import (SparsityDistribution, included_layers, regrow_distribution,
                        topk_mask)
@@ -20,35 +21,25 @@ from .sparsity import (SparsityDistribution, included_layers, regrow_distributio
 
 CROSSOVER_RATE = 0.5   # chance that a child takes uniform crossover
 MUTATION_STD = 0.5     # std of the Gaussian added to every gene of a child
+P_E_OFFSET = 0.05      # the excessive rate P_e is min(P + P_E_OFFSET, 1)
 
 
-@dataclass
-class SearchConfig:
-    p: float = 0.9
-    p_e: float | None = None      # defaults to p + 0.05
-    population: int = 32
-    generations: int = 20
-    tournament: int = 4
-    elites: int = 2
-    noise_std: float = 0.1        # x per-channel input std
-    batch_size: int = 64
-    seed: int = 0
-    exclude_layers: tuple = ()
-
-    def __post_init__(self):
-        if self.p_e is None:
-            self.p_e = min(self.p + 0.05, 1.0)
-        if not 0.0 <= self.p < self.p_e <= 1.0:
-            raise ValueError(f"need 0 <= P < P_e <= 1, got P={self.p}, P_e={self.p_e}")
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.elites < 1 or self.elites > self.population:
-            raise ValueError("elites must be in [1, population]")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        for name in ("batch_size", "tournament"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+def check_settings(cfg: ExperimentConfig) -> None:
+    """The search's settings, P = cfg.sparsity among them; ConfigError if bad."""
+    p_e = min(cfg.sparsity + P_E_OFFSET, 1.0)
+    if not 0.0 <= cfg.sparsity < p_e <= 1.0:
+        raise ConfigError(f"need 0 <= P < P_e <= 1, got P={cfg.sparsity}, P_e={p_e}")
+    if cfg.population < 2:
+        raise ConfigError("population must be >= 2")
+    if cfg.elites < 1 or cfg.elites > cfg.population:
+        raise ConfigError("elites must be in [1, population]")
+    if cfg.generations < 0:
+        raise ConfigError("generations must be >= 0")
+    for name in ("batch_size", "tournament"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    if not (np.isfinite(cfg.noise_std) and cfg.noise_std >= 0):
+        raise ConfigError(f"noise_std must be >= 0 and finite, got {cfg.noise_std}")
 
 
 @dataclass
@@ -63,7 +54,7 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def decode(genome: np.ndarray, net: Network, cfg: SearchConfig) -> SparsityDistribution:
+def decode(genome: np.ndarray, net: Network, cfg: ExperimentConfig) -> SparsityDistribution:
     """Regrow the residual (P_e - P) * numel(W) after pruning every layer to
     P_e, in shares softmax(genome) (sparsity.regrow_distribution)."""
     idxs = included_layers(net, set(cfg.exclude_layers))
@@ -71,24 +62,20 @@ def decode(genome: np.ndarray, net: Network, cfg: SearchConfig) -> SparsityDistr
     genome = np.asarray(genome, dtype=np.float64)
     if genome.shape != (len(idxs),):
         raise ValueError(f"genome length {genome.size} != prunable layers {len(idxs)}")
-    return regrow_distribution(idxs, numels, _softmax(genome), cfg.p, cfg.p_e)
-
-
-def _per_channel_std(x: np.ndarray) -> np.ndarray:
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    return x.std(axis=axes)
+    p_e = min(cfg.sparsity + P_E_OFFSET, 1.0)
+    return regrow_distribution(idxs, numels, _softmax(genome), cfg.sparsity, p_e)
 
 
 def noised_batches(inputs: np.ndarray, batch_size: int, rng, noise_std: float):
     """Calibration batches with additive Gaussian noise scaled per channel."""
-    scale = noise_std * _per_channel_std(inputs)
-    shp = (1, -1) if inputs.ndim == 2 else (1, -1, 1, 1)
+    axes = (0,) if inputs.ndim == 2 else (0, 2, 3)
+    scale = noise_std * inputs.std(axis=axes, keepdims=True)
     for start in range(0, len(inputs), batch_size):
         batch = inputs[start:start + batch_size]
-        yield batch + rng.standard_normal(batch.shape) * scale.reshape(shp)
+        yield batch + rng.standard_normal(batch.shape) * scale
 
 
-def fitness(genome: np.ndarray, teacher: Network, calib, cfg: SearchConfig,
+def fitness(genome: np.ndarray, teacher: Network, calib, cfg: ExperimentConfig,
             seed: int) -> FitnessRecord:
     """Prune a copy of the teacher at the decoded rates, recalibrate BN on
     noised calibration batches, score accuracy on the clean calibration set."""
@@ -119,21 +106,22 @@ class GenerationStats:
                 f"worst={self.worst:.4f} elite_rates=[{rates}]")
 
 
-def _eval_seed(cfg: SearchConfig, generation: int, index: int) -> int:
+def _eval_seed(seed: int, generation: int, index: int) -> int:
     # deterministic per (seed, generation, individual); order-independent
-    ss = np.random.SeedSequence(entropy=(cfg.seed, generation, index))
+    ss = np.random.SeedSequence(entropy=(seed, generation, index))
     return int(ss.generate_state(1)[0])
 
 
-def evolve(teacher: Network, calib,
-           cfg: SearchConfig) -> tuple[FitnessRecord, list[GenerationStats]]:
+def evolve(teacher: Network, calib, cfg: ExperimentConfig,
+           seed: int) -> tuple[FitnessRecord, list[GenerationStats]]:
     """Tournament selection + uniform crossover + Gaussian mutation with
     elitism. Elites carry their records forward unevaluated, so the running
     best is non-decreasing."""
+    check_settings(cfg)
     n_layers = len(included_layers(teacher, set(cfg.exclude_layers)))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE7)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
     pop = [rng.standard_normal(n_layers) for _ in range(cfg.population)]
-    records = [fitness(g, teacher, calib, cfg, seed=_eval_seed(cfg, 0, i))
+    records = [fitness(g, teacher, calib, cfg, seed=_eval_seed(seed, 0, i))
                for i, g in enumerate(pop)]
     history: list[GenerationStats] = []
 
@@ -160,7 +148,7 @@ def evolve(teacher: Network, calib,
             child = child + rng.standard_normal(n_layers) * MUTATION_STD
             children.append(child)
         child_records = [fitness(g, teacher, calib, cfg,
-                                 seed=_eval_seed(cfg, gen, i))
+                                 seed=_eval_seed(seed, gen, i))
                          for i, g in enumerate(children)]
         records = elites + child_records
         record_gen(gen, records)

@@ -15,40 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, ExperimentConfig
 from .nn.network import Network, predict_distribution
 from .objectives import base_decayed_kl, cross_entropy, layerwise_mse
 from .sparsity import SparsityDistribution, nm_mask, realized_sparsity, topk_mask
 
-OBJECTIVES = ("base_decayed_kl", "layerwise_mse")
 
-
-@dataclass
-class TrainConfig:
-    iterations: int = 16000
-    batch_size: int = 64
-    lr: float = 0.01
-    alpha: float = 3e-5           # pruned-weight decay
-    delta_t: int = 1              # mask refresh interval
-    gamma: float = 0.99           # 1.0: plain KL
-    objective: str = "base_decayed_kl"
-    seed: int = 0
-    metrics_every: int = 200
-
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        for name in ("batch_size", "delta_t", "metrics_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("alpha", "lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma {self.gamma} outside (0,1]")
-        self.alpha += 0.0  # -0.0 passes the check above; kept entries decay by +0.0
+def check_settings(cfg: ExperimentConfig) -> None:
+    """The settings of run_training and train_step; ConfigError if bad."""
+    if cfg.steps < 0:
+        raise ConfigError("iterations must be >= 0")
+    for name in ("batch_size", "delta_t", "metrics_every"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
+    for name in ("alpha", "lr"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
+    if not 0.0 < cfg.gamma <= 1.0:
+        raise ConfigError(f"gamma {cfg.gamma} outside (0,1]")
 
 
 @dataclass
@@ -90,7 +75,7 @@ def _objective_grad(gamma: float, z, logits_hat, t):
     return base_decayed_kl(z, predict_distribution(logits_hat), t, gamma)
 
 
-def train_step(state: TrainState, batch, cfg: TrainConfig, calib_size: int):
+def train_step(state: TrainState, batch, cfg: ExperimentConfig, calib_size: int):
     """One update on batch = (x, teacher probability rows): masked forward,
     STE backward, decayed update of pruned entries, then a mask refresh when
     the interval divides. The loss scale's t counts epochs over calib_size
@@ -100,7 +85,7 @@ def train_step(state: TrainState, batch, cfg: TrainConfig, calib_size: int):
     t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
     loss, grad_logits = _objective_grad(cfg.gamma, z, trace.logits, t)
     grads = state.student.backward(trace, grad_logits)
-    lr = cosine_lr(state.iteration, cfg.iterations, cfg.lr)
+    lr = cosine_lr(state.iteration, cfg.steps, cfg.lr)
     _apply_update(state.student, grads, lr, state.masks, cfg.alpha)
     state.iteration += 1
     churn = None
@@ -132,9 +117,9 @@ def _apply_update(net: Network, grads, lr: float, masks=None, alpha: float = 0.0
 
 def _decay_rates(mask: np.ndarray, alpha: float) -> np.ndarray:
     """(1 - mask) * alpha: the bytes of np.where(mask == 0, alpha, 0.0) with no
-    data-dependent branch, for any alpha but -0.0 (TrainConfig adds 0.0)."""
+    data-dependent branch; + 0.0 makes an alpha of -0.0 decay kept entries by +0.0."""
     buf = 1.0 - mask
-    buf *= alpha
+    buf *= alpha + 0.0
     return buf
 
 
@@ -182,7 +167,7 @@ def train_teacher(net: Network, x, y, epochs: int, seed: int) -> Network:
 
 
 def run_training(teacher: Network, distribution: SparsityDistribution,
-                 calib, cfg: TrainConfig) -> RunResult:
+                 calib, cfg: ExperimentConfig, seed: int) -> RunResult:
     """Train a sparse student from a teacher copy on the calibration set.
 
     The distribution selects the masks. With zero iterations this is
@@ -195,39 +180,40 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
     probability rows are computed once, before the first step, in the
     EVAL_CHUNK-row blocks of Network.predict.
     """
-    if cfg.iterations and len(calib.inputs) == 0:
+    check_settings(cfg)
+    if cfg.steps and len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
     student = teacher.copy()
     masks = build_masks(student, distribution)
-    if cfg.objective == "layerwise_mse":
-        history = _run_layerwise_reconstruction(teacher, student, masks, calib, cfg)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7D)))  # batch order
+    if cfg.reconstructs:
+        history = _run_layerwise_reconstruction(teacher, student, masks, calib, cfg, rng)
     else:
-        masks, history = _run_dst(teacher, student, masks, distribution, calib, cfg)
+        masks, history = _run_dst(teacher, student, masks, distribution, calib, cfg, rng)
     zero_pruned(student, masks)
     return RunResult(student=student, masks=masks, history=history,
                      final_sparsity=realized_sparsity(masks))
 
 
-def _run_dst(teacher, student, masks, distribution, calib, cfg):
+def _run_dst(teacher, student, masks, distribution, calib, cfg, rng):
     """run_training's DST steps; returns (final masks, history)."""
     state = TrainState(student=student, masks=masks, distribution=distribution)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
     history = []
     n = len(calib.inputs)
-    z = teacher.predict(calib.inputs) if cfg.iterations else None
-    for sel in _batch_stream(n, cfg.batch_size, cfg.iterations, rng):
+    z = teacher.predict(calib.inputs) if cfg.steps else None
+    for sel in _batch_stream(n, cfg.batch_size, cfg.steps, rng):
         step = state.iteration + 1
         try:
             loss, churn, lr = train_step(state, (calib.inputs[sel], z[sel]), cfg, n)
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
-        if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.iterations:
+        if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.steps:
             history.append(_history_row(state.iteration, loss, lr, churn,
                                         student, state.masks, calib))
     return state.masks, history
 
 
-def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> list:
+def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg, rng) -> list:
     """POT-style baseline: static one-shot masks, then each prunable layer is
     tuned in order, for iterations // layers steps, to reconstruct the dense
     layer's output under MSE. The masked forward never reads a pruned entry,
@@ -236,8 +222,7 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> list:
     student's train forward runs every layer, because train-mode BN updates
     its running statistics. Returns the history."""
     idxs = [i for i in student.prunable_indices() if i in masks]
-    per_layer = cfg.iterations // max(len(idxs), 1)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
+    per_layer = cfg.steps // max(len(idxs), 1)
     history = []
     step_count = 0
     for li in idxs:
@@ -254,7 +239,7 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg) -> list:
             loss, gy = layerwise_mse(y_dense, y_sparse)
             gy = gy / y_dense.size  # per-element normalization keeps steps sane
             _, pg = layer.backward(gy, s_cache, input_grad=False)
-            lr = cosine_lr(step_count, cfg.iterations, cfg.lr)
+            lr = cosine_lr(step_count, cfg.steps, cfg.lr)
             _apply_update(student, {li: pg}, lr)
             step_count += 1
             if step_count % cfg.metrics_every == 0:

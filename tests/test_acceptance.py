@@ -25,10 +25,10 @@ from ptsparse.data import sample_calibration
 from ptsparse.harness import load_dataset, prepare_teacher
 from ptsparse.nn import Dense, Network
 from ptsparse.objectives import decay_scale, kl_loss
-from ptsparse.search import SearchConfig, decode, evolve
+from ptsparse.search import decode, evolve
 from ptsparse.sparsity import (NMPattern, nm_distribution, nm_mask, topk_mask,
                                uniform_distribution)
-from ptsparse.training import TrainConfig, run_training
+from ptsparse.training import run_training
 
 SEEDS = (0, 1, 2)
 
@@ -57,36 +57,36 @@ def bundle():
     for seed in SEEDS:
         calib = sample_calibration(splits, 1024, seed)
         best, _ = evolve(teacher, calib,
-                         SearchConfig(p=0.9, population=10, generations=5,
-                                      seed=seed))
-        base = dict(iterations=250, seed=seed, metrics_every=10**9)
+                         ExperimentConfig(sparsity=0.9, population=10, generations=5),
+                         seed)
+        base = dict(iterations=250, metrics_every=10**9)
         row = {}
         res = run_training(teacher, best.distribution, calib,
-                           TrainConfig(**base))
+                           ExperimentConfig(**base), seed)
         row["unipts"] = top1(res)
         row["unipts_realized"] = res.final_sparsity
         row["uniform"] = top1(run_training(teacher, uniform, calib,
-                                           TrainConfig(**base)))
+                                           ExperimentConfig(**base), seed))
         row["pot"] = top1(run_training(
             teacher, uniform, calib,
-            TrainConfig(objective="layerwise_mse", **base)))
+            ExperimentConfig(method="pot-baseline", **base), seed))
         row["dt1"] = top1(run_training(
-            teacher, uniform, calib, TrainConfig(alpha=0.0, delta_t=1, **base)))
+            teacher, uniform, calib, ExperimentConfig(alpha=0.0, delta_t=1, **base), seed))
         row["dt1000"] = top1(run_training(
             teacher, uniform, calib,
-            TrainConfig(alpha=0.0, delta_t=1000, **base)))
-        long = dict(iterations=500, seed=seed, metrics_every=10**9)
+            ExperimentConfig(alpha=0.0, delta_t=1000, **base), seed))
+        long = dict(iterations=500, metrics_every=10**9)
         row["dkl"] = top1(run_training(teacher, uniform, calib,
-                                       TrainConfig(**long)))
+                                       ExperimentConfig(**long), seed))
         row["kl"] = top1(run_training(teacher, uniform, calib,
-                                      TrainConfig(gamma=1.0, **long)))
+                                      ExperimentConfig(gamma=1.0, **long), seed))
         nm = nm_distribution(teacher, NMPattern(2, 4))
-        nm_res = run_training(teacher, nm, calib, TrainConfig(**base))
+        nm_res = run_training(teacher, nm, calib, ExperimentConfig(**base), seed)
         row["nm_trained"] = top1(nm_res)
         row["nm_masks"] = nm_res.masks
         row["nm_student"] = nm_res.student
         row["nm_untrained"] = top1(run_training(
-            teacher, nm, calib, TrainConfig(iterations=0, seed=seed)))
+            teacher, nm, calib, ExperimentConfig(iterations=0), seed))
         out["seeds"][seed] = row
     return out
 
@@ -102,9 +102,8 @@ class TestNumericAnchors:
 
         r = np.random.default_rng(0)
         net = Network([Dense(40, 25, r)])
-        scfg = SearchConfig(p=0.9, p_e=0.95)
-        dist = decode(np.zeros(1), net, scfg)
-        residual = (scfg.p_e - dist.rates[0]) * 1000
+        dist = decode(np.zeros(1), net, ExperimentConfig(sparsity=0.9))
+        residual = (0.95 - dist.rates[0]) * 1000
         ok_residual = residual == pytest.approx(50.0, abs=1e-9)
 
         # pruned-entry update: w=0.1, g=0.2, lr=0.01, alpha=3e-5
@@ -195,11 +194,11 @@ class TestInvariantSuites:
         def budget_identity(genes, p):
             r = np.random.default_rng(0)
             net = Network([Dense(7, 11, r), Dense(11, 5, r)])
-            scfg = SearchConfig(p=p, p_e=min(p + 0.05, 1.0))
-            dist = decode(np.array(genes), net, scfg)
+            p_e = min(p + 0.05, 1.0)
+            dist = decode(np.array(genes), net, ExperimentConfig(sparsity=p))
             numels = np.array([77.0, 55.0])
-            regrown = ((scfg.p_e - np.array(dist.rates)) * numels).sum()
-            residual = (scfg.p_e - scfg.p) * numels.sum()
+            regrown = ((p_e - np.array(dist.rates)) * numels).sum()
+            residual = (p_e - p) * numels.sum()
             assert abs(regrown - residual) <= 1e-9 * max(residual, 1.0)
 
         topk_props()
@@ -237,10 +236,10 @@ class TestInvariantSuites:
                                labels=r.integers(0, 3, 48))
         before = teacher.param_hash()
         dist = uniform_distribution(teacher, 0.5)
-        tc = TrainConfig(iterations=20, batch_size=16, seed=1)
-        a = run_training(teacher, dist, calib, tc)
+        tc = ExperimentConfig(iterations=20, batch_size=16)
+        a = run_training(teacher, dist, calib, tc, 1)
         assert teacher.param_hash() == before
-        b = run_training(teacher, dist, calib, tc)
+        b = run_training(teacher, dist, calib, tc, 1)
         assert a.student.param_hash() == b.student.param_hash()
 
         elapsed = time.monotonic() - started

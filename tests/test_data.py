@@ -41,6 +41,12 @@ class TestIdx:
         with pytest.raises(IdxFormatError):
             load_idx(path)
 
+    def test_header_cut_inside_dimensions(self, tmp_path):
+        path = tmp_path / "short.idx"
+        path.write_bytes(bytes([0, 0, 0x08, 3, 0, 0, 0, 5, 0, 0]))
+        with pytest.raises(IdxFormatError, match="header ends inside its 3 dimensions"):
+            load_idx(path)
+
     def test_unrepresentable_dtype(self, tmp_path):
         with pytest.raises(IdxFormatError):
             save_idx(tmp_path / "x.idx", np.zeros(3, dtype=np.complex128))
@@ -102,6 +108,14 @@ class TestIdxSplits:
         assert s.train_x.max() <= 1.0  # scaled by the max pixel value
         np.testing.assert_array_equal(s.train_y, ty.astype(np.int64))
         assert s.classes == 3
+
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_label_count_must_match_image_count(self, split):
+        x, y = np.zeros((4, 1, 2, 2)), np.zeros(4, dtype=np.int64)
+        arrays = [x, y, x, y]
+        arrays[1 if split == "train" else 3] = np.zeros(5, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"{split} split: 4 images but 5 labels"):
+            Splits(*arrays, classes=3)
 
 
 class TestSampleCalibration:

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from ptsparse.cli import main
-from ptsparse.config import (OUT_ROOT_ENV, ConfigError, ExperimentConfig,
+from ptsparse.config import (METHODS, OUT_ROOT_ENV, ConfigError, ExperimentConfig,
                              parse_config)
 from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
 from ptsparse.nn import build_preset, load_masks, load_network, save_network
-from ptsparse.search import SearchConfig
-from ptsparse.training import TrainConfig
 
 BASE = """
 # tiny end-to-end configuration
@@ -524,6 +522,11 @@ class TestStageSettingsAtParseTime:
         (("metrics_every=0",), "metrics_every must be >= 1"),
         (("method=unipts", "generations=-1"), "generations must be >= 0"),
         (("method=unipts", "tournament=0"), "tournament must be >= 1"),
+        (("seeds=-1",), "seeds must be >= 0"),
+        (("seeds=0,-2",), "seeds must be >= 0"),
+        (("data_seed=-1",), "data_seed must be >= 0"),
+        (("method=unipts", "noise_std=nan"), "noise_std must be >= 0 and finite"),
+        (("method=unipts", "noise_std=-1"), "noise_std must be >= 0 and finite"),
     ])
     @pytest.mark.parametrize("command", ["run", "prune"])
     def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
@@ -551,21 +554,20 @@ class TestStageSettingsAtParseTime:
         assert parse_config(cfg_file(), ["method=unipts", "nm_pattern=2:4",
                                          "population=1"]).population == 1
 
-    def test_stage_defaults_match_experiment_defaults(self):
-        assert ExperimentConfig().train_config(0) == TrainConfig()
-        assert ExperimentConfig().search_config(0) == SearchConfig()
+    def test_noise_std_checked_only_when_searching(self, cfg_file):
+        assert parse_config(cfg_file(), ["noise_std=-1"]).noise_std == -1
 
-    def test_stage_settings_follow_experiment_fields(self, cfg_file):
-        cfg = parse_config(cfg_file(), ["method=unipts", "exclude_layers=3",
-                                        "gamma=1.0"])
-        scfg, tcfg = cfg.search_config(seed=7), cfg.train_config(seed=7)
-        assert (scfg.p, scfg.population, scfg.elites, scfg.tournament, scfg.seed,
-                scfg.exclude_layers) == (0.5, 4, 1, 2, 7, (3,))
-        assert (tcfg.iterations, tcfg.batch_size, tcfg.gamma, tcfg.seed,
-                tcfg.metrics_every, tcfg.objective) == (8, 16, 1.0, 7, 4,
-                                                        "base_decayed_kl")
-        pot = parse_config(cfg_file(), ["method=pot-baseline"])
-        assert pot.train_config(seed=0).objective == "layerwise_mse"
+    def test_method_meanings_are_properties_not_fields(self):
+        # pot-baseline reconstructs layer outputs and oneshot takes no step;
+        # neither is a settable key nor a config.json entry
+        meanings = {m: (ExperimentConfig(method=m, iterations=8).reconstructs,
+                        ExperimentConfig(method=m, iterations=8).steps) for m in METHODS}
+        assert meanings == {"unipts": (False, 8), "pot-baseline": (True, 8),
+                            "erk+dst": (False, 8), "uniform+dst": (False, 8),
+                            "oneshot": (False, 0)}
+        assert not {"reconstructs", "steps"} & set(vars(ExperimentConfig()))
+        with pytest.raises(ConfigError, match="unknown config key 'steps'"):
+            parse_config(None, ["steps=3"])
 
 
 class TestCalibrationSize:
@@ -627,6 +629,40 @@ class TestCalibrationSize:
         assert code == 2
         assert err == ["stage failure: [data] calibration size 60 exceeds train split 30"]
         assert not (out / "seed0").exists()
+
+
+class TestBadIdxFiles:
+    """An IDX file that cannot make a split is a [data] failure before the
+    teacher trains: exit 2, one line, nothing written."""
+
+    @pytest.mark.parametrize("fault,message", [
+        ("header", "header ends inside its 1 dimensions"),
+        ("labels", "train split: 30 images but 31 labels"),
+    ])
+    def test_stage_failure_exit_two(self, cfg_file, tmp_path, capsys, fault, message):
+        from idx_writer import save_idx
+        from ptsparse.data import synthetic_splits
+        s = synthetic_splits(classes=3, image_size=8, train_size=30, eval_size=20,
+                             blobs_per_class=2, seed=0)
+        ty = np.append(s.train_y, 0) if fault == "labels" else s.train_y
+        args = []
+        for key, arr in [("idx_train_images", s.train_x),
+                         ("idx_train_labels", ty.astype(np.uint8)),
+                         ("idx_eval_images", s.eval_x),
+                         ("idx_eval_labels", s.eval_y.astype(np.uint8))]:
+            path = tmp_path / f"{key}.idx"
+            save_idx(path, arr)
+            args += ["-o", f"{key}={path}"]
+        if fault == "header":  # cut inside the label file's dimension word
+            path = tmp_path / "idx_train_labels.idx"
+            path.write_bytes(path.read_bytes()[:6])
+        out = tmp_path / "out"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}", "-o", "dataset=idx",
+                       "-o", "calib_size=30", *args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("stage failure: [data] ")
+        assert message in err[0]
+        assert not out.exists()
 
 
 class TestAtomicArtifacts:

@@ -859,11 +859,12 @@ class TestPresetsAndCheckpoint:
     def test_teacher_immutable_under_student_training(self, rng):
         from ptsparse.data import CalibrationSet
         from ptsparse.sparsity import uniform_distribution
-        from ptsparse.training import TrainConfig, run_training
+        from ptsparse.config import ExperimentConfig
+        from ptsparse.training import run_training
         teacher = tiny_mlp(seed=4)
         before = teacher.param_hash()
         calib = CalibrationSet(inputs=rng.standard_normal((32, 6)),
                                labels=rng.integers(0, 3, 32))
-        cfg = TrainConfig(iterations=10, batch_size=8, seed=0)
-        run_training(teacher, uniform_distribution(teacher, 0.5), calib, cfg)
+        cfg = ExperimentConfig(iterations=10, batch_size=8)
+        run_training(teacher, uniform_distribution(teacher, 0.5), calib, cfg, 0)
         assert teacher.param_hash() == before

@@ -1,13 +1,16 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_mlp
+from ptsparse.config import ExperimentConfig
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network
-from ptsparse.search import (SearchConfig, decode, evolve, fitness,
-                             noised_batches)
+from ptsparse.search import check_settings, decode, evolve, fitness, noised_batches
 
 
 def make_calib(seed=0, n=64, n_in=6, classes=3):
@@ -17,26 +20,49 @@ def make_calib(seed=0, n=64, n_in=6, classes=3):
 
 
 def fast_cfg(**kw):
-    kw.setdefault("p", 0.5)
+    kw.setdefault("sparsity", 0.5)
     kw.setdefault("population", 4)
     kw.setdefault("generations", 2)
     kw.setdefault("tournament", 2)
     kw.setdefault("elites", 1)
-    return SearchConfig(**kw)
+    return ExperimentConfig(**kw)
 
 
-class TestSearchConfig:
+class TestCheckSettings:
+    # a gene far above the other regrows everything into its layer, so the
+    # other layer stays at the excessive rate P_e
     def test_p_e_defaults_above_p(self):
-        assert SearchConfig(p=0.9).p_e == pytest.approx(0.95)
+        net = Network([Dense(10, 10), Dense(10, 10)])
+        rates = decode(np.array([50.0, 0.0]), net, ExperimentConfig(sparsity=0.9)).rates
+        assert rates[1] == pytest.approx(0.95)
 
     def test_p_e_capped_at_one(self):
-        assert SearchConfig(p=0.99).p_e == 1.0
+        net = Network([Dense(10, 10), Dense(10, 10)])
+        rates = decode(np.array([50.0, 0.0]), net, ExperimentConfig(sparsity=0.99)).rates
+        assert rates[1] == 1.0
 
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(p=0.9, p_e=0.8)
-        with pytest.raises(ValueError):
-            SearchConfig(p=0.9, population=1)
+    def test_defaults_valid(self):
+        check_settings(ExperimentConfig())
+
+    @pytest.mark.parametrize("values,message", [
+        ({"sparsity": 1.0}, "need 0 <= P < P_e <= 1, got P=1.0, P_e=1.0"),
+        ({"sparsity": -0.1}, "need 0 <= P < P_e <= 1"),
+        ({"population": 1}, "population must be >= 2"),
+        ({"population": 3, "elites": 4}, "elites must be in [1, population]"),
+        ({"elites": 0}, "elites must be in [1, population]"),
+        ({"generations": -1}, "generations must be >= 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"tournament": 0}, "tournament must be >= 1"),
+        ({"noise_std": -1.0}, "noise_std must be >= 0 and finite"),
+        ({"noise_std": math.nan}, "noise_std must be >= 0 and finite"),
+        ({"noise_std": math.inf}, "noise_std must be >= 0 and finite"),
+    ])
+    def test_bad_values_rejected(self, values, message):
+        cfg = ExperimentConfig(**values)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_settings(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):  # a direct caller too
+            evolve(tiny_mlp(), make_calib(), cfg, seed=0)
 
 
 class TestDecode:
@@ -44,9 +70,8 @@ class TestDecode:
         # single layer of 1000 weights: Residual = (0.95 - 0.9) * 1000 = 50
         r = np.random.default_rng(0)
         net = Network([Dense(40, 25, r)])
-        cfg = SearchConfig(p=0.9, p_e=0.95)
-        dist = decode(np.zeros(1), net, cfg)
-        regrown = (cfg.p_e - dist.rates[0]) * 1000
+        dist = decode(np.zeros(1), net, ExperimentConfig(sparsity=0.9))
+        regrown = (0.95 - dist.rates[0]) * 1000
         assert regrown == pytest.approx(50.0)
         assert dist.rates[0] == pytest.approx(0.9)
 
@@ -60,23 +85,21 @@ class TestDecode:
         # one gene >> the other: nearly all residual regrows into layer 0
         r = np.random.default_rng(0)
         net = Network([Dense(10, 10, r), Dense(10, 10, r)])
-        cfg = SearchConfig(p=0.8, p_e=0.9)
-        dist = decode(np.array([50.0, 0.0]), net, cfg)
-        residual = (0.9 - 0.8) * 200
-        assert dist.rates[0] == pytest.approx(0.9 - residual / 100)
-        assert dist.rates[1] == pytest.approx(0.9)
+        dist = decode(np.array([50.0, 0.0]), net, ExperimentConfig(sparsity=0.8))
+        residual = (0.85 - 0.8) * 200
+        assert dist.rates[0] == pytest.approx(0.85 - residual / 100)
+        assert dist.rates[1] == pytest.approx(0.85)
 
     def test_clamp_and_redistribute(self):
         # layer 0 is tiny: full residual would push its rate below zero,
         # the surplus must land on layer 1 and the keep budget must hold
         r = np.random.default_rng(0)
         net = Network([Dense(2, 2, r), Dense(20, 20, r)])
-        cfg = SearchConfig(p=0.8, p_e=0.9)
-        dist = decode(np.array([50.0, 0.0]), net, cfg)
+        dist = decode(np.array([50.0, 0.0]), net, ExperimentConfig(sparsity=0.8))
         assert dist.rates[0] == pytest.approx(0.0)
         numels = np.array([4.0, 400.0])
         kept = ((1 - np.array(dist.rates)) * numels).sum()
-        assert kept == pytest.approx((1 - cfg.p) * numels.sum(), abs=1e-9)
+        assert kept == pytest.approx((1 - 0.8) * numels.sum(), abs=1e-9)
 
     def test_wrong_genome_length(self):
         with pytest.raises(ValueError):
@@ -95,13 +118,13 @@ class TestDecode:
     def test_budget_identity(self, genes, p):
         r = np.random.default_rng(0)
         net = Network([Dense(7, 11, r), Dense(11, 5, r)])
-        cfg = SearchConfig(p=p, p_e=min(p + 0.05, 1.0), population=4)
-        dist = decode(np.array(genes), net, cfg)
+        p_e = min(p + 0.05, 1.0)
+        dist = decode(np.array(genes), net, ExperimentConfig(sparsity=p))
         numels = np.array([77.0, 55.0])
         rates = np.array(dist.rates)
-        assert np.all((rates >= 0.0) & (rates <= cfg.p_e + 1e-12))
-        regrown = ((cfg.p_e - rates) * numels).sum()
-        residual = (cfg.p_e - cfg.p) * numels.sum()
+        assert np.all((rates >= 0.0) & (rates <= p_e + 1e-12))
+        regrown = ((p_e - rates) * numels).sum()
+        residual = (p_e - p) * numels.sum()
         assert abs(regrown - residual) <= 1e-9 * max(residual, 1.0)
 
 
@@ -153,25 +176,25 @@ class TestFitness:
 class TestEvolve:
     def test_best_non_decreasing_across_generations(self):
         net, calib = tiny_mlp(seed=5), make_calib(seed=5)
-        _, history = evolve(net, calib, fast_cfg(generations=4, seed=3))
+        _, history = evolve(net, calib, fast_cfg(generations=4), seed=3)
         bests = [h.best for h in history]
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
     def test_deterministic_given_seed(self):
         net, calib = tiny_mlp(seed=5), make_calib(seed=5)
-        a, _ = evolve(net, calib, fast_cfg(seed=9))
-        b, _ = evolve(net, calib, fast_cfg(seed=9))
+        a, _ = evolve(net, calib, fast_cfg(), seed=9)
+        b, _ = evolve(net, calib, fast_cfg(), seed=9)
         assert a.fitness == b.fitness
         np.testing.assert_array_equal(a.genome, b.genome)
 
     def test_history_length(self):
         net, calib = tiny_mlp(seed=5), make_calib(seed=5)
-        _, history = evolve(net, calib, fast_cfg(generations=3))
+        _, history = evolve(net, calib, fast_cfg(generations=3), seed=0)
         assert len(history) == 4  # initial population plus each generation
 
     def test_stats_format_one_line_per_generation(self):
         net, calib = tiny_mlp(seed=5), make_calib(seed=5)
-        _, history = evolve(net, calib, fast_cfg())
+        _, history = evolve(net, calib, fast_cfg(), seed=0)
         lines = [st.format() for st in history]
         assert len(lines) == 3 and lines[0].startswith("gen=0")
         assert all("\n" not in line for line in lines)
@@ -198,9 +221,9 @@ class TestEvolve:
         x = r.standard_normal((128, 6))
         labels = np.argmax(net.predict(x), axis=1)
         calib = CalibrationSet(inputs=x, labels=labels)
-        cfg = SearchConfig(p=0.6, p_e=0.7, population=8, generations=4,
-                           tournament=3, elites=2, seed=1)
-        best, _ = evolve(net, calib, cfg)
+        cfg = ExperimentConfig(sparsity=0.6, population=8, generations=4,
+                               tournament=3, elites=2)
+        best, _ = evolve(net, calib, cfg, seed=1)
         rates = dict(zip(best.distribution.layer_indices,
                          best.distribution.rates))
         assert rates[0] < rates[1]

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 
 from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
+from ptsparse.config import ExperimentConfig
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network, build_preset
 from ptsparse.nn.network import EVAL_CHUNK
 from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, topk_mask,
                                uniform_distribution)
 from ptsparse.objectives import layerwise_mse
-from ptsparse.training import (TrainConfig, TrainState, _apply_update, _batch_stream,
-                               _decay_rates, build_masks, cosine_lr, mask_churn,
+from ptsparse.training import (TrainState, _apply_update, _batch_stream, _decay_rates,
+                               build_masks, check_settings, cosine_lr, mask_churn,
                                _run_layerwise_reconstruction, run_training, train_step)
 
 
@@ -27,26 +28,24 @@ def make_calib(seed=0, n=64, n_in=6, classes=3):
                           labels=r.integers(0, classes, n))
 
 
-class TestTrainConfig:
+class TestCheckSettings:
     def test_defaults_valid(self):
-        TrainConfig()
+        check_settings(ExperimentConfig())
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(delta_t=0)
-        with pytest.raises(ValueError):
-            TrainConfig(alpha=-1e-3)
-        for objective in ("hinge", "kl", "ce"):  # plain KL is gamma = 1
-            with pytest.raises(ValueError, match="unknown objective"):
-                TrainConfig(objective=objective)
-        with pytest.raises(ValueError):
-            TrainConfig(iterations=-1)
+        for values in ({"delta_t": 0}, {"alpha": -1e-3}, {"iterations": -1}):
+            with pytest.raises(ValueError):
+                check_settings(ExperimentConfig(**values))
 
-    def test_negative_zero_alpha_stored_as_positive_zero(self):
-        # -0.0 >= 0, so it is accepted; stored as is, the kept entries'
+    def test_oneshot_takes_no_step_whatever_iterations(self):
+        check_settings(ExperimentConfig(method="oneshot", iterations=-1))
+
+    def test_negative_zero_alpha_decays_kept_entries_by_positive_zero(self):
+        # -0.0 >= 0, so it is accepted; used as is, the kept entries'
         # (1 - mask) * alpha decay would be -0.0 instead of +0.0
-        assert math.copysign(1.0, TrainConfig(alpha=-0.0).alpha) == 1.0
-        assert TrainConfig(alpha=3e-5).alpha == 3e-5
+        rates = _decay_rates(np.array([0.0, 1.0]), -0.0)
+        assert [math.copysign(1.0, r) for r in rates] == [1.0, 1.0]
+        assert _decay_rates(np.array([0.0, 1.0]), 3e-5).tolist() == [3e-5, 0.0]
 
     @pytest.mark.parametrize("values,message", [
         ({"gamma": 1.5}, "gamma 1.5 outside (0,1]"),
@@ -54,10 +53,16 @@ class TestTrainConfig:
         ({"lr": -0.1}, "lr must be >= 0 and finite"),
         ({"alpha": math.inf}, "alpha must be >= 0 and finite"),
         ({"alpha": math.nan}, "alpha must be >= 0 and finite"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"metrics_every": 0}, "metrics_every must be >= 1"),
     ])
     def test_update_and_schedule_settings_checked(self, values, message):
+        cfg = ExperimentConfig(**values)
         with pytest.raises(ValueError, match=re.escape(message)):
-            TrainConfig(**values)
+            check_settings(cfg)
+        teacher = tiny_mlp()
+        with pytest.raises(ValueError, match=re.escape(message)):  # a direct caller too
+            run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(), cfg, 0)
 
 
 class TestCosineLR:
@@ -114,9 +119,8 @@ class TestUpdateRule:
         bias = data.draw(hnp.arrays(np.float64, rows, elements=values))
         mask = data.draw(hnp.arrays(np.float64, (rows, cols),
                                     elements=st.sampled_from([0.0, 1.0])))
-        # -0.0 passes TrainConfig's >= 0 check, which stores it as +0.0
-        alpha = TrainConfig(alpha=data.draw(
-            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e-2)))).alpha
+        # -0.0 passes the >= 0 check; the decay uses it as +0.0
+        alpha = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e-2)))
         layer = Dense(cols, rows)
         layer.weight, layer.bias = w.copy(), bias.copy()
         net = Network([layer])
@@ -125,7 +129,7 @@ class TestUpdateRule:
             lr = data.draw(st.one_of(st.just(0.0), st.floats(0, 1)))  # 0: last cosine step
             gw = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
             gb = data.draw(hnp.arrays(np.float64, rows, elements=values))
-            where = np.where(mask == 0.0, alpha, 0.0 * lr)
+            where = np.where(mask == 0.0, alpha + 0.0, 0.0 * lr)
             assert _decay_rates(mask, alpha).tobytes() == where.tobytes()
             _apply_update(net, {0: {"weight": gw, "bias": gb}}, lr, {0: mask}, alpha)
             ref_w = ref_w - (lr * gw + where * ref_w)
@@ -153,12 +157,13 @@ class TestUpdateRule:
         layer.weight, layer.bias = w.copy(), bias.copy()
         student = Network([layer])
         calib = make_calib(n=2, n_in=cols)
-        cfg = TrainConfig(iterations=1, batch_size=2, lr=lr, metrics_every=2,
-                          objective="layerwise_mse")
+        cfg = ExperimentConfig(iterations=1, batch_size=2, lr=lr, metrics_every=2,
+                               method="pot-baseline")
         rate = cosine_lr(0, 1, lr)  # one layer, one step
         with patch.object(Dense, "backward", lambda *args, **kwargs: (
                 None, {"weight": gw.copy(), "bias": gb.copy()})):
-            _run_layerwise_reconstruction(student.copy(), student, {0: mask}, calib, cfg)
+            _run_layerwise_reconstruction(student.copy(), student, {0: mask}, calib, cfg,
+                                          np.random.default_rng(0))
         assert layer.weight.tobytes() == (w - rate * gw).tobytes()
         assert layer.bias.tobytes() == (bias - rate * gb).tobytes()
 
@@ -169,8 +174,8 @@ class TestUpdateRule:
         net = teacher.copy()
         dist = uniform_distribution(net, 0.0)
         state = TrainState(student=net, masks=build_masks(net, dist), distribution=dist)
-        cfg = TrainConfig(iterations=5, batch_size=16, lr=0.05, alpha=0.0,
-                          delta_t=1, gamma=1.0)  # gamma = 1: plain KL
+        cfg = ExperimentConfig(iterations=5, batch_size=16, lr=0.05, alpha=0.0,
+                               delta_t=1, gamma=1.0)  # gamma = 1: plain KL
 
         ref = teacher.copy()
         from ptsparse.nn.network import predict_distribution
@@ -223,10 +228,9 @@ class TestMasksAndChurn:
         dist = uniform_distribution(teacher, 0.5)
 
         def total_churn(alpha):
-            cfg = TrainConfig(iterations=60, batch_size=32, lr=0.05,
-                              alpha=alpha, delta_t=1, gamma=1.0,
-                              metrics_every=1, seed=0)
-            res = run_training(teacher, dist, calib, cfg)
+            cfg = ExperimentConfig(iterations=60, batch_size=32, lr=0.05,
+                                   alpha=alpha, delta_t=1, gamma=1.0, metrics_every=1)
+            res = run_training(teacher, dist, calib, cfg, 0)
             return sum(row["churn"] for row in res.history)
 
         assert total_churn(0.1) < total_churn(0.0)
@@ -237,9 +241,9 @@ class TestRunTraining:
         teacher = tiny_mlp(seed=2)
         calib = make_calib(seed=2)
         dist = uniform_distribution(teacher, 0.5)
-        cfg = TrainConfig(iterations=20, batch_size=16, seed=5)
-        a = run_training(teacher, dist, calib, cfg)
-        b = run_training(teacher, dist, calib, cfg)
+        cfg = ExperimentConfig(iterations=20, batch_size=16)
+        a = run_training(teacher, dist, calib, cfg, 5)
+        b = run_training(teacher, dist, calib, cfg, 5)
         assert a.student.param_hash() == b.student.param_hash()
         assert a.final_sparsity == b.final_sparsity
 
@@ -248,7 +252,7 @@ class TestRunTraining:
         calib = make_calib(seed=2)
         dist = uniform_distribution(teacher, 0.7)
         res = run_training(teacher, dist, calib,
-                           TrainConfig(iterations=15, batch_size=16))
+                           ExperimentConfig(iterations=15, batch_size=16), 0)
         for i, m in res.masks.items():
             w = res.student.layers[i].weight
             np.testing.assert_array_equal(w[m == 0.0], 0.0)
@@ -258,7 +262,7 @@ class TestRunTraining:
         calib = make_calib(seed=2)
         dist = uniform_distribution(teacher, 0.6)
         res = run_training(teacher, dist, calib,
-                           TrainConfig(iterations=10, batch_size=16))
+                           ExperimentConfig(iterations=10, batch_size=16), 0)
         assert res.final_sparsity == pytest.approx(
             realized_sparsity(res.masks))
 
@@ -266,7 +270,7 @@ class TestRunTraining:
         teacher = tiny_mlp(seed=2)
         calib = make_calib(seed=2)
         dist = uniform_distribution(teacher, 0.5)
-        res = run_training(teacher, dist, calib, TrainConfig(iterations=0))
+        res = run_training(teacher, dist, calib, ExperimentConfig(iterations=0), 0)
         for i, m in res.masks.items():
             np.testing.assert_array_equal(
                 res.student.layers[i].weight,
@@ -277,7 +281,7 @@ class TestRunTraining:
         calib = make_calib(seed=2)
         pat = NMPattern(2, 4)
         res = run_training(teacher, nm_distribution(teacher, pat), calib,
-                           TrainConfig(iterations=25, batch_size=16, delta_t=5))
+                           ExperimentConfig(iterations=25, batch_size=16, delta_t=5), 0)
         for i, m in res.masks.items():
             rows = m.reshape(m.shape[0], -1)
             for r in range(rows.shape[0]):
@@ -289,7 +293,7 @@ class TestRunTraining:
         teacher = tiny_mlp(seed=2)
         first, last = teacher.prunable_indices()
         res = run_training(teacher, nm_distribution(teacher, NMPattern(2, 4), {first}),
-                           make_calib(seed=2), TrainConfig(iterations=4, batch_size=16))
+                           make_calib(seed=2), ExperimentConfig(iterations=4, batch_size=16), 0)
         assert set(res.masks) == {last}
         assert np.count_nonzero(res.student.layers[first].weight == 0.0) == 0
 
@@ -298,7 +302,7 @@ class TestRunTraining:
         teacher.layers[-1].bias[0] = np.nan  # not a masked weight: the loss sees it
         with pytest.raises(ValueError, match="DST iteration 1: .*non-finite"):
             run_training(teacher, uniform_distribution(teacher, 0.5),
-                         make_calib(seed=2), TrainConfig(iterations=4, batch_size=16))
+                         make_calib(seed=2), ExperimentConfig(iterations=4, batch_size=16), 0)
 
     @pytest.mark.parametrize("n,iterations", [(60, 1), (60, 9), (256, 5),
                                               (257, 5), (600, 3), (600, 40)])
@@ -321,7 +325,7 @@ class TestRunTraining:
 
         monkeypatch.setattr(type(first), "forward", counting)
         run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(seed=4, n=n),
-                     TrainConfig(iterations=iterations, batch_size=16, gamma=gamma))
+                     ExperimentConfig(iterations=iterations, batch_size=16, gamma=gamma), 0)
         assert len(rows) == math.ceil(n / EVAL_CHUNK)
         assert sum(rows) == n and max(rows) <= EVAL_CHUNK
 
@@ -331,13 +335,13 @@ class TestRunTraining:
         teacher = tiny_mlp(seed=9)
         calib = make_calib(seed=9, n=40)
         dist = uniform_distribution(teacher, 0.5)
-        cfg = TrainConfig(iterations=7, batch_size=16, gamma=1.0, seed=3)
-        res = run_training(teacher, dist, calib, cfg)
+        cfg, seed = ExperimentConfig(iterations=7, batch_size=16, gamma=1.0), 3
+        res = run_training(teacher, dist, calib, cfg, seed)
 
         net = teacher.copy()
         state = TrainState(student=net, masks=build_masks(net, dist), distribution=dist)
         z = teacher.predict(calib.inputs)
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7D)))
         orders = [rng.permutation(40) for _ in range(3)]  # 3 batches per epoch
         for it in range(cfg.iterations):
             epoch, start = divmod(it, 3)
@@ -354,10 +358,10 @@ class TestRunTraining:
         teacher = Network([Dense(6, 4, r)])
         calib = make_calib(seed=8, n=128)
         dist = uniform_distribution(teacher, 0.7)
-        cfg = TrainConfig(iterations=120, batch_size=32, lr=0.05,
-                          objective="layerwise_mse", seed=0)
-        res = run_training(teacher, dist, calib, cfg)
-        oneshot = run_training(teacher, dist, calib, TrainConfig(iterations=0))
+        cfg = ExperimentConfig(iterations=120, batch_size=32, lr=0.05,
+                               method="pot-baseline")
+        res = run_training(teacher, dist, calib, cfg, 0)
+        oneshot = run_training(teacher, dist, calib, ExperimentConfig(iterations=0), 0)
         z = teacher.predict(calib.inputs)
 
         def mse(net):
@@ -374,14 +378,14 @@ class TestRunTraining:
         calib = CalibrationSet(inputs=r.standard_normal((40,) + n_in),
                                labels=r.integers(0, 3, 40))
         dist = uniform_distribution(teacher, 0.6)
-        cfg = TrainConfig(iterations=12, batch_size=16, lr=0.05, metrics_every=5,
-                          objective="layerwise_mse", seed=2)
-        res = run_training(teacher, dist, calib, cfg)
+        cfg, seed = ExperimentConfig(iterations=12, batch_size=16, lr=0.05, metrics_every=5,
+                                     method="pot-baseline"), 2
+        res = run_training(teacher, dist, calib, cfg, seed)
 
         student = teacher.copy()
         masks = build_masks(student, dist)
         idxs = student.prunable_indices()
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x7D)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7D)))
         step = 0
         for li in idxs:
             for sel in _batch_stream(40, cfg.batch_size, cfg.iterations // len(idxs), rng):
@@ -406,9 +410,9 @@ class TestRunTraining:
         dist = uniform_distribution(teacher, 0.5)
 
         def run(iterations):
-            return run_training(teacher, dist, calib, TrainConfig(
+            return run_training(teacher, dist, calib, ExperimentConfig(
                 iterations=iterations, batch_size=16, lr=0.01, metrics_every=1,
-                objective="layerwise_mse", seed=0))
+                method="pot-baseline"), 0)
 
         oneshot = run(0).student.param_hash()
         for iterations in range(1, 8):
@@ -423,8 +427,8 @@ class TestRunTraining:
         teacher = tiny_mlp(seed=2)
         calib = make_calib(seed=2)
         dist = uniform_distribution(teacher, 0.5)
-        cfg = TrainConfig(iterations=10, batch_size=16, metrics_every=5)
-        res = run_training(teacher, dist, calib, cfg)
+        cfg = ExperimentConfig(iterations=10, batch_size=16, metrics_every=5)
+        res = run_training(teacher, dist, calib, cfg, 0)
         assert res.history
         for row in res.history:
             assert set(row) == {"iter", "loss", "lr", "churn", "sparsity",
@@ -436,4 +440,4 @@ class TestRunTraining:
                                labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             run_training(teacher, uniform_distribution(teacher, 0.5), calib,
-                         TrainConfig(iterations=1))
+                         ExperimentConfig(iterations=1), 0)
