@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .harness import (StageError, calibration_set, evaluate, load_dataset,
+from .harness import (StageError, calibration_set, check_fits, evaluate, load_dataset,
                       prepare_teacher, report, run_experiment, run_single,
                       select_distribution, stage, write_distribution)
 from .nn import load_masks, load_network, save_network
@@ -101,6 +101,7 @@ def cmd_eval(args) -> int:
     splits = load_dataset(cfg)
     with stage("eval"):
         net = load_network(args.checkpoint)
+        check_fits(net, splits)
         masks = load_masks(args.masks) if args.masks else None
     print(f"top1={evaluate(net, splits, masks):.6f}")
     return 0

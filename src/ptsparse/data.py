@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
+
 IDX_DTYPES = {
     0x08: np.dtype(">u1"),
     0x09: np.dtype(">i1"),
@@ -62,18 +64,21 @@ class Splits:
                 raise ValueError(f"{k} labels outside [0, {self.classes})")
 
 
-def synthetic_splits(classes=10, image_size=16, train_size=4096, eval_size=1024,
-                     noise=1.5, blobs_per_class=24, offset=2.0, seed=0) -> Splits:
+NOISE = 1.5  # pixel noise std of the synthetic images
+OFFSET = 2.0  # and their background level
+
+
+def synthetic_splits(cfg: ExperimentConfig) -> Splits:
     """Gaussian-blob one-channel images: each class owns a fixed template of
-    many small isotropic blobs (sigma 0.5 to 1 px); samples add pixel noise.
-    Fully seeded, no downloads. Dense sharp templates keep classification
-    sensitive to fine weight structure, so pruning damage is visible."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))
-    h = w = image_size
+    cfg.data_blobs small isotropic blobs (sigma 0.5 to 1 px); samples add pixel
+    noise. Fully seeded by cfg.data_seed, no downloads. Dense sharp templates keep
+    classification sensitive to fine weight structure, so pruning damage is visible."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.data_seed, 0xDA7A)))
+    h = w = cfg.image_size
     yy, xx = np.mgrid[0:h, 0:w]
-    templates = np.zeros((classes, 1, h, w))
-    for k in range(classes):
-        for _ in range(blobs_per_class):
+    templates = np.zeros((cfg.classes, 1, h, w))
+    for k in range(cfg.classes):
+        for _ in range(cfg.data_blobs):
             cy, cx = rng.uniform(1, h - 1), rng.uniform(1, w - 1)
             sig = rng.uniform(0.5, 1.0)
             amp = rng.uniform(0.6, 1.4) * rng.choice([-1.0, 1.0])
@@ -81,15 +86,15 @@ def synthetic_splits(classes=10, image_size=16, train_size=4096, eval_size=1024,
             templates[k, 0] += blob
 
     def make(n, r):
-        labels = r.integers(0, classes, size=n)
+        labels = r.integers(0, cfg.classes, size=n)
         # the constant background level mimics natural images' nonzero mean,
         # which makes stale BN statistics genuinely harmful after pruning
-        x = offset + templates[labels] + r.standard_normal((n, 1, h, w)) * noise
+        x = OFFSET + templates[labels] + r.standard_normal((n, 1, h, w)) * NOISE
         return x, labels.astype(np.int64)
 
-    train_x, train_y = make(train_size, rng)
-    eval_x, eval_y = make(eval_size, rng)
-    return Splits(train_x, train_y, eval_x, eval_y, classes)
+    train_x, train_y = make(cfg.train_size, rng)
+    eval_x, eval_y = make(cfg.eval_size, rng)
+    return Splits(train_x, train_y, eval_x, eval_y, cfg.classes)
 
 
 def idx_splits(train_images, train_labels, eval_images, eval_labels,

@@ -65,9 +65,7 @@ def load_dataset(cfg: ExperimentConfig) -> Splits:
     (a view, no copy), so no later stage reshapes its inputs."""
     with stage("data"):
         if cfg.dataset == "synthetic":
-            splits = synthetic_splits(classes=cfg.classes, image_size=cfg.image_size,
-                                      train_size=cfg.train_size, eval_size=cfg.eval_size,
-                                      blobs_per_class=cfg.data_blobs, seed=cfg.data_seed)
+            splits = synthetic_splits(cfg)
         else:
             splits = idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
                                 cfg.idx_eval_images, cfg.idx_eval_labels,
@@ -78,12 +76,24 @@ def load_dataset(cfg: ExperimentConfig) -> Splits:
     return splits
 
 
-def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int = 0) -> Network:
-    """The checkpoint, or the preset trained on the train split by train_teacher;
-    a failure, such as a shape the preset rejects, raises StageError("teacher")."""
+def check_fits(net: Network, splits: Splits) -> None:
+    """Raise ValueError unless net takes one train row and returns one logit
+    per class: a checkpoint made for other data fails before any stage runs it."""
+    logits = net.forward(splits.train_x[:1]).logits
+    if logits.shape != (1, splits.classes):
+        raise ValueError(f"the network returns logits of shape {logits.shape} for one "
+                         f"train row, not (1, {splits.classes})")
+
+
+def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int) -> Network:
+    """The checkpoint, if it fits the splits, or the preset trained on the train
+    split by train_teacher; a failure, such as a shape the preset rejects or a
+    checkpoint made for other data, raises StageError("teacher")."""
     with stage("teacher"):
         if cfg.teacher_checkpoint:
-            return load_network(cfg.teacher_checkpoint)
+            net = load_network(cfg.teacher_checkpoint)
+            check_fits(net, splits)
+            return net
         net = build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed)
         return train_teacher(net, splits.train_x, splits.train_y, cfg.teacher_epochs, seed)
 

@@ -144,15 +144,14 @@ class Conv2d(_Prunable):
 
     def backward(self, gy, cache, input_grad=True):
         """gy as it arrives, (out, oh, ow, b). The weight gradient is one GEMM per
-        output row, summed: faster here than one over all rows. The bias gradient
-        sums each image, then the images, in the NCHW kernel's order."""
+        output row, summed: faster here than one over all rows."""
         k, s, p = self.kernel_size, self.stride, self.padding
-        out, oh, ow, b = gy.shape
+        out, oh, ow = gy.shape[:3]
         cols = cache["cols"]
         gw = np.matmul(gy.reshape(out, oh, -1).transpose(1, 0, 2),
                        cols.reshape(len(cols), oh, -1).transpose(1, 2, 0))
-        gb = np.ascontiguousarray(gy.reshape(out, -1, b).transpose(2, 0, 1)).sum(axis=(0, 2))
-        grads = {"weight": gw.sum(axis=0).reshape(self.weight.shape), "bias": gb}
+        grads = {"weight": gw.sum(axis=0).reshape(self.weight.shape),
+                 "bias": gy.reshape(out, -1).sum(axis=1)}
         if not input_grad:
             return None, grads
         w = self.weight if cache["weff"] is None else cache["weff"]
@@ -291,21 +290,13 @@ class AvgPool(Layer):
 
     def forward(self, x, mode="eval", weff=None):
         k = self.kernel_size
-        c, h, w, b = x.shape
+        h, w = x.shape[1:3]
         if h % k or w % k:
             raise ValueError(f"AvgPool input {h}x{w} not divisible by {k}")
-        # Sum the k*k strided views, each kernel row left to right, then the
-        # row sums top to bottom: an NCHW reshape + mean over (3, 5) has this
-        # order if the output is 2+ wide. Two output-size buffers take them.
-        y = np.empty((c, h // k, w // k, b))
-        row = np.empty_like(y) if k > 1 else None
-        for i in range(k):
-            acc = y if i == 0 else row
-            acc[...] = x[:, i::k, 0::k]
-            for j in range(1, k):
-                acc += x[:, i::k, j::k]
-            if i:
-                y += row
+        y = x[:, 0::k, 0::k].copy()
+        for v in range(1, k * k):  # the other strided views, in row-major kernel order
+            i, j = divmod(v, k)
+            y += x[:, i::k, j::k]
         y /= k * k
         return y, {"shape": x.shape}
 

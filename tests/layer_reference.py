@@ -1,11 +1,10 @@
 """Reference layer kernels and a full-trace network loop, kept as the oracle
-of the fast paths in ptsparse.nn: the reshape-mean and out-of-place strided
-AvgPool, the np.repeat AvgPool backward, the BatchNorm that normalizes
-x to xhat and then scales and shifts it (two-pass np.mean/np.var moments,
-out-of-place epilogues, an input gradient with its own two reductions), the
-out-of-place bias epilogue, the loop im2col and the np.pad padding, the einsum
-Conv2d weight gradient, the batch-first col2im, and a forward that keeps every
-activation and cache.
+of the fast paths in ptsparse.nn: the reshape-mean AvgPool and its np.repeat
+backward, the BatchNorm that normalizes x to xhat and then scales and shifts
+it (two-pass np.mean/np.var moments, out-of-place epilogues, an input
+gradient with its own two reductions), the out-of-place bias epilogue, the
+loop im2col and the np.pad padding, the einsum Conv2d weight gradient, the
+batch-first col2im, and a forward that keeps every activation and cache.
 
 The reference kernels take 4-D activations batch first, (N, C, H, W), as
 ptsparse.nn did before its layers went batch last, (C, H, W, N).
@@ -39,17 +38,6 @@ def batch_first(a, shape):
 def avgpool_reference(x: np.ndarray, k: int) -> np.ndarray:
     b, c, h, w = x.shape
     return x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-
-def avgpool_strided_reference(x: np.ndarray, k: int) -> np.ndarray:
-    """The k*k strided views summed out of place, in AvgPool's order."""
-    acc = None
-    for i in range(k):
-        row = x[:, :, i::k, 0::k]
-        for j in range(1, k):
-            row = row + x[:, :, i::k, j::k]
-        acc = row if acc is None else acc + row
-    return acc / (k * k)
 
 
 def avgpool_backward_reference(gy: np.ndarray, k: int) -> np.ndarray:
@@ -120,7 +108,7 @@ class FlattenReference(Flatten):
 
 class AvgPoolReference(AvgPool):
     def forward(self, x, mode="eval", weff=None):
-        return avgpool_strided_reference(x, self.kernel_size), {"shape": x.shape}
+        return avgpool_reference(x, self.kernel_size), {"shape": x.shape}
 
     def backward(self, gy, cache, input_grad=True):
         return avgpool_backward_reference(gy, self.kernel_size), {}

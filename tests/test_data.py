@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from idx_writer import save_idx
-from ptsparse.data import (IdxFormatError, Splits, idx_splits, load_idx,
+from ptsparse.config import ExperimentConfig
+from ptsparse.data import (OFFSET, IdxFormatError, Splits, idx_splits, load_idx,
                            sample_calibration, synthetic_splits)
+
+
+def splits_of(**settings):
+    """The synthetic splits of an ExperimentConfig with these settings."""
+    return synthetic_splits(ExperimentConfig(**settings))
 
 
 class TestIdx:
@@ -54,33 +60,31 @@ class TestIdx:
 
 class TestSyntheticSplits:
     def test_shapes_and_label_range(self):
-        s = synthetic_splits(classes=4, image_size=8, train_size=64,
-                             eval_size=32, seed=0)
+        s = splits_of(classes=4, image_size=8, train_size=64, eval_size=32, data_seed=0)
         assert s.train_x.shape == (64, 1, 8, 8)
         assert s.eval_x.shape == (32, 1, 8, 8)
         assert s.train_y.min() >= 0 and s.train_y.max() < 4
         assert s.classes == 4
 
     def test_deterministic_per_seed(self):
-        a = synthetic_splits(train_size=32, eval_size=16, seed=3)
-        b = synthetic_splits(train_size=32, eval_size=16, seed=3)
+        a = splits_of(train_size=32, eval_size=16, data_seed=3)
+        b = splits_of(train_size=32, eval_size=16, data_seed=3)
         np.testing.assert_array_equal(a.train_x, b.train_x)
         np.testing.assert_array_equal(a.eval_y, b.eval_y)
 
     def test_seeds_differ(self):
-        a = synthetic_splits(train_size=32, eval_size=16, seed=3)
-        b = synthetic_splits(train_size=32, eval_size=16, seed=4)
+        a = splits_of(train_size=32, eval_size=16, data_seed=3)
+        b = splits_of(train_size=32, eval_size=16, data_seed=4)
         assert not np.array_equal(a.train_x, b.train_x)
 
     def test_background_offset_shifts_mean(self):
-        s = synthetic_splits(train_size=128, eval_size=16, offset=2.0, seed=0)
-        assert s.train_x.mean() == pytest.approx(2.0, abs=0.3)
+        s = splits_of(train_size=128, eval_size=16, data_seed=0)
+        assert s.train_x.mean() == pytest.approx(OFFSET, abs=0.3)
 
     def test_classes_are_learnable_by_nearest_template(self):
         # sanity on signal level: noisy samples stay closest to their own
         # class template far above chance
-        s = synthetic_splits(classes=5, train_size=200, eval_size=16,
-                             noise=1.0, seed=1)
+        s = splits_of(classes=5, train_size=200, eval_size=16, data_seed=1)
         temps = np.stack([s.train_x[s.train_y == k].mean(axis=0)
                           for k in range(5)])
         d = ((s.train_x[:, None] - temps[None]) ** 2).sum(axis=(2, 3, 4))
@@ -120,8 +124,8 @@ class TestIdxSplits:
 
 class TestSampleCalibration:
     def _splits(self, seed=0):
-        return synthetic_splits(classes=4, image_size=8, train_size=256,
-                                eval_size=64, seed=seed)
+        return splits_of(classes=4, image_size=8, train_size=256, eval_size=64,
+                         data_seed=seed)
 
     def test_size_and_determinism(self):
         s = self._splits()
