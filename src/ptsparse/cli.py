@@ -18,6 +18,8 @@ from .harness import (StageError, calibration_set, check_fits, evaluate, load_da
                       select_distribution, stage, write_distribution)
 from .nn import load_masks, load_network, save_network
 from .nn.checkpoint import atomic_write
+from .sparsity import mask_summary
+from .training import build_masks
 
 
 def _add_common(p):
@@ -79,8 +81,7 @@ def cmd_search(args) -> int:
     dist, stats = select_distribution(cfg, teacher, calib, seed)
     with stage("artifacts"):
         write_distribution(out, dist, stats)
-    numels = [teacher.layers[i].weight.size for i in dist.layer_indices]
-    print(dist.summary(numels))
+    print(mask_summary(build_masks(teacher, dist)))
     print(f"distribution saved to {os.path.join(out, 'distribution.json')}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from .nn.checkpoint import MAGIC, CheckpointError, read_header
 from .nn.layers import layer_from_spec
 from .nn.network import Network
-from .nn.presets import PRESETS, STAND_IN_SHAPES, build_preset
+from .nn.presets import PRESETS, STAND_IN_SHAPE, build_preset
 from .sparsity import NMPattern, included_layers
 
 
@@ -52,7 +52,7 @@ class ExperimentConfig:
     idx_eval_images: str = ""
     idx_eval_labels: str = ""
     # teacher
-    preset: str = "convnet-small"
+    preset: str = "convnet-small"           # trained when no teacher_checkpoint is set
     teacher_checkpoint: str = ""
     teacher_epochs: int = 4
     # calibration
@@ -71,7 +71,7 @@ class ExperimentConfig:
     generations: int = 20
     elites: int = 2
     tournament: int = 4
-    noise_std: float = 0.1                  # x per-channel input std
+    noise_std: float = 0.1                  # x the std of each input unit of layer 0
     # training
     iterations: int = 16000
     batch_size: int = 64
@@ -149,7 +149,7 @@ class ExperimentConfig:
             except (OSError, CheckpointError, KeyError, TypeError, ValueError):
                 return
         else:
-            teacher = build_preset(self.preset, STAND_IN_SHAPES[self.preset], classes=1)
+            teacher = build_preset(self.preset, STAND_IN_SHAPE, classes=1)
         try:
             included_layers(teacher, set(self.exclude_layers))
         except ValueError as exc:

@@ -61,19 +61,13 @@ class MetricsRow:
 
 
 def load_dataset(cfg: ExperimentConfig) -> Splits:
-    """The configured splits; mlp3 gets one flat feature row per sample
-    (a view, no copy), so no later stage reshapes its inputs."""
+    """The configured splits, NCHW images as loaded: the network decides how
+    its layer 0 reads them (Network.as_input), whatever the preset."""
     with stage("data"):
         if cfg.dataset == "synthetic":
-            splits = synthetic_splits(cfg)
-        else:
-            splits = idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
-                                cfg.idx_eval_images, cfg.idx_eval_labels,
-                                classes=cfg.classes)
-    if cfg.preset == "mlp3":
-        splits.train_x = splits.train_x.reshape(len(splits.train_x), -1)
-        splits.eval_x = splits.eval_x.reshape(len(splits.eval_x), -1)
-    return splits
+            return synthetic_splits(cfg)
+        return idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
+                          cfg.idx_eval_images, cfg.idx_eval_labels, classes=cfg.classes)
 
 
 def check_fits(net: Network, splits: Splits) -> None:

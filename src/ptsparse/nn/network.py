@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 
-from .layers import BatchNorm, Layer, ShapeMismatchError
+from .layers import BatchNorm, Dense, Layer, ShapeMismatchError
 
 # Rows per eval-mode forward in predict and accuracy. A 256-row convnet-small
 # forward's working set crossed glibc's mmap and trim thresholds, so every
@@ -64,13 +64,20 @@ class Network:
                 raise ShapeMismatchError(
                     idx, f"mask shape {m.shape} != weight shape {self.layers[idx].weight.shape}")
 
+    def as_input(self, x) -> np.ndarray:
+        """x the way layer 0 reads it: an NCHW batch becomes (N, C*H*W) rows
+        (a view of contiguous x) when layer 0 is Dense, and stays as it is
+        otherwise. The one place where the input layout is decided."""
+        x = np.asarray(x, dtype=np.float64)
+        return x.reshape(len(x), -1) if isinstance(self.layers[0], Dense) else x
+
     def forward_layers(self, x, masks: dict | None = None, mode: str = "eval"):
         """(index, output, cache) of each layer in turn: the one forward loop.
         The layers get a 4-D NCHW input batch last, (C, H, W, N); Flatten turns
         it into (N, C*H*W) rows. A consumer that keeps neither the output nor
         the cache lets both go once the next layer has run."""
         self._check_masks(masks)
-        h = np.asarray(x, dtype=np.float64)
+        h = self.as_input(x)
         h = h.transpose(1, 2, 3, 0) if h.ndim == 4 else h
         for i, layer in enumerate(self.layers):
             weff = None

@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .layers import AvgPool, BatchNorm, Conv2d, Dense, Flatten, ReLU
 from .network import Network
 
 PRESETS = ("mlp3", "convnet-small")
-# an input shape each preset accepts: its layer kinds do not depend on the shape
-STAND_IN_SHAPES = {"mlp3": (1,), "convnet-small": (1, 4, 4)}
+# an input shape every preset accepts: their layer kinds do not depend on the shape
+STAND_IN_SHAPE = (1, 4, 4)
 
 
 def build_preset(name: str, in_shape, classes: int, seed: int = 0) -> Network:
-    """mlp3: 3 dense layers with BN+ReLU between; convnet-small: two
-    conv/BN/ReLU/pool blocks and a dense head. in_shape is (features,) for
-    mlp3 and (channels, height, width) for convnet-small."""
+    """mlp3: 3 dense layers with BN+ReLU between, taking prod(in_shape)
+    features; convnet-small: two conv/BN/ReLU/pool blocks and a dense head,
+    taking in_shape = (channels, height, width)."""
     rng = np.random.default_rng(seed)
     if name == "mlp3":
-        (n_in,) = in_shape if isinstance(in_shape, (tuple, list)) else (in_shape,)
         layers = [
-            Dense(n_in, 256, rng), BatchNorm(256), ReLU(),
+            Dense(math.prod(in_shape), 256, rng), BatchNorm(256), ReLU(),
             Dense(256, 128, rng), BatchNorm(128), ReLU(),
             Dense(128, classes, rng),
         ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .nn.network import Network
+from .nn.network import Network, predict_distribution
 from .sparsity import (SparsityDistribution, included_layers, regrow_distribution,
                        topk_mask)
 
@@ -49,11 +49,6 @@ class FitnessRecord:
     fitness: float
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def decode(genome: np.ndarray, net: Network, cfg: ExperimentConfig) -> SparsityDistribution:
     """Regrow the residual (P_e - P) * numel(W) after pruning every layer to
     P_e, in shares softmax(genome) (sparsity.regrow_distribution)."""
@@ -63,12 +58,15 @@ def decode(genome: np.ndarray, net: Network, cfg: ExperimentConfig) -> SparsityD
     if genome.shape != (len(idxs),):
         raise ValueError(f"genome length {genome.size} != prunable layers {len(idxs)}")
     p_e = min(cfg.sparsity + P_E_OFFSET, 1.0)
-    return regrow_distribution(idxs, numels, _softmax(genome), cfg.sparsity, p_e)
+    shares = predict_distribution(genome[None])[0]
+    return regrow_distribution(idxs, numels, shares, cfg.sparsity, p_e)
 
 
 def noised_batches(inputs: np.ndarray, batch_size: int, rng, noise_std: float):
-    """Calibration batches with additive Gaussian noise scaled per channel."""
-    axes = (0,) if inputs.ndim == 2 else (0, 2, 3)
+    """Batches of inputs, as layer 0 reads them (Network.as_input), with
+    additive Gaussian noise scaled per input unit of layer 0: per feature of
+    (N, F) rows, per channel of an NCHW batch."""
+    axes = (0, *range(2, inputs.ndim))
     scale = noise_std * inputs.std(axis=axes, keepdims=True)
     for start in range(0, len(inputs), batch_size):
         batch = inputs[start:start + batch_size]
@@ -86,8 +84,8 @@ def fitness(genome: np.ndarray, teacher: Network, calib, cfg: ExperimentConfig,
     masks = {i: topk_mask(net.layers[i].weight, r)
              for i, r in zip(dist.layer_indices, dist.rates)}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    net.bn_recalibrate(
-        noised_batches(calib.inputs, cfg.batch_size, rng, cfg.noise_std), masks=masks)
+    net.bn_recalibrate(noised_batches(teacher.as_input(calib.inputs), cfg.batch_size,
+                                      rng, cfg.noise_std), masks=masks)
     acc = net.accuracy(calib.inputs, calib.labels, masks=masks)
     return FitnessRecord(genome=np.array(genome), distribution=dist, fitness=acc)
 

@@ -122,17 +122,6 @@ class SparsityDistribution:
     layer_indices: list[int]
     nm: NMPattern | None = None
 
-    def weighted_rate(self, numels: list[int]) -> float:
-        return float(np.dot(self.rates, numels) / np.sum(numels))
-
-    def summary(self, numels: list[int]) -> str:
-        lines = [f"target global sparsity: {self.target:.4f}",
-                 f"{'layer':>6} {'rate':>8} {'numel':>10}"]
-        for i, r, n in zip(self.layer_indices, self.rates, numels):
-            lines.append(f"{i:>6} {r:8.4f} {n:>10}")
-        lines.append(f"weighted rate: {self.weighted_rate(numels):.4f}")
-        return "\n".join(lines)
-
     def to_json(self) -> str:
         return json.dumps({"rates": self.rates, "target": self.target,
                            "layer_indices": self.layer_indices}, sort_keys=True)

@@ -310,12 +310,16 @@ class TestOtherCommands:
         assert (out / "student.ckpt").exists()
         assert (out / "masks.bin").exists()
 
-    def test_search_command(self, cfg_file, tmp_path):
+    def test_search_command(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "s"
         assert run_cli("search", "-c", cfg_file(), "-o", f"out_dir={out}",
                        "-o", "method=unipts") == 0
         assert (out / "distribution.json").exists()
         assert (out / "search.log").exists()
+        # the table of masks.txt, for the searched distribution's masks
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == f"{'layer':>6} {'shape':>18} {'nnz':>10} {'rate':>8}"
+        assert [line.split()[0] for line in stdout[1:4]] == ["0", "3", "6"]
 
     def test_search_rejects_nm(self, cfg_file, tmp_path):
         # rejected before the output directory and the teacher
@@ -511,9 +515,9 @@ class TestCheckpointThatDoesNotFit:
                                 else ["-o", f"teacher_checkpoint={path}"])
 
     @pytest.mark.parametrize("command,override", [
-        ("run", "classes=5"), ("run", "classes=2"), ("run", "preset=convnet-small"),
-        ("run", "image_size=4"), ("teacher", "classes=5"), ("prune", "image_size=4"),
-        ("search", "classes=2"), ("eval", "classes=5"), ("eval", "image_size=4")])
+        ("run", "classes=5"), ("run", "classes=2"), ("run", "image_size=4"),
+        ("teacher", "classes=5"), ("prune", "image_size=4"), ("search", "classes=2"),
+        ("eval", "classes=5"), ("eval", "image_size=4")])
     def test_stage_failure_writes_nothing(self, cfg_file, tmp_path, capsys, loads_ckpt,
                                           command, override):
         out = tmp_path / "out"
@@ -525,10 +529,55 @@ class TestCheckpointThatDoesNotFit:
         assert len(err) == 1 and err[0].startswith(f"stage failure: [{stage}] ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "eval"])
-    def test_checkpoint_that_fits_runs(self, cfg_file, tmp_path, loads_ckpt, command):
+    # the preset names only a teacher to train: the checkpoint's layer 0 decides
+    # how it reads the 8x8 images, whatever the preset
+    @pytest.mark.parametrize("command,overrides", [
+        ("run", ()), ("eval", ()), ("run", ("preset=convnet-small",))],
+        ids=["run", "eval", "run-preset=convnet-small"])
+    def test_checkpoint_that_fits_runs(self, cfg_file, tmp_path, loads_ckpt, command,
+                                       overrides):
+        args = [arg for ov in overrides for arg in ("-o", ov)]
         assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={tmp_path}/out",
-                       *loads_ckpt(command)) == 0
+                       *args, *loads_ckpt(command)) == 0
+
+
+class TestLayoutFollowsTheNetwork:
+    """With teacher_checkpoint set, preset is ignored: a teacher of either
+    preset runs under either preset value, byte for byte as under its own."""
+
+    OTHER = {"mlp3": "convnet-small", "convnet-small": "mlp3"}
+
+    @staticmethod
+    def teacher_ckpt(cfg_file, tmp_path, preset):
+        out = tmp_path / f"teacher-{preset}"
+        assert run_cli("teacher", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"preset={preset}") == 0
+        return out / "teacher.ckpt"
+
+    @pytest.mark.parametrize("preset", ["convnet-small", "mlp3"])
+    def test_run_under_the_other_preset(self, cfg_file, tmp_path, preset):
+        ckpt = self.teacher_ckpt(cfg_file, tmp_path, preset)
+        written = []
+        for value in (preset, self.OTHER[preset]):
+            out = tmp_path / f"run-{value}"
+            assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                           "-o", f"preset={value}", "-o", "method=unipts",
+                           "-o", f"teacher_checkpoint={ckpt}") == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("metrics.csv", "seed0/student.ckpt")])
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("preset", ["convnet-small", "mlp3"])
+    def test_eval_under_the_other_preset(self, cfg_file, tmp_path, capsys, preset):
+        ckpt = self.teacher_ckpt(cfg_file, tmp_path, preset)
+        capsys.readouterr()
+        printed = []
+        for value in (preset, self.OTHER[preset]):
+            assert run_cli("eval", "-c", cfg_file(), "-o", f"out_dir={tmp_path}",
+                           "-o", f"preset={value}", "--checkpoint", str(ckpt)) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert re.fullmatch(r"top1=\d\.\d{6}\n", printed[0])
 
 
 class TestStageSettingsAtParseTime:

@@ -701,6 +701,21 @@ class TestBatchLastLayout:
         assert logits.shape == (300, 10)
         assert_close(logits, full_trace_logits(reference_network(loaded), x, masks))
 
+    def test_dense_first_reads_nchw_as_its_rows(self):
+        # layer 0 decides the layout: a Dense one reads an NCHW batch as
+        # (N, C*H*W) rows, a view, and its logits are those of the rows
+        net, masks, x, _ = preset_and_input("mlp3", (2, 4, 4), 300)
+        rows = x.reshape(len(x), -1)
+        assert np.shares_memory(net.as_input(x), x)
+        assert_same_bits(net.as_input(x), rows)
+        assert_same_bits(net.forward(x, masks=masks).logits,
+                         net.forward(rows, masks=masks).logits)
+        assert_same_bits(net.predict(x, masks=masks), net.predict(rows, masks=masks))
+
+    def test_conv_first_reads_nchw_as_it_is(self):
+        net, _, x = pinned_convnet()
+        assert net.as_input(x) is x
+
 
 class TestAccuracy:
     def test_nan_logits_rejected(self, rng):

@@ -166,6 +166,39 @@ class TestFitness:
         fitness(np.zeros(2), net, calib, fast_cfg(noise_std=0.5), seed=1)
         assert not np.allclose(seen["recal"], calib.inputs)
 
+    def test_nchw_calibration_noised_as_its_rows(self, monkeypatch):
+        # the noise is drawn on the rows a Dense layer 0 reads: one scale per
+        # feature and draws of the rows' shape, so an NCHW calibration set
+        # recalibrates and scores as its rows, bit for bit
+        import ptsparse.search as mod
+        net, calib = tiny_mlp(seed=2, n_in=12), make_calib(n_in=12)
+        nchw = CalibrationSet(inputs=calib.inputs.reshape(-1, 3, 2, 2), labels=calib.labels)
+        seen = []
+        orig = mod.Network.bn_recalibrate
+
+        def spy(self, batches, masks=None):
+            batches = list(batches)
+            seen.append(np.concatenate(batches))
+            return orig(self, batches, masks=masks)
+
+        monkeypatch.setattr(mod.Network, "bn_recalibrate", spy)
+        g, cfg = np.array([0.3, -0.2]), fast_cfg(noise_std=0.5)
+        rows, images = (fitness(g, net, c, cfg, seed=4) for c in (calib, nchw))
+        assert seen[0].shape == seen[1].shape == (64, 12)
+        assert seen[0].tobytes() == seen[1].tobytes()
+        assert rows.fitness == images.fitness
+
+    @pytest.mark.parametrize("shape,axes", [((40, 6), (0,)), ((40, 3, 2, 2), (0, 2, 3))])
+    def test_noise_scaled_per_input_unit_of_layer_0(self, shape, axes):
+        # per feature of rows, per channel of an NCHW batch
+        r = np.random.default_rng(0)
+        x = r.standard_normal(shape) * np.arange(1.0, shape[1] + 1).reshape(
+            (1, -1) + (1,) * (len(shape) - 2))
+        out = np.concatenate(list(noised_batches(x, 16, np.random.default_rng(1), 0.5)))
+        scale = 0.5 * x.std(axis=axes, keepdims=True)
+        np.testing.assert_array_equal(
+            out, x + np.random.default_rng(1).standard_normal(shape) * scale)
+
     def test_noise_std_zero_leaves_batches_clean(self):
         x = np.random.default_rng(0).standard_normal((10, 4))
         out = np.concatenate(list(noised_batches(

@@ -22,7 +22,7 @@ def validate_distribution(dist, numels, tol_pp=0.5):
     percentage points of the target."""
     if any(not 0.0 <= r <= 1.0 for r in dist.rates):
         raise ValueError("per-layer rate outside [0,1]")
-    realized = dist.weighted_rate(numels)
+    realized = float(np.dot(dist.rates, numels) / np.sum(numels))
     if abs(realized - dist.target) > tol_pp / 100.0:
         raise ValueError(
             f"weighted rate {realized:.4f} off target {dist.target:.4f} by >{tol_pp}pp")
