@@ -52,18 +52,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup(args, *overrides) -> tuple[ExperimentConfig, str]:
+def _setup(args, *overrides) -> ExperimentConfig:
     """The config with the command's own overrides applied last, so
     validation sees the job the command runs."""
-    cfg = parse_config(args.config, [*args.override, *overrides])
-    return cfg, cfg.resolved_out_dir()
+    return parse_config(args.config, [*args.override, *overrides])
 
 
 def cmd_teacher(args) -> int:
-    cfg, out = _setup(args)
+    cfg = _setup(args)
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    path = os.path.join(out, "teacher.ckpt")
+    path = os.path.join(cfg.out_dir, "teacher.ckpt")
     with stage("artifacts"):
         save_network(teacher, path)
     print(f"teacher saved to {path} (eval top-1 {evaluate(teacher, splits):.4f})")
@@ -71,7 +70,7 @@ def cmd_teacher(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg, out = _setup(args)
+    cfg = _setup(args)
     if cfg.nm_pattern:
         raise ConfigError("search does not apply to N:M runs")
     seed = cfg.seeds[0]
@@ -80,26 +79,25 @@ def cmd_search(args) -> int:
     calib = calibration_set(cfg, splits, seed)
     dist, stats = select_distribution(cfg, teacher, calib, seed)
     with stage("artifacts"):
-        write_distribution(out, dist, stats)
+        write_distribution(cfg.out_dir, dist, stats)
     print(mask_summary(build_masks(teacher, dist)))
-    print(f"distribution saved to {os.path.join(out, 'distribution.json')}")
+    print(f"distribution saved to {os.path.join(cfg.out_dir, 'distribution.json')}")
     return 0
 
 
 def cmd_prune(args) -> int:
-    cfg, out = _setup(args, "iterations=0")
+    cfg = _setup(args, "iterations=0")
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
-    row = run_single(cfg, splits, teacher, cfg.seeds[0], out)
-    with open(os.path.join(out, "masks.txt")) as f:
+    row = run_single(cfg, splits, teacher, cfg.seeds[0], cfg.out_dir)
+    with open(os.path.join(cfg.out_dir, "masks.txt")) as f:
         print(f.read(), end="")
     print(f"one-shot top-1: {row.top1:.4f}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg, _ = _setup(args)
-    splits = load_dataset(cfg)
+    splits = load_dataset(_setup(args))
     with stage("eval"):
         net = load_network(args.checkpoint)
         check_fits(net, splits)
@@ -109,11 +107,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, out = _setup(args)
+    cfg = _setup(args)
     rows = run_experiment(cfg)
     for row in rows:
         print(",".join(row.as_list()))
-    print(f"metrics written to {os.path.join(out, 'metrics.csv')}")
+    print(f"metrics written to {os.path.join(cfg.out_dir, 'metrics.csv')}")
     return 0
 
 

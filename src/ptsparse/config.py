@@ -9,9 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .nn.checkpoint import MAGIC, CheckpointError, read_header
-from .nn.layers import layer_from_spec
-from .nn.network import Network
+from .nn.checkpoint import load_network
 from .nn.presets import PRESETS, STAND_IN_SHAPE, build_preset
 from .sparsity import NMPattern, included_layers
 
@@ -33,8 +31,6 @@ def _int_list(s: str):
 
 
 METHODS = ("unipts", "pot-baseline", "erk+dst", "uniform+dst", "oneshot")
-
-OUT_ROOT_ENV = "PTSPARSE_OUT_ROOT"
 
 
 @dataclass
@@ -121,32 +117,28 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if self.exclude_layers:
             self._check_exclude_layers()
-        out = self.resolved_out_dir()
-        existing = os.path.abspath(out)
+        existing = os.path.abspath(self.out_dir)
         while not os.path.exists(existing):  # a file's first write makes the rest
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
-            raise ConfigError(f"out_dir {out!r}: {existing!r} is not a directory")
+            raise ConfigError(f"out_dir {self.out_dir!r}: {existing!r} is not a directory")
         from . import search, training  # both import this module
-        searches = self.method == "unipts" and not self.nm_pattern
-        if searches:  # the settings of the stages this method runs, before any work
+        if self.searches:  # the settings of the stages this method runs, before any work
             search.check_settings(self)
         training.check_settings(self)
-        if self.calib_size == 0 and (searches or self.steps):
+        if self.calib_size == 0 and (self.searches or self.steps):
             raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
         return self
 
     def _check_exclude_layers(self) -> None:
         """exclude_layers against the teacher's prunable layers, before any
-        training: those of the checkpoint's header (its payload is not read),
-        or of the preset, whose layer kinds do not depend on the input shape.
-        A header that does not parse is the teacher stage's failure."""
+        training: those of the checkpoint, or of the preset, whose layer kinds
+        do not depend on the input shape. A checkpoint that does not load is
+        the teacher stage's failure."""
         if self.teacher_checkpoint:
             try:
-                with open(self.teacher_checkpoint, "rb") as f:
-                    layers = [layer_from_spec(s) for s in read_header(f, MAGIC)["layers"]]
-                teacher = Network(layers)
-            except (OSError, CheckpointError, KeyError, TypeError, ValueError):
+                teacher = load_network(self.teacher_checkpoint)
+            except (OSError, ValueError):
                 return
         else:
             teacher = build_preset(self.preset, STAND_IN_SHAPE, classes=1)
@@ -161,13 +153,14 @@ class ExperimentConfig:
         return self.method == "pot-baseline"
 
     @property
+    def searches(self) -> bool:
+        """unipts searches its distribution, unless its masks are N:M."""
+        return self.method == "unipts" and not self.nm_pattern
+
+    @property
     def steps(self) -> int:
         """The training steps: oneshot takes none."""
         return 0 if self.method == "oneshot" else self.iterations
-
-    def resolved_out_dir(self) -> str:
-        root = os.environ.get(OUT_ROOT_ENV, "")
-        return os.path.join(root, self.out_dir) if root else self.out_dir
 
 
 # field annotations are strings (postponed evaluation); other types parse as str

@@ -102,7 +102,7 @@ def select_distribution(cfg: ExperimentConfig, teacher: Network, calib: Calibrat
     with stage("search"):
         if cfg.nm_pattern:
             return nm_distribution(teacher, NMPattern.parse(cfg.nm_pattern), exclude), []
-        if cfg.method == "unipts":
+        if cfg.searches:
             best, stats = evolve(teacher, calib, cfg, seed)
             return best.distribution, stats
         if cfg.method == "erk+dst":
@@ -189,7 +189,7 @@ def read_metrics(path) -> list[dict]:
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Full pipeline over all configured seeds; writes metrics.csv and
     per-seed artifacts under the output directory."""
-    out_root = cfg.resolved_out_dir()
+    out_root = cfg.out_dir
     splits = load_dataset(cfg)
     teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
     with stage("artifacts"):

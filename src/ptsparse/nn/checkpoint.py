@@ -123,11 +123,13 @@ def load_network(path) -> Network:
     header, payload = read_container(path, MAGIC)
     try:
         net = Network([layer_from_spec(s) for s in header["layers"]])
+        wanted = {(i, name) for i, layer in enumerate(net.layers) for name in layer.params()}
+        named = [(rec["layer"], rec["name"]) for rec in header["arrays"]]
+        if len(named) != len(wanted) or set(named) != wanted:
+            raise CheckpointError(f"the array records do not name each of the "
+                                  f"{len(wanted)} layer parameters exactly once")
         for rec in header["arrays"]:
             layer = net.layers[rec["layer"]]
-            if rec["name"] not in layer.params():
-                raise CheckpointError(
-                    f"unknown param {rec['name']} for layer {rec['layer']}")
             shape = layer.params()[rec["name"]].shape
             if tuple(rec["shape"]) != shape:
                 raise CheckpointError(f"layer {rec['layer']} {rec['name']}: shape "
@@ -136,7 +138,7 @@ def load_network(path) -> Network:
             setattr(layer, rec["name"], arr.reshape(shape).copy())
     except CheckpointError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     return net
 

@@ -220,11 +220,10 @@ class BatchNorm(Layer):
 
     def forward(self, x, mode="eval", weff=None):
         """y = x * s + t per channel, s = gamma * invstd, t = beta - mean * s,
-        from the mode's moments; the cache keeps the centred input d, or in
-        eval mode x and the running mean."""
+        from the mode's moments. Train and recal mode cache the centred input d
+        for the backward; eval mode, which has no backward, caches invstd only."""
         if mode == "eval":
-            mean, var = self.running_mean, self.running_var
-            cache = {"x": x, "mean": mean}
+            mean, var, cache = self.running_mean, self.running_var, {}
         else:
             n, mean, var, d = self.fold_moments(x, mode)
             cache = {"d": _unrows(d, x.shape), "n": n}
@@ -232,21 +231,22 @@ class BatchNorm(Layer):
         s = self.gamma * invstd
         y = _rows(x) * s
         y += self.beta - mean * s
-        return _unrows(y, x.shape), {**cache, "invstd": invstd, "mode": mode}
+        return _unrows(y, x.shape), {**cache, "invstd": invstd}
 
     def backward(self, gy, cache, input_grad=True):
         """The train/recal input gradient
         gamma * invstd * (gy - gbeta / n - xhat * ggamma / n), xhat = d * invstd,
-        reuses the parameter gradients' reductions, in one buffer."""
+        reuses the parameter gradients' reductions, in one buffer. An eval-mode
+        cache raises ValueError."""
+        if "d" not in cache:
+            raise ValueError("BatchNorm backward needs a train or recal forward")
         invstd = cache["invstd"]
         g = _rows(gy)
-        d = _rows(cache["d"]) if "d" in cache else _rows(cache["x"]) - cache["mean"]
+        d = _rows(cache["d"])
         grads = {"gamma": np.einsum("nc,nc->c", g, d) * invstd, "beta": g.sum(axis=0)}
         if not input_grad:
             return None, grads
         s = self.gamma * invstd
-        if cache["mode"] == "eval":
-            return _unrows(g * s, gy.shape), grads
         gx = d * (invstd * grads["gamma"] / cache["n"])
         gx += grads["beta"] / cache["n"]
         np.subtract(g, gx, out=gx)

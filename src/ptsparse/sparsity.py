@@ -29,8 +29,6 @@ def topk_mask(weights: np.ndarray, rate: float) -> np.ndarray:
     k = math.floor((1.0 - rate) * s)
     if k == 0:
         return np.zeros(weights.shape)
-    if k == s:
-        return np.ones(weights.shape)
     threshold = np.partition(mag, s - k)[s - k]
     keep = mag > threshold
     ties = np.flatnonzero(mag == threshold)

@@ -45,8 +45,6 @@ class TrainState:
 
 
 def cosine_lr(iteration: int, total: int, lr0: float) -> float:
-    if total <= 0:
-        return lr0
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * iteration / total))
 
 

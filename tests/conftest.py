@@ -1,8 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from ptsparse.nn import Dense, Network, build_preset
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Property tests draw the same examples on every run, so the suite is
 # deterministic; tests that set max_examples themselves keep their count.
@@ -59,6 +65,28 @@ def tiny_conv_stride2(seed=0, size=6, classes=3):
     ])
 
 
+# load_network must reject each: a header that omits a parameter's array
+# record, one that names a record twice, and one whose layer 0 has 10**16
+# weights, beyond the address space, so its allocation fails at once
+MALFORMED_CHECKPOINTS = ("missing", "twice", "oversized")
+
+
+def malformed_checkpoint(path, how):
+    """An mlp3 checkpoint for 64 features and 3 classes (8x8 images) at path,
+    its header edited as how names."""
+    from ptsparse.nn import save_network
+    from ptsparse.nn.checkpoint import MAGIC, read_container, write_container
+    save_network(build_preset("mlp3", (64,), 3), path)
+    header, payload = read_container(path, MAGIC)
+    if how == "missing":
+        header["arrays"].pop()
+    elif how == "twice":
+        header["arrays"].append(header["arrays"][0])
+    else:
+        header["layers"][0] = {"kind": "Dense", "in_features": 10**8, "out_features": 10**8}
+    write_container(path, MAGIC, header, [payload])
+
+
 def finite_difference_grads(loss_fn, arrays, h=1e-5):
     """Central differences of a scalar loss over a list of parameter arrays."""
     grads = []
@@ -76,3 +104,22 @@ def finite_difference_grads(loss_fn, arrays, h=1e-5):
             gf[j] = (lp - lm) / (2 * h)
         grads.append(g)
     return grads
+
+
+def bench_module(name):
+    """bench/<name>.py, imported by path as bench_<name>, with no edit under
+    bench/. What its import puts on sys.path, and the modules it loads from
+    bench/, itself included, are taken out again before it returns, so
+    bench's own tests import theirs afresh."""
+    path, modules = list(sys.path), set(sys.modules)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks up its module as it is made
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+        for key in set(sys.modules) - modules:
+            if str(BENCH) in str(getattr(sys.modules[key], "__file__", "")):
+                del sys.modules[key]
+    return module

@@ -147,7 +147,7 @@ class BatchNormReference(BatchNorm):
             invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
             xhat = (x - self.running_mean.reshape(shp)) * invstd.reshape(shp)
             y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
-            return y, {"xhat": xhat, "invstd": invstd, "mode": mode}
+            return y, {"xhat": xhat, "invstd": invstd}
         axes = self._axes(x)
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
@@ -161,7 +161,7 @@ class BatchNormReference(BatchNorm):
         xhat = (x - mean.reshape(shp)) * invstd.reshape(shp)
         y = self.gamma.reshape(shp) * xhat + self.beta.reshape(shp)
         n = int(np.prod([x.shape[a] for a in axes]))
-        return y, {"xhat": xhat, "invstd": invstd, "mode": mode, "n": n}
+        return y, {"xhat": xhat, "invstd": invstd, "n": n}
 
     def backward(self, gy, cache, input_grad=True):
         """Train/recal input gradient from gxhat and its own two reductions."""
@@ -172,8 +172,6 @@ class BatchNormReference(BatchNorm):
         if not input_grad:
             return None, grads
         gxhat = gy * self.gamma.reshape(shp)
-        if cache["mode"] == "eval":
-            return gxhat * invstd.reshape(shp), grads
         n = cache["n"]
         s1 = gxhat.sum(axis=axes).reshape(shp)
         s2 = (gxhat * xhat).sum(axis=axes).reshape(shp)

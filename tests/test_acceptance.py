@@ -217,9 +217,9 @@ class TestInvariantSuites:
                      for i in net.prunable_indices()}
 
             def loss():
-                return float(np.sum(c * net.forward(x, masks=masks).logits))
+                return float(np.sum(c * net.forward(x, masks=masks, mode="train").logits))
 
-            grads = net.backward(net.forward(x, masks=masks), c)
+            grads = net.backward(net.forward(x, masks=masks, mode="train"), c)
             arrays = [net.layers[i].params()[n] for i, pg in grads.items()
                       for n in pg]
             # a pruned entry's true gradient is 0: mask the STE gradient

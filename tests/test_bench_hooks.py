@@ -2,28 +2,12 @@
 methods and config fields; a rename in src that would break a benchmark run
 fails here, in the tier-1 suite, first. Nothing under bench/ is edited."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
+from conftest import bench_module
 from ptsparse import harness, training
 from ptsparse.config import ExperimentConfig
 from ptsparse.nn import layers
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def bench_module(name):
-    """bench/<name>.py, imported under another name so that sys.path and the
-    modules bench's own tests import are left as they are."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 tracing = bench_module("tracing")
 workloads = bench_module("workloads")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from ptsparse.cli import main
-from ptsparse.config import (METHODS, OUT_ROOT_ENV, ConfigError, ExperimentConfig,
-                             parse_config)
+from conftest import MALFORMED_CHECKPOINTS, malformed_checkpoint
+from ptsparse.config import METHODS, ConfigError, ExperimentConfig, parse_config
 from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
@@ -114,12 +115,6 @@ class TestParseConfig:
                     "dataset=imagenet", "seeds="]:
             with pytest.raises(ConfigError):
                 parse_config(cfg_file(), [bad])
-
-    def test_out_root_env(self, monkeypatch):
-        monkeypatch.setenv(OUT_ROOT_ENV, "/tmp/ptsroot")
-        assert ExperimentConfig().resolved_out_dir() == "/tmp/ptsroot/runs"
-        monkeypatch.delenv(OUT_ROOT_ENV)
-        assert ExperimentConfig(out_dir="abc").resolved_out_dir() == "abc"
 
 
 class TestExitCodes:
@@ -237,7 +232,8 @@ class TestRunArtifacts:
                          "timing.txt"):
                 assert (d / name).exists(), name
         assert (run_dir / "teacher.ckpt").exists()
-        assert (run_dir / "config.json").exists()
+        # the directory it wrote to
+        assert json.loads((run_dir / "config.json").read_text())["out_dir"] == str(run_dir)
 
     def test_metrics_byte_deterministic(self, cfg_file, tmp_path, run_dir):
         again = tmp_path / "exp-again"
@@ -349,11 +345,6 @@ class TestOtherCommands:
         rows = read_metrics(out / "metrics.csv")
         assert float(rows[0]["target_sparsity"]) == 0.5
 
-    def test_out_root_env_is_honored(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUT_ROOT_ENV, str(tmp_path / "root"))
-        assert run_cli("teacher", "-c", cfg_file(), "-o", "out_dir=sub") == 0
-        assert (tmp_path / "root" / "sub" / "teacher.ckpt").exists()
-
 
 class TestExcludeLayersOnNM:
     """Excluded layers get no N:M mask on any path, as on the unstructured one."""
@@ -454,18 +445,30 @@ class TestExcludeLayersNamesNoPrunableLayer:
         assert not (out / "teacher.ckpt").exists()
         assert not out.exists()
 
-    def test_prunable_layers_come_from_the_checkpoint_header(self, cfg_file, tmp_path):
+    def test_prunable_layers_come_from_the_checkpoint(self, cfg_file, tmp_path):
         # a convnet-small teacher under the mlp3 config: its layer 3 is an
-        # AvgPool and its layer 4 a Conv2d. The payload is cut short, so a
-        # check that read more than the header would fail on it.
+        # AvgPool and its layer 4 a Conv2d
         path = tmp_path / "teacher.ckpt"
         save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
-        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ConfigError, match=re.escape(
                 "exclude_layers [3] name no prunable layer (prunable: [0, 4, 9])")):
             parse_config(cfg_file(), [f"teacher_checkpoint={path}", "exclude_layers=3"])
         cfg = parse_config(cfg_file(), [f"teacher_checkpoint={path}", "exclude_layers=4"])
         assert cfg.exclude_layers == (4,)
+
+    def test_checkpoint_that_does_not_load_fails_the_teacher_stage(self, cfg_file, tmp_path,
+                                                                   capsys):
+        # whatever exclude_layers names: the checkpoint is not read as a teacher
+        path = tmp_path / "teacher.ckpt"
+        save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        out = tmp_path / "out"
+        code = run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"teacher_checkpoint={path}", "-o", "exclude_layers=3")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("stage failure: [teacher] ")
+        assert not out.exists()
 
 
 class TestEvalCorruptInputs:
@@ -499,6 +502,21 @@ class TestEvalCorruptInputs:
         assert code == 2
         assert err.startswith("stage failure: [eval] ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_malformed_header_exit_two(self, cfg_file, tmp_path, capsys, command, how):
+        path = tmp_path / "net.ckpt"
+        malformed_checkpoint(path, how)
+        out = tmp_path / "out"
+        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       *(["--checkpoint", str(path)] if command == "eval"
+                         else ["-o", f"teacher_checkpoint={path}"]))
+        err = capsys.readouterr().err.strip().splitlines()
+        stage = "eval" if command == "eval" else "teacher"
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"stage failure: [{stage}] ")
+        assert not out.exists()
 
 
 class TestCheckpointThatDoesNotFit:
@@ -641,14 +659,16 @@ class TestStageSettingsAtParseTime:
         assert parse_config(cfg_file(), ["noise_std=-1"]).noise_std == -1
 
     def test_method_meanings_are_properties_not_fields(self):
-        # pot-baseline reconstructs layer outputs and oneshot takes no step;
-        # neither is a settable key nor a config.json entry
-        meanings = {m: (ExperimentConfig(method=m, iterations=8).reconstructs,
-                        ExperimentConfig(method=m, iterations=8).steps) for m in METHODS}
-        assert meanings == {"unipts": (False, 8), "pot-baseline": (True, 8),
-                            "erk+dst": (False, 8), "uniform+dst": (False, 8),
-                            "oneshot": (False, 0)}
-        assert not {"reconstructs", "steps"} & set(vars(ExperimentConfig()))
+        # pot-baseline reconstructs layer outputs, oneshot takes no step and
+        # unipts searches unless its masks are N:M; none is a settable key nor
+        # a config.json entry
+        meanings = {m: (cfg.reconstructs, cfg.steps, cfg.searches) for m in METHODS
+                    for cfg in [ExperimentConfig(method=m, iterations=8)]}
+        assert meanings == {"unipts": (False, 8, True), "pot-baseline": (True, 8, False),
+                            "erk+dst": (False, 8, False), "uniform+dst": (False, 8, False),
+                            "oneshot": (False, 0, False)}
+        assert not ExperimentConfig(method="unipts", nm_pattern="2:4").searches
+        assert not {"reconstructs", "steps", "searches"} & set(vars(ExperimentConfig()))
         with pytest.raises(ConfigError, match="unknown config key 'steps'"):
             parse_config(None, ["steps=3"])
 

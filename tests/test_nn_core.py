@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_grads, tiny_conv, tiny_conv_stride2, tiny_mlp
-from layer_reference import (BatchNormReference, avgpool_reference, batch_first, batch_last,
+from conftest import (MALFORMED_CHECKPOINTS, finite_difference_grads, malformed_checkpoint,
+                      tiny_conv, tiny_conv_stride2, tiny_mlp)
+from layer_reference import (BatchNormReference, batch_first, batch_last,
                              full_trace_backward, full_trace_forward, full_trace_logits,
                              reference_layer, reference_network)
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
@@ -102,9 +103,8 @@ class TestBackward:
         with pytest.raises(ValueError):
             other.backward(trace, np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("maker", [tiny_mlp, tiny_conv, tiny_conv_stride2])
-    def test_gradients_match_finite_differences(self, maker, mode, rng):
+    def test_gradients_match_finite_differences(self, maker, rng):
         net = maker(seed=11)
         x = (rng.standard_normal((3, 6)) if maker is tiny_mlp
              else rng.standard_normal((3, 1, 6, 6)))
@@ -113,9 +113,9 @@ class TestBackward:
                  for i in net.prunable_indices()}
 
         def loss():
-            return float(np.sum(c * net.forward(x, masks=masks, mode=mode).logits))
+            return float(np.sum(c * net.forward(x, masks=masks, mode="train").logits))
 
-        trace = net.forward(x, masks=masks, mode=mode)
+        trace = net.forward(x, masks=masks, mode="train")
         grads = net.backward(trace, c)
         arrays, analytic = [], []
         for i, pg in grads.items():
@@ -213,23 +213,8 @@ SCALES = st.sampled_from([1e-3, 1.0, 1e3])
 
 
 class TestLayersMatchReference:
-    """The strided AvgPool and the BN moments and affine against the
-    reshape-mean and two-pass np.mean/np.var oracles in layer_reference."""
-
-    @given(k=st.integers(1, 4), oh=st.integers(1, 4), ow=st.integers(1, 4),
-           b=st.integers(1, 3), c=st.integers(1, 3), seed=SEEDS, scale=SCALES)
-    def test_avgpool(self, k, oh, ow, b, c, seed, scale):
-        x = np.random.default_rng(seed).standard_normal((b, c, oh * k, ow * k)) * scale
-        ref = avgpool_reference(x, k)
-        assert_close(batch_first(AvgPool(k).forward(batch_last(x))[0], ref.shape), ref,
-                     np.abs(x).max())
-
-    @pytest.mark.parametrize("shape,k", [((64, 8, 16, 16), 2), ((64, 16, 8, 8), 2)])
-    def test_avgpool_preset_shapes(self, shape, k, rng):
-        x = rng.standard_normal(shape)
-        ref = avgpool_reference(x, k)
-        assert_close(batch_first(AvgPool(k).forward(batch_last(x))[0], ref.shape), ref,
-                     np.abs(x).max())
+    """The BN moments and affine over several batches against the two-pass
+    np.mean/np.var oracle in layer_reference."""
 
     @given(shape=st.one_of(
                st.tuples(st.integers(1, 70), st.integers(1, 8)),
@@ -314,7 +299,7 @@ def check_bn_forward(bn, ref, x, mode):
     invstd = cache_ref["invstd"]
     assert_close(cache["invstd"], invstd)
     shp = ref._bshape(x)
-    d = (batch_first(cache["x"], x.shape) - cache["mean"].reshape(shp) if mode == "eval"
+    d = (x - bn.running_mean.reshape(shp) if mode == "eval"
          else batch_first(cache["d"], x.shape))
     assert_close(d * cache["invstd"].reshape(shp), cache_ref["xhat"],
                  shift * invstd.max())
@@ -329,10 +314,15 @@ def check_batchnorm(bn, x, gy, mode):
     """check_bn_forward, then the gradients within assert_close of the
     largest term each sums: |gy * xhat| for gamma, |gy| for beta and, for the
     input, gamma * invstd times |gy|, |xhat * ggamma / n| or |gbeta / n| (with
-    two rows per channel the true train/recal gradient cancels to rounding
-    noise); without the input gradient, the same parameter gradients."""
+    two rows per channel the true gradient cancels to rounding noise); without
+    the input gradient, the same parameter gradients. An eval-mode forward
+    has no backward: it raises ValueError."""
     ref = reference_layer(bn)
     cache, cache_ref = check_bn_forward(bn, ref, x, mode)
+    if mode == "eval":
+        with pytest.raises(ValueError, match="train or recal forward"):
+            bn.backward(batch_last(gy), cache)
+        return
     gx, grads = bn.backward(batch_last(gy), cache)
     gx_ref, grads_ref = ref.backward(gy, cache_ref)
     xhat, invstd = cache_ref["xhat"], cache_ref["invstd"]
@@ -340,11 +330,9 @@ def check_batchnorm(bn, x, gy, mode):
     assert grads.keys() == grads_ref.keys() == {"gamma", "beta"}
     assert_close(grads["gamma"], grads_ref["gamma"], np.abs(gy * xhat).max())
     assert_close(grads["beta"], grads_ref["beta"], np.abs(gy).max())
-    terms = [gy]
-    if mode != "eval":
-        n = x.size // bn.num_features
-        terms += [xhat * (grads_ref["gamma"] / n).reshape(shp),
-                  (grads_ref["beta"] / n).reshape(shp)]
+    n = x.size // bn.num_features
+    terms = [gy, xhat * (grads_ref["gamma"] / n).reshape(shp),
+             (grads_ref["beta"] / n).reshape(shp)]
     scale = max(np.abs(t * (bn.gamma * invstd).reshape(shp)).max() for t in terms)
     assert_close(batch_first(gx, gx_ref.shape), gx_ref, scale)
     none, grads_only = bn.backward(batch_last(gy), cache, input_grad=False)
@@ -588,9 +576,8 @@ class TestTraceFreeForwards:
         assert net.param_hash() == before
 
     @pytest.mark.parametrize("hard", [False, True])
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("name,in_shape", PRESET_NETS)
-    def test_backward_skips_layer0_input_grad(self, name, in_shape, mode, hard):
+    def test_backward_skips_layer0_input_grad(self, name, in_shape, hard):
         """Bit-equal to a full-trace backward on the same kernels, and within
         assert_close of one on the reference kernels, scaled per layer to its
         largest gradient: the bias before a train-mode BatchNorm has a true
@@ -606,9 +593,9 @@ class TestTraceFreeForwards:
                     grads[i]["weight"] = grads[i]["weight"] * m
             return grads
 
-        grads = masked(net.backward(net.forward(x, masks=masks, mode=mode), c))
+        grads = masked(net.backward(net.forward(x, masks=masks, mode="train"), c))
         for other, exact in ((same, True), (ref, False)):
-            caches, _ = full_trace_forward(other, x, masks, mode)
+            caches, _ = full_trace_forward(other, x, masks, "train")
             grads_ref = masked(full_trace_backward(other, caches, c))
             assert grads.keys() == grads_ref.keys()
             for i in grads_ref:
@@ -834,6 +821,14 @@ class TestPresetsAndCheckpoint:
         # the same header length, so only the layer list is wrong
         path.write_bytes(raw[:start] + b" " * (end - start) + raw[end:])
         with pytest.raises(CheckpointError, match="at least one layer"):
+            load_network(path)
+
+    @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
+    def test_arrays_are_exactly_the_parameters(self, tmp_path, how):
+        path = tmp_path / "net.ckpt"
+        malformed_checkpoint(path, how)
+        with pytest.raises(CheckpointError, match=("malformed checkpoint header"
+                                                   if how == "oversized" else "exactly once")):
             load_network(path)
 
     def test_array_shape_checked_against_layer_spec(self, tmp_path):

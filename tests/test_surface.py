@@ -1,0 +1,51 @@
+"""Everything a user can set, pinned: the config keys, each subcommand's
+options and arguments, and no environment variable. A change that adds or
+removes a setting edits the lists here, so the diff shows it."""
+
+import argparse
+from dataclasses import fields
+from pathlib import Path
+
+from ptsparse.cli import build_parser
+from ptsparse.config import ExperimentConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ptsparse"
+
+CONFIG_KEYS = [
+    "dataset", "classes", "image_size", "train_size", "eval_size", "data_blobs",
+    "data_seed", "idx_train_images", "idx_train_labels", "idx_eval_images",
+    "idx_eval_labels", "preset", "teacher_checkpoint", "teacher_epochs", "calib_size",
+    "sparsity", "nm_pattern", "exclude_layers", "method", "seeds", "out_dir",
+    "record_timing", "population", "generations", "elites", "tournament", "noise_std",
+    "iterations", "batch_size", "lr", "alpha", "delta_t", "gamma", "metrics_every",
+]
+
+JOB_OPTIONS = ["-h", "--help", "--config", "-c", "--override", "-o"]
+COMMAND_OPTIONS = {
+    "teacher": JOB_OPTIONS,
+    "search": JOB_OPTIONS,
+    "prune": JOB_OPTIONS,
+    "eval": [*JOB_OPTIONS, "--checkpoint", "--masks"],
+    "run": JOB_OPTIONS,
+    "report": ["-h", "--help", "dirs", "--csv-out"],  # dirs is positional
+}
+
+
+def test_config_keys():
+    assert [f.name for f in fields(ExperimentConfig)] == CONFIG_KEYS
+
+
+def test_command_options():
+    def options(parser):  # option strings, or the name of a positional
+        return [s for a in parser._actions for s in (a.option_strings or [a.dest])]
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == ["-h", "--help", "command"]
+    assert {name: options(p) for name, p in sub.choices.items()} == COMMAND_OPTIONS
+
+
+def test_no_environment_variable_is_read():
+    readers = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+               if any(word in path.read_text() for word in ("os.environ", "getenv"))]
+    assert readers == []
