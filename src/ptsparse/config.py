@@ -170,17 +170,18 @@ _PARSERS = {"int": int, "float": float, "str": str, "bool": _bool, "tuple": _int
 def parse_config(path: str | None = None, overrides=()) -> ExperimentConfig:
     pairs = {}
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as f:
-            for ln, raw in enumerate(f, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{ln}: expected key = value")
-                key, value = (s.strip() for s in line.split("=", 1))
-                pairs[key] = value
+        try:  # the lines decode as they are read
+            with open(path, encoding="utf-8") as f:
+                for ln, raw in enumerate(f, 1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if "=" not in line:
+                        raise ConfigError(f"{path}:{ln}: expected key = value")
+                    key, value = (s.strip() for s in line.split("=", 1))
+                    pairs[key] = value
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} not found or unreadable: {exc}") from exc
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} must be key=value")

@@ -60,6 +60,8 @@ class Splits:
                         (self.eval_x, self.eval_y, "eval")):
             if len(x) != len(y):
                 raise ValueError(f"{k} split: {len(x)} images but {len(y)} labels")
+            if y.ndim != 1:
+                raise ValueError(f"{k} labels of shape {y.shape}: want one label per image")
             if len(y) and (y.min() < 0 or y.max() >= self.classes):
                 raise ValueError(f"{k} labels outside [0, {self.classes})")
 
@@ -97,18 +99,18 @@ def synthetic_splits(cfg: ExperimentConfig) -> Splits:
     return Splits(train_x, train_y, eval_x, eval_y, cfg.classes)
 
 
-def idx_splits(train_images, train_labels, eval_images, eval_labels,
-               classes: int) -> Splits:
-    tx = load_idx(train_images).astype(np.float64)
-    ty = load_idx(train_labels).astype(np.int64)
-    ex = load_idx(eval_images).astype(np.float64)
-    ey = load_idx(eval_labels).astype(np.int64)
+def idx_splits(cfg: ExperimentConfig) -> Splits:
+    """The splits of cfg's four IDX files, pixels divided by the train maximum if above 1."""
+    tx = load_idx(cfg.idx_train_images).astype(np.float64)
+    ty = load_idx(cfg.idx_train_labels).astype(np.int64)
+    ex = load_idx(cfg.idx_eval_images).astype(np.float64)
+    ey = load_idx(cfg.idx_eval_labels).astype(np.int64)
     if tx.ndim == 3:  # H x W images -> single channel
         tx = tx[:, None]
         ex = ex[:, None]
     scale = max(tx.max(), 1.0)
     tx, ex = tx / scale, ex / scale
-    return Splits(tx, ty, ex, ey, classes)
+    return Splits(tx, ty, ex, ey, cfg.classes)
 
 
 @dataclass

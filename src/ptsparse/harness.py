@@ -13,7 +13,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,11 +23,8 @@ from .nn import Network, build_preset, load_network, save_masks, save_network
 from .nn.checkpoint import atomic_write
 from .search import GenerationStats, evolve
 from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
-                       nm_distribution, uniform_distribution)
+                       nm_distribution, realized_sparsity, uniform_distribution)
 from .training import RunResult, run_training, train_teacher
-
-METRICS_HEADER = ("method", "target_sparsity", "realized_sparsity", "top1",
-                  "seed", "wall_time_s")
 
 
 class StageError(RuntimeError):
@@ -60,14 +57,14 @@ class MetricsRow:
                 str(self.seed), f"{self.wall_time_s:.3f}"]
 
 
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRow))
+
+
 def load_dataset(cfg: ExperimentConfig) -> Splits:
     """The configured splits, NCHW images as loaded: the network decides how
     its layer 0 reads them (Network.as_input), whatever the preset."""
     with stage("data"):
-        if cfg.dataset == "synthetic":
-            return synthetic_splits(cfg)
-        return idx_splits(cfg.idx_train_images, cfg.idx_train_labels,
-                          cfg.idx_eval_images, cfg.idx_eval_labels, classes=cfg.classes)
+        return (synthetic_splits if cfg.dataset == "synthetic" else idx_splits)(cfg)
 
 
 def check_fits(net: Network, splits: Splits) -> None:
@@ -169,7 +166,7 @@ def run_single(cfg: ExperimentConfig, splits: Splits, teacher: Network,
     # CSV stays byte-deterministic unless timing is explicitly recorded
     wall = elapsed if cfg.record_timing else 0.0
     return MetricsRow(method=cfg.method, target_sparsity=distribution.target,
-                      realized_sparsity=result.final_sparsity, top1=top1, seed=seed,
+                      realized_sparsity=realized_sparsity(result.masks), top1=top1, seed=seed,
                       wall_time_s=wall)
 
 
@@ -201,8 +198,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     with stage("artifacts"):
         write_metrics(rows, os.path.join(out_root, "metrics.csv"))
         with atomic_write(os.path.join(out_root, "config.json")) as f:
-            json.dump({k: list(v) if isinstance(v, tuple) else v
-                       for k, v in vars(cfg).items()}, f, indent=2, sort_keys=True)
+            json.dump(vars(cfg), f, indent=2, sort_keys=True)
     return rows
 
 

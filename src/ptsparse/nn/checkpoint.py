@@ -78,35 +78,29 @@ def save_network(net: Network, path) -> None:
                                   "arrays": arrays}, blobs)
 
 
-def read_header(f, magic: bytes) -> dict:
-    """The JSON header of an open ``magic | u64 length | JSON | payload``
-    file, leaving f at the payload; any mismatch or truncation raises
-    CheckpointError."""
-    head = f.read(len(magic))
-    if head != magic:
-        raise CheckpointError(f"bad magic {head!r}")
-    raw = f.read(8)
-    if len(raw) < 8:
-        raise CheckpointError("truncated header length")
-    (hlen,) = struct.unpack("<Q", raw)
-    left = os.fstat(f.fileno()).st_size - f.tell()  # read(hlen) would allocate hlen
-    if left < hlen:
-        raise CheckpointError(f"truncated header: {left} of {hlen} bytes")
-    text = f.read(hlen)
+def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
+    """Split a ``magic | u64 length | JSON | payload`` file into its header
+    and payload; any mismatch or truncation raises CheckpointError."""
+    with open(path, "rb") as f:
+        head = f.read(len(magic))
+        if head != magic:
+            raise CheckpointError(f"bad magic {head!r}")
+        raw = f.read(8)
+        if len(raw) < 8:
+            raise CheckpointError("truncated header length")
+        (hlen,) = struct.unpack("<Q", raw)
+        left = os.fstat(f.fileno()).st_size - f.tell()  # read(hlen) would allocate hlen
+        if left < hlen:
+            raise CheckpointError(f"truncated header: {left} of {hlen} bytes")
+        text = f.read(hlen)
+        payload = memoryview(f.read())
     try:
         header = json.loads(text.decode())
     except ValueError as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("header is not a JSON object")
-    return header
-
-
-def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
-    """Split a ``magic | u64 length | JSON | payload`` file into its header
-    and payload; any mismatch or truncation raises CheckpointError."""
-    with open(path, "rb") as f:
-        return read_header(f, magic), memoryview(f.read())
+    return header, payload
 
 
 def payload_slice(payload: memoryview, rec: dict) -> memoryview:

@@ -192,8 +192,7 @@ def included_layers(net: Network, exclude: set[int] | None = None) -> list[int]:
 
 def mask_summary(masks: dict[int, np.ndarray]) -> str:
     lines = [f"{'layer':>6} {'shape':>18} {'nnz':>10} {'rate':>8}"]
-    for i in sorted(masks):
-        m = masks[i]
+    for i, m in sorted(masks.items()):
         lines.append(f"{i:>6} {str(tuple(m.shape)):>18} {int(m.sum()):>10} "
-                     f"{1.0 - m.sum() / m.size:8.4f}")
+                     f"{realized_sparsity({i: m}):8.4f}")
     return "\n".join(lines)

@@ -126,7 +126,6 @@ class RunResult:
     student: Network
     masks: dict[int, np.ndarray]
     history: list          # dict rows: iter, loss, lr, churn, sparsity, calib_acc
-    final_sparsity: float
 
 
 def _history_row(it, loss, lr, churn, student, masks, calib) -> dict:
@@ -189,8 +188,7 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
     else:
         masks, history = _run_dst(teacher, student, masks, distribution, calib, cfg, rng)
     zero_pruned(student, masks)
-    return RunResult(student=student, masks=masks, history=history,
-                     final_sparsity=realized_sparsity(masks))
+    return RunResult(student=student, masks=masks, history=history)
 
 
 def _run_dst(teacher, student, masks, distribution, calib, cfg, rng):

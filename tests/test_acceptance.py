@@ -26,8 +26,8 @@ from ptsparse.harness import load_dataset, prepare_teacher
 from ptsparse.nn import Dense, Network
 from ptsparse.objectives import decay_scale, kl_loss
 from ptsparse.search import decode, evolve
-from ptsparse.sparsity import (NMPattern, nm_distribution, nm_mask, topk_mask,
-                               uniform_distribution)
+from ptsparse.sparsity import (NMPattern, nm_distribution, nm_mask, realized_sparsity,
+                               topk_mask, uniform_distribution)
 from ptsparse.training import run_training
 
 SEEDS = (0, 1, 2)
@@ -64,7 +64,7 @@ def bundle():
         res = run_training(teacher, best.distribution, calib,
                            ExperimentConfig(**base), seed)
         row["unipts"] = top1(res)
-        row["unipts_realized"] = res.final_sparsity
+        row["unipts_realized"] = realized_sparsity(res.masks)
         row["uniform"] = top1(run_training(teacher, uniform, calib,
                                            ExperimentConfig(**base), seed))
         row["pot"] = top1(run_training(

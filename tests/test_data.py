@@ -107,7 +107,10 @@ class TestIdxSplits:
         for name, arr in [("tx", tx), ("ty", ty), ("ex", ex), ("ey", ey)]:
             paths[name] = tmp_path / f"{name}.idx"
             save_idx(paths[name], arr)
-        s = idx_splits(paths["tx"], paths["ty"], paths["ex"], paths["ey"], classes=3)
+        s = idx_splits(ExperimentConfig(
+            dataset="idx", classes=3, idx_train_images=str(paths["tx"]),
+            idx_train_labels=str(paths["ty"]), idx_eval_images=str(paths["ex"]),
+            idx_eval_labels=str(paths["ey"])))
         assert s.train_x.shape == (10, 1, 4, 4)
         assert s.train_x.max() <= 1.0  # scaled by the max pixel value
         np.testing.assert_array_equal(s.train_y, ty.astype(np.int64))
@@ -119,6 +122,14 @@ class TestIdxSplits:
         arrays = [x, y, x, y]
         arrays[1 if split == "train" else 3] = np.zeros(5, dtype=np.int64)
         with pytest.raises(ValueError, match=f"{split} split: 4 images but 5 labels"):
+            Splits(*arrays, classes=3)
+
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_labels_are_one_per_image(self, split):
+        x, y = np.zeros((4, 1, 2, 2)), np.zeros(4, dtype=np.int64)
+        arrays = [x, y, x, y]
+        arrays[1 if split == "train" else 3] = np.zeros((4, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"{split} labels of shape \(4, 1\)"):
             Splits(*arrays, classes=3)
 
 

@@ -135,6 +135,19 @@ class TestExitCodes:
         assert code == 2
         assert "stage failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_file_is_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"preset = mlp3 # \xe9t\xe9\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "-c", str(path), "-o", f"out_dir={out}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: config file {path} ")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     """argparse's usage errors exit 1, like a config error; 2 is a stage failure."""
@@ -234,6 +247,10 @@ class TestRunArtifacts:
         assert (run_dir / "teacher.ckpt").exists()
         # the directory it wrote to
         assert json.loads((run_dir / "config.json").read_text())["out_dir"] == str(run_dir)
+
+    def test_config_json_stores_tuples_as_arrays(self, run_dir):
+        stored = json.loads((run_dir / "config.json").read_text())
+        assert (stored["seeds"], stored["exclude_layers"]) == ([0, 1], [])
 
     def test_metrics_byte_deterministic(self, cfg_file, tmp_path, run_dir):
         again = tmp_path / "exp-again"
@@ -741,13 +758,15 @@ class TestBadIdxFiles:
     @pytest.mark.parametrize("fault,message", [
         ("header", "header ends inside its 1 dimensions"),
         ("labels", "train split: 30 images but 31 labels"),
+        ("labels2d", "train labels of shape (30, 1): want one label per image"),
     ])
     def test_stage_failure_exit_two(self, cfg_file, tmp_path, capsys, fault, message):
         from idx_writer import save_idx
         from ptsparse.data import synthetic_splits
         s = synthetic_splits(ExperimentConfig(classes=3, image_size=8, train_size=30,
                                               eval_size=20, data_blobs=2, data_seed=0))
-        ty = np.append(s.train_y, 0) if fault == "labels" else s.train_y
+        ty = {"labels": np.append(s.train_y, 0),
+              "labels2d": s.train_y[:, None]}.get(fault, s.train_y)
         args = []
         for key, arr in [("idx_train_images", s.train_x),
                          ("idx_train_labels", ty.astype(np.uint8)),

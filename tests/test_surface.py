@@ -1,8 +1,10 @@
 """Everything a user can set, pinned: the config keys, each subcommand's
 options and arguments, and no environment variable. A change that adds or
-removes a setting edits the lists here, so the diff shows it."""
+removes a setting edits the lists here, so the diff shows it. Also, with no
+linter installed, that every name a source module imports is used there."""
 
 import argparse
+import ast
 from dataclasses import fields
 from pathlib import Path
 
@@ -49,3 +51,19 @@ def test_no_environment_variable_is_read():
     readers = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                if any(word in path.read_text() for word in ("os.environ", "getenv"))]
     assert readers == []
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        if imported - used - exported:
+            unused[str(path.relative_to(SRC))] = sorted(imported - used - exported)
+    assert unused == {}

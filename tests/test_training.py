@@ -14,8 +14,7 @@ from ptsparse.config import ExperimentConfig
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network, build_preset
 from ptsparse.nn.network import EVAL_CHUNK
-from ptsparse.sparsity import (NMPattern, nm_distribution, realized_sparsity, topk_mask,
-                               uniform_distribution)
+from ptsparse.sparsity import NMPattern, nm_distribution, topk_mask, uniform_distribution
 from ptsparse.objectives import layerwise_mse
 from ptsparse.training import (TrainState, _apply_update, _batch_stream, _decay_rates,
                                build_masks, check_settings, cosine_lr, mask_churn,
@@ -245,7 +244,9 @@ class TestRunTraining:
         a = run_training(teacher, dist, calib, cfg, 5)
         b = run_training(teacher, dist, calib, cfg, 5)
         assert a.student.param_hash() == b.student.param_hash()
-        assert a.final_sparsity == b.final_sparsity
+        assert a.masks.keys() == b.masks.keys()
+        for i in a.masks:
+            np.testing.assert_array_equal(a.masks[i], b.masks[i])
 
     def test_final_weights_are_hard_masked(self):
         teacher = tiny_mlp(seed=2)
@@ -256,15 +257,6 @@ class TestRunTraining:
         for i, m in res.masks.items():
             w = res.student.layers[i].weight
             np.testing.assert_array_equal(w[m == 0.0], 0.0)
-
-    def test_realized_sparsity_matches_masks(self):
-        teacher = tiny_mlp(seed=2)
-        calib = make_calib(seed=2)
-        dist = uniform_distribution(teacher, 0.6)
-        res = run_training(teacher, dist, calib,
-                           ExperimentConfig(iterations=10, batch_size=16), 0)
-        assert res.final_sparsity == pytest.approx(
-            realized_sparsity(res.masks))
 
     def test_zero_iterations_is_oneshot(self):
         teacher = tiny_mlp(seed=2)
