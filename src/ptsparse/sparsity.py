@@ -151,9 +151,9 @@ def regrow_distribution(idxs: list[int], numels: np.ndarray, shares: np.ndarray,
                         p: float, p_e: float) -> SparsityDistribution:
     """Reducing-regrowing: prune every layer to p_e, then regrow the residual
     (p_e - p) * numel(W) as T = shares * residual, r_l = p_e - T_l / numel_l.
-    Layers whose regrow share would push the rate below 0 are clamped
-    dense-side and the surplus is redistributed proportionally to the
-    remaining shares, to a fixpoint."""
+    Layers whose regrow share would push the rate below 0 get rate exactly 0
+    (p_e - cap / numel can round to 2**-53), and the surplus is redistributed
+    proportionally to the remaining shares, to a fixpoint."""
     residual = (p_e - p) * numels.sum()
     alloc = shares * residual
     cap = p_e * numels  # regrow beyond this would drive r_l below 0
@@ -170,7 +170,7 @@ def regrow_distribution(idxs: list[int], numels: np.ndarray, shares: np.ndarray,
             break
         share = shares[free] / shares[free].sum()
         alloc[free] += share * surplus
-    rates = np.clip(p_e - alloc / numels, 0.0, 1.0)
+    rates = np.where(clamped, 0.0, np.clip(p_e - alloc / numels, 0.0, 1.0))
     return SparsityDistribution(rates=[float(r) for r in rates], target=p,
                                 layer_indices=idxs)
 

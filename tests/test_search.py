@@ -11,6 +11,7 @@ from ptsparse.config import ExperimentConfig
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network
 from ptsparse.search import check_settings, decode, evolve, fitness, noised_batches
+from ptsparse.sparsity import topk_mask
 
 
 def make_calib(seed=0, n=64, n_in=6, classes=3):
@@ -100,6 +101,13 @@ class TestDecode:
         numels = np.array([4.0, 400.0])
         kept = ((1 - np.array(dist.rates)) * numels).sum()
         assert kept == pytest.approx((1 - 0.8) * numels.sum(), abs=1e-9)
+
+    def test_layer_the_regrow_fills_is_exactly_dense(self):
+        # 0.95 - (0.95 * 1280) / 1280 is 2**-53, and topk_mask would keep 1279 of 1280
+        net = Network([Dense(256, 256), Dense(128, 10)])
+        dist = decode(np.array([0.0, 50.0]), net, ExperimentConfig(sparsity=0.9))
+        assert dist.rates[1] == 0.0
+        assert topk_mask(net.layers[1].weight, dist.rates[1]).all()
 
     def test_wrong_genome_length(self):
         with pytest.raises(ValueError):
