@@ -1,7 +1,7 @@
 """Everything a user can set, pinned: the config keys, each subcommand's
 options and arguments, and no environment variable. A change that adds or
-removes a setting edits the lists here, so the diff shows it. Also, with no
-linter installed, that every name a source module imports is used there."""
+removes a setting edits the lists here, so the diff shows it. The project runs
+no linter, so this file also checks that each source module uses what it imports."""
 
 import argparse
 import ast
@@ -64,6 +64,6 @@ def test_every_imported_name_is_used_or_exported():
         exported = {name for node in tree.body if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                     for name in ast.literal_eval(node.value)}
-        if imported - used - exported:
-            unused[str(path.relative_to(SRC))] = sorted(imported - used - exported)
+        if left := imported - used - exported:
+            unused[str(path.relative_to(SRC))] = sorted(left)
     assert unused == {}
