@@ -3,7 +3,7 @@ header length | UTF-8 JSON header | payload.
 
 A checkpoint (``PTSNET01``) lists layer specs and per array (layer, name,
 shape, offset) over raw little-endian float64, bit-exact at 64-bit; a mask
-file (``PTSMSK01``) lists per layer (layer, shape, nnz, rate, offset) over
+file (``PTSMSK01``) lists per layer (layer, shape, nnz, offset, nbytes) over
 bit-packed masks. Every file is written to a temporary name next to its
 target and renamed over it, so a reader never sees a half-written file.
 """
@@ -140,28 +140,30 @@ def load_network(path) -> Network:
 def save_masks(masks: dict[int, np.ndarray], path) -> None:
     """Bit-packed binary masks, one record per layer."""
     index, blobs = index_blobs(
-        ({"layer": i, "shape": list(m.shape), "nnz": int(m.sum()),
-          "rate": 1.0 - float(m.sum()) / m.size},
+        ({"layer": i, "shape": list(m.shape), "nnz": int(m.sum())},
          np.packbits(m.astype(np.uint8).ravel()).tobytes())
         for i, m in sorted(masks.items()))
     write_container(path, MASK_MAGIC, {"masks": index}, blobs)
 
 
 def load_masks(path) -> dict[int, np.ndarray]:
-    """Masks written by save_masks; a corrupt or truncated file raises
-    CheckpointError."""
+    """Masks written by save_masks; a corrupt or truncated file, or a layer
+    that is negative or named twice, raises CheckpointError."""
     header, payload = read_container(path, MASK_MAGIC)
     masks = {}
     try:
         for rec in header["masks"]:
+            layer = int(rec["layer"])
+            if layer < 0 or layer in masks:
+                raise CheckpointError(f"mask record for layer {layer}: negative or repeated")
             shape = tuple(int(d) for d in rec["shape"])
             size = math.prod(shape)
             packed = np.frombuffer(payload_slice(payload, rec), dtype=np.uint8)
             if packed.size != -(-size // 8):
-                raise CheckpointError(f"layer {rec['layer']}: {packed.size} packed "
+                raise CheckpointError(f"layer {layer}: {packed.size} packed "
                                       f"bytes for {size} mask bits")
             bits = np.unpackbits(packed)[:size]
-            masks[int(rec["layer"])] = bits.astype(np.float64).reshape(shape)
+            masks[layer] = bits.astype(np.float64).reshape(shape)
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

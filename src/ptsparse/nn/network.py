@@ -58,7 +58,7 @@ class Network:
         if not masks:
             return
         for idx, m in masks.items():
-            if idx >= len(self.layers) or not self.layers[idx].prunable:
+            if not 0 <= idx < len(self.layers) or not self.layers[idx].prunable:
                 raise ShapeMismatchError(idx, "mask given for non-prunable layer")
             if m.shape != self.layers[idx].weight.shape:
                 raise ShapeMismatchError(

@@ -56,12 +56,6 @@ def build_masks(net: Network, dist: SparsityDistribution) -> dict[int, np.ndarra
             for i, r in zip(dist.layer_indices, dist.rates)}
 
 
-def zero_pruned(net: Network, masks: dict[int, np.ndarray]) -> None:
-    """Multiply the masks into the weights, so exported weights are sparse."""
-    for i, m in masks.items():
-        net.layers[i].weight *= m
-
-
 def mask_churn(old: dict[int, np.ndarray], new: dict[int, np.ndarray]) -> float:
     flipped = sum(np.count_nonzero(old[i] != new[i]) for i in old)
     total = sum(m.size for m in old.values())
@@ -73,11 +67,12 @@ def _objective_grad(gamma: float, z, logits_hat, t):
     return base_decayed_kl(z, predict_distribution(logits_hat), t, gamma)
 
 
-def train_step(state: TrainState, batch, cfg: ExperimentConfig, calib_size: int):
+def train_step(state: TrainState, batch, cfg: ExperimentConfig, calib_size: int,
+               with_churn: bool = False):
     """One update on batch = (x, teacher probability rows): masked forward,
     STE backward, decayed update of pruned entries, then a mask refresh when
     the interval divides. The loss scale's t counts epochs over calib_size
-    rows; returns (loss, churn, lr)."""
+    rows; returns (loss, churn, lr), churn 0.0 unless with_churn and a refresh."""
     x, z = batch
     trace = state.student.forward(x, masks=state.masks, mode="train")
     t = (state.iteration * cfg.batch_size) // max(calib_size, 1)
@@ -86,10 +81,10 @@ def train_step(state: TrainState, batch, cfg: ExperimentConfig, calib_size: int)
     lr = cosine_lr(state.iteration, cfg.steps, cfg.lr)
     _apply_update(state.student, grads, lr, state.masks, cfg.alpha)
     state.iteration += 1
-    churn = None
+    churn = 0.0
     if state.iteration % cfg.delta_t == 0:
         new_masks = build_masks(state.student, state.distribution)
-        churn = mask_churn(state.masks, new_masks)
+        churn = mask_churn(state.masks, new_masks) if with_churn else 0.0
         state.masks = new_masks
     return loss, churn, lr
 
@@ -128,9 +123,14 @@ class RunResult:
     history: list          # dict rows: iter, loss, lr, churn, sparsity, calib_acc
 
 
+def _writes_row(step: int, last: int, every: int) -> bool:
+    """The history schedule of both loops: a row at every every-th step and the last."""
+    return step % every == 0 or step == last
+
+
 def _history_row(it, loss, lr, churn, student, masks, calib) -> dict:
-    """One train_metrics.csv row; a step without a mask refresh has churn 0."""
-    return {"iter": it, "loss": loss, "lr": lr, "churn": churn or 0.0,
+    """One train_metrics.csv row."""
+    return {"iter": it, "loss": loss, "lr": lr, "churn": churn,
             "sparsity": realized_sparsity(masks),
             "calib_acc": student.accuracy(calib.inputs, calib.labels, masks=masks)}
 
@@ -187,7 +187,8 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
         history = _run_layerwise_reconstruction(teacher, student, masks, calib, cfg, rng)
     else:
         masks, history = _run_dst(teacher, student, masks, distribution, calib, cfg, rng)
-    zero_pruned(student, masks)
+    for i, m in masks.items():  # so exported weights are sparse
+        student.layers[i].weight *= m
     return RunResult(student=student, masks=masks, history=history)
 
 
@@ -199,13 +200,13 @@ def _run_dst(teacher, student, masks, distribution, calib, cfg, rng):
     z = teacher.predict(calib.inputs) if cfg.steps else None
     for sel in _batch_stream(n, cfg.batch_size, cfg.steps, rng):
         step = state.iteration + 1
+        row = _writes_row(step, cfg.steps, cfg.metrics_every)
         try:
-            loss, churn, lr = train_step(state, (calib.inputs[sel], z[sel]), cfg, n)
+            loss, churn, lr = train_step(state, (calib.inputs[sel], z[sel]), cfg, n, row)
         except ValueError as exc:
             raise ValueError(f"DST iteration {step}: {exc}") from exc
-        if state.iteration % cfg.metrics_every == 0 or state.iteration == cfg.steps:
-            history.append(_history_row(state.iteration, loss, lr, churn,
-                                        student, state.masks, calib))
+        if row:
+            history.append(_history_row(step, loss, lr, churn, student, state.masks, calib))
     return state.masks, history
 
 
@@ -213,10 +214,10 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg, rng) -> l
     """POT-style baseline: static one-shot masks, then each prunable layer is
     tuned in order, for iterations // layers steps, to reconstruct the dense
     layer's output under MSE. The masked forward never reads a pruned entry,
-    so pruned entries may drift; zero_pruned clears them. The teacher's eval
-    forward has no side effects, so it stops at the tuned layer; the
-    student's train forward runs every layer, because train-mode BN updates
-    its running statistics. Returns the history."""
+    so pruned entries may drift; run_training's final masking clears them.
+    The teacher's eval forward has no side effects, so it stops at the tuned
+    layer; the student's train forward runs every layer, because train-mode
+    BN updates its running statistics. Returns the history."""
     idxs = [i for i in student.prunable_indices() if i in masks]
     per_layer = cfg.steps // max(len(idxs), 1)
     history = []
@@ -238,7 +239,7 @@ def _run_layerwise_reconstruction(teacher, student, masks, calib, cfg, rng) -> l
             lr = cosine_lr(step_count, cfg.steps, cfg.lr)
             _apply_update(student, {li: pg}, lr)
             step_count += 1
-            if step_count % cfg.metrics_every == 0:
+            if _writes_row(step_count, per_layer * len(idxs), cfg.metrics_every):
                 history.append(_history_row(step_count, loss / x.shape[0], lr, 0.0,
                                             student, masks, calib))
     return history

@@ -1,8 +1,9 @@
 """The benchmark's seed-1 outputs, pinned: every workload's teacher, the
-student and metrics.csv of each of its jobs and, where the workload searches,
-each job's search.log hash as FINGERPRINTS.json says. A refactor that moves a
-bit of what the benchmark measures, the search's fitness values included,
-fails here, in the tier-1 suite, before a benchmark run shows it.
+student, metrics.csv and train_metrics.csv of each of its jobs and, where the
+workload searches, each job's search.log hash as FINGERPRINTS.json says. A
+refactor that moves a bit of what the benchmark measures, the search's fitness
+values and the DST history rows included, fails here, in the tier-1 suite,
+before a benchmark run shows it.
 
 bench/job.py is imported by path and its run() called in this process, as
 `python3 bench/run.py --workload W --seed 1 --seconds 0` runs it, with no
@@ -37,6 +38,8 @@ def test_seed_one_outputs_match(tmp_path, workload):
     assert record["problems"] == [] and record["errors"] == []
     assert record["teacher_param_hash"] == STORED[workload]["teacher_param_hash"]
     assert record["fingerprints"] == STORED[workload]["fingerprints"]
-    logs = {p.parent.name.removeprefix("calib"): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in (tmp_path / workload / "jobs").glob("calib*/search.log")}
-    assert logs == STORED[workload]["search_log_sha256"]
+    for name, key in (("search.log", "search_log_sha256"),
+                      ("train_metrics.csv", "train_metrics_sha256")):
+        hashes = {p.parent.name.removeprefix("calib"): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in (tmp_path / workload / "jobs").glob(f"calib*/{name}")}
+        assert hashes == STORED[workload][key], name

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
 from ptsparse.nn import build_preset, load_masks, load_network, save_network
+from ptsparse.nn.checkpoint import MASK_MAGIC, index_blobs, read_container, write_container
 
 BASE = """
 # tiny end-to-end configuration
@@ -348,6 +350,37 @@ class TestOtherCommands:
         assert sorted(p.name for p in out.iterdir()) == [
             "distribution.json", "masks.bin", "masks.txt", "student.ckpt", "timing.txt"]
 
+    @pytest.mark.parametrize("method,written", [
+        ("unipts", ["distribution.json", "search.log", "train_metrics.csv"]),
+        ("uniform+dst", ["distribution.json", "train_metrics.csv"]),
+        ("uniform+dst/2:4", ["train_metrics.csv"]),
+        ("pot-baseline", ["distribution.json", "train_metrics.csv"]),
+        ("oneshot", ["distribution.json"])])
+    def test_run_job_writes_exactly(self, cfg_file, tmp_path, method, written):
+        # a file a method starts or stops writing shows here; metrics_every
+        # is past the last step, so a history is only the last step's row
+        name, _, nm = method.partition("/")
+        out = tmp_path / "job"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}", "-o", f"method={name}",
+                       "-o", "metrics_every=200",
+                       *(["-o", f"nm_pattern={nm}"] if nm else [])) == 0
+        job = written + ["masks.bin", "masks.txt", "student.ckpt", "timing.txt"]
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == sorted(
+            ["config.json", "metrics.csv", "seed0", "teacher.ckpt"]
+            + [f"seed0/{f}" for f in job])
+        header, _ = read_container(out / "seed0" / "masks.bin", MASK_MAGIC)
+        assert {tuple(sorted(rec)) for rec in header["masks"]} == {
+            ("layer", "nbytes", "nnz", "offset", "shape")}
+
+    def test_pot_baseline_writes_its_last_step(self, cfg_file, tmp_path):
+        # mlp3's 3 layers take 20 // 3 = 6 steps each: one row, at step 18
+        out = tmp_path / "pot"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", "method=pot-baseline", "-o", "iterations=20",
+                       "-o", "metrics_every=200") == 0
+        with open(out / "seed0" / "train_metrics.csv", newline="") as f:
+            assert [row["iter"] for row in csv.DictReader(f)] == ["18"]
+
     def test_oneshot_without_calibration_rows(self, cfg_file, tmp_path):
         # one-shot takes no step, so it needs no calibration row
         out = tmp_path / "os0"
@@ -518,6 +551,22 @@ class TestEvalCorruptInputs:
         code, err = self.eval_exit(cfg_file, pruned, capsys)
         assert code == 2
         assert err.startswith("stage failure: [eval] ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("layers", [[-1], [-100], [0, 0]],
+                             ids=["minus-one", "minus-hundred", "repeated"])
+    def test_mask_layer_negative_or_repeated_exit_two(self, cfg_file, pruned, capsys, layers):
+        # -1 names mlp3's last Dense by Python indexing; a second record for
+        # layer 0 would replace the first
+        shapes = {**{i: m.shape for i, m in load_masks(pruned / "masks.bin").items()},
+                  -1: (3, 128), -100: (3, 128)}
+        records, blobs = index_blobs(
+            ({"layer": i, "shape": list(shapes[i]), "nnz": 0},
+             np.packbits(np.zeros(shapes[i], np.uint8).ravel()).tobytes()) for i in layers)
+        write_container(pruned / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
+        code, err = self.eval_exit(cfg_file, pruned, capsys)
+        assert code == 2
+        assert err.startswith("stage failure: [eval] ") and "negative or repeated" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
@@ -850,7 +899,9 @@ class TestFailedStageWritesNothing:
 # BatchNorm became one per-channel affine with einsum moments, when the
 # convnet's activations went batch last and when the Conv2d bias gradient and
 # AvgPool summed in that layout's order (convnet-small only); no metrics row
-# or mask moved. The bits are those of the float library they
+# or mask moved. The masks.bin hashes were re-recorded when its records
+# stopped storing a per-layer rate; the mask bits did not move. The bits are
+# those of the float library they
 # were recorded with
 # (numpy 2.4.6, scipy-openblas 0.3.31, x86-64): another numpy or BLAS may
 # round differently, and a mismatch there alone is a platform difference,
@@ -862,51 +913,51 @@ GOLDEN_TEACHER = {
 GOLDEN = {  # (preset, method[/nm pattern]): (metrics.csv row, masks.bin sha256, student)
     ("mlp3", "unipts"): (
         "unipts,0.5000,0.500020,0.616667,0,0.000",
-        "3effe30826a72b50a50f96cb6f33d080d154292f2c6b067e7b2fef17f35bc101",
+        "b2ed6e97921d49c03f67019ea4ed98ecdf4911dc3da1ba6fcc7ab87c25655086",
         "3095789cca1ef8a9694ac3534d24ca507096b720bf3248dca7aaaae1e1ac66fa"),
     ("mlp3", "uniform+dst"): (
         "uniform+dst,0.5000,0.500000,0.666667,0,0.000",
-        "77afd40b86877ece0b3983c9488eaec6d9e0f4edd6547c6c9e0e2ff78f968f36",
+        "e2d5515f90474707f6d42eab1a4d3f9f3260053ece755f0938a8091bdeb03310",
         "c659e604114c6f3885d91900dc977955d2fbbcc78798f7c47abb33d7c86d5329"),
     ("mlp3", "erk+dst"): (
         "erk+dst,0.5000,0.500020,0.600000,0,0.000",
-        "d70f9d9774525a24f613c7b6e2c8ca465aeeac21825f3a62e331997a5067477b",
+        "2b239b00151c5f0deeb905f5fa90f744922408dd6a4ba19ad43bdd3232347540",
         "98e2eddc1d7f6d0a36ca90f00f99fab5e2d5228781c9aa035536a980c96dbd3c"),
     ("mlp3", "pot-baseline"): (
         "pot-baseline,0.5000,0.500000,0.633333,0,0.000",
-        "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
+        "dca1734681e06c34750fce35bd691a2b7325cdfa4151763c5132f5241e14a594",
         "1f090cfae04426cb1e8438a856b359d490cd018fd29c92a51161caa0bab3111d"),
     ("mlp3", "oneshot"): (
         "oneshot,0.5000,0.500000,0.616667,0,0.000",
-        "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
+        "dca1734681e06c34750fce35bd691a2b7325cdfa4151763c5132f5241e14a594",
         "4fdd15f44475e42394a34e56dbc3721f92ed1a582b7a3455de21e4f31f414342"),
     ("mlp3", "uniform+dst/2:4"): (
         "uniform+dst,0.5000,0.500000,0.466667,0,0.000",
-        "071959fadae9e44a8d06681fa912ad4fead6b3d958550b325401f3b6be7e7190",
+        "c7cfa8a9c6b02a8744833621ded300b7a02a1b229d0d23c9f89fee0c6fa17e50",
         "691aa24ef4a439bbf99d7c73273cbd4d6c51b4e10a4bbd7b4a65c079b9505661"),
     ("convnet-small", "unipts"): (
         "unipts,0.5000,0.501412,0.533333,0,0.000",
-        "eb0f878d07d887e36c1da329cb1c8cb6799605cd4a5e132488dd5f65da3eb857",
+        "4af36934490332b3349efe2f08ccbe255f7e8e5e904128ebfc0f11b0b05ec89a",
         "44fc594e79812c08b79ff3bc71a91612377bf90a93780365ad9ebfe4d2e067f2"),
     ("convnet-small", "uniform+dst"): (
         "uniform+dst,0.5000,0.500000,0.433333,0,0.000",
-        "b200282d6c34732360e65664c1173da5cf91a5a8377d35cf9fa8a0dbe1e99989",
+        "41f157f0f7b36906468cd96b857d25b641edce69396de59cccf17cb3424eab7f",
         "d5a3f52e9029c6097505556a7bcf27a7c1bda541f772d837b957c26f35428eb0"),
     ("convnet-small", "erk+dst"): (
         "erk+dst,0.5000,0.500000,0.516667,0,0.000",
-        "70d4cb15360b61c9f2475131fb75e7fb555361e63c537b71e96c93f934fc220e",
+        "a140494e3a7896405445ac86b50e871cea56b288b573e23fe114bf88dbf67dc4",
         "eebc27f56230948242d7c855f14a2abbb881205a06e6a48215a9a14f3a13835a"),
     ("convnet-small", "pot-baseline"): (
         "pot-baseline,0.5000,0.500000,0.500000,0,0.000",
-        "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
+        "a2f3868348203b6ec77c6f2cebed8e711075e41f94da5565975d07bec17dffdf",
         "5cb9de02808037beb88e1a661acba08b8fd86817f46ff27b176c1b23ce776a44"),
     ("convnet-small", "oneshot"): (
         "oneshot,0.5000,0.500000,0.433333,0,0.000",
-        "1c71274cf4fd78cafcd986f35a04cc16edcd84e2c821967a2a94fca7982475cb",
+        "a2f3868348203b6ec77c6f2cebed8e711075e41f94da5565975d07bec17dffdf",
         "66217fe83a16367437ece7620aff0fb08518c032e225a2fddc4df6191a2c75b5"),
     ("convnet-small", "uniform+dst/2:4"): (
         "uniform+dst,0.5000,0.497175,0.266667,0,0.000",
-        "76b0527172c4cfcc1de630ca1deaa984a6b3215ee06131022f25a4f22ce66d53",
+        "33376a6a3b62084fd4f62b7ee7ce196914fef0b1f3c23acc96f137b93fa4acb0",
         "fcc4a16d893b65ab4ca1dbd3c779c29c83a6a5415d8ad213b8642d5379e88f1b"),
 }
 
@@ -952,7 +1003,7 @@ class TestGoldenBits:
 # `ptsparse prune` on BASE (mlp3), recorded before one-shot pruning became the
 # pipeline's job with zero DST steps: (student.ckpt sha256, masks.bin sha256,
 # masks.txt, one-shot top-1). Same float-library caveat and the same
-# re-recorded checkpoint hashes as GOLDEN.
+# re-recorded checkpoint and masks.bin hashes as GOLDEN.
 PRUNE_MASKS_UNIFORM = (
     " layer              shape        nnz     rate\n"
     "     0          (256, 64)       8192   0.5000\n"
@@ -961,18 +1012,18 @@ PRUNE_MASKS_UNIFORM = (
 GOLDEN_PRUNE = {
     "unipts": (
         "ba6475431755b0941dae4891296b7b9b20c0d04ccf7fae806da7d5f12bbd7690",
-        "0e3f2efb296f00e3f88f184dc0506c816ab5d908d960a20e7515d1c2304e81b9",
+        "c81cd927389160d6b9993cacae5eb5f892f1ec5d7c08b8c4ebe41f434d78dd79",
         " layer              shape        nnz     rate\n"
         "     0          (256, 64)       8432   0.4854\n"
         "     3         (128, 256)      15951   0.5132\n"
         "     6           (3, 128)        384   0.0000\n", "0.6000"),
     "uniform+dst": (
         "9c4659ceeaaa62cfeb073e833a2cd65e897ff7b21b1d61bab53d845127b98934",
-        "50713515d78fa532a47c4d42387cb81bf1c5011fe4dc5d87d6a7ef6b10b76318",
+        "dca1734681e06c34750fce35bd691a2b7325cdfa4151763c5132f5241e14a594",
         PRUNE_MASKS_UNIFORM, "0.6167"),
     "uniform+dst/2:4": (
         "24d48534caee07f5186a0e48e0b5a8292c3fc4854e9b7aac295b3633a030e0d4",
-        "7f7c066c28b722313894e95352ea8d85f76bd94addb0974ec0fc68ecd8ee458a",
+        "9ab3c90e783012f0a8d6fe984af67e045b13a49bd23813530907ba62b3f3e7ed",
         PRUNE_MASKS_UNIFORM, "0.4167"),
 }
 

@@ -70,6 +70,14 @@ class TestForward:
             net.forward(np.zeros((1, 6)), masks={0: np.ones((2, 2))})
         assert exc.value.layer_index == 0
 
+    @pytest.mark.parametrize("idx", [-1, -4, 4])
+    def test_mask_key_outside_the_layers_rejected(self, idx):
+        # -1 would index the prunable last Dense from the end
+        net = tiny_mlp()
+        with pytest.raises(ShapeMismatchError, match="non-prunable") as exc:
+            net.forward(np.zeros((1, 6)), masks={idx: np.ones((3, 5))})
+        assert exc.value.layer_index == idx
+
     def test_bad_input_shape_rejected(self):
         net = tiny_mlp()
         with pytest.raises(ShapeMismatchError):

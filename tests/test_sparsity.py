@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import tiny_conv, tiny_mlp
 from mask_reference import nm_mask_reference, topk_mask_reference
 from ptsparse.nn import CheckpointError, build_preset, load_masks, save_masks
+from ptsparse.nn.checkpoint import MASK_MAGIC, index_blobs, write_container
 from ptsparse.sparsity import (NMPattern, SparsityDistribution, erk_distribution,
                                included_layers, mask_summary, nm_mask,
                                realized_sparsity, regrow_distribution,
@@ -320,6 +321,14 @@ class TestMaskExport:
         text = mask_summary(masks)
         for i in masks:
             assert str(i) in text
+
+    @pytest.mark.parametrize("layers", [[-1], [0, 0], [3, 0, 3]])
+    def test_negative_or_repeated_layer_raises_typed_error(self, tmp_path, layers):
+        records, blobs = index_blobs(
+            ({"layer": i, "shape": [2, 4], "nnz": 8}, bytes([255])) for i in layers)
+        write_container(tmp_path / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
+        with pytest.raises(CheckpointError, match="negative or repeated"):
+            load_masks(tmp_path / "masks.bin")
 
     def test_random_bytes_raise_typed_error(self, tmp_path, rng):
         path = tmp_path / "masks.bin"

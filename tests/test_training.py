@@ -16,6 +16,7 @@ from ptsparse.nn import Dense, Network, build_preset
 from ptsparse.nn.network import EVAL_CHUNK
 from ptsparse.sparsity import NMPattern, nm_distribution, topk_mask, uniform_distribution
 from ptsparse.objectives import layerwise_mse
+from ptsparse import training
 from ptsparse.training import (TrainState, _apply_update, _batch_stream, _decay_rates,
                                build_masks, check_settings, cosine_lr, mask_churn,
                                _run_layerwise_reconstruction, run_training, train_step)
@@ -234,6 +235,31 @@ class TestMasksAndChurn:
 
         assert total_churn(0.1) < total_churn(0.0)
 
+    def test_churn_measured_once_per_history_row(self, monkeypatch):
+        # oracle: the rows of a run with a row at every step; the schedule
+        # decides which rows are kept, not what they hold
+        teacher = tiny_mlp(seed=6)
+        calib = make_calib(seed=6, n=128)
+        dist = uniform_distribution(teacher, 0.5)
+
+        def run(every):
+            cfg = ExperimentConfig(iterations=20, batch_size=32, lr=0.5, alpha=0.0,
+                                   delta_t=2, gamma=1.0, metrics_every=every)
+            return run_training(teacher, dist, calib, cfg, 0).history
+
+        every_step = run(1)
+        calls = []
+
+        def counted(old, new):
+            calls.append(1)
+            return mask_churn(old, new)
+        monkeypatch.setattr(training, "mask_churn", counted)
+        rows = run(6)
+        assert [row["iter"] for row in rows] == [6, 12, 18, 20]
+        assert len(calls) == len(rows)
+        assert rows == [every_step[row["iter"] - 1] for row in rows]
+        assert any(row["churn"] > 0 for row in rows)
+
 
 class TestRunTraining:
     def test_deterministic(self):
@@ -393,7 +419,8 @@ class TestRunTraining:
         for i, m in masks.items():
             student.layers[i].weight *= m
         assert student.param_hash() == res.student.param_hash()
-        assert [row["iter"] for row in res.history] == [5, 10]
+        # every metrics_every-th step and the loop's last: 2 layers of 6 steps
+        assert [row["iter"] for row in res.history] == [5, 10, 12]
 
     def test_layerwise_takes_at_most_iterations_steps(self):
         # mlp3 has 3 prunable layers: iterations // 3 steps each, none below 3
@@ -414,6 +441,17 @@ class TestRunTraining:
             assert all(b <= a for a, b in zip(lrs, lrs[1:]))
             if iterations < 3:
                 assert res.student.param_hash() == oneshot
+
+    @pytest.mark.parametrize("method,iters", [("pot-baseline", [18]),
+                                              ("uniform+dst", [20])])
+    def test_both_loops_write_their_last_step(self, method, iters):
+        # mlp3's 3 layers take 20 // 3 = 6 reconstruction steps each, so
+        # pot-baseline's loop ends at step 18; DST's ends at step 20
+        teacher = build_preset("mlp3", (6,), 3, seed=4)
+        res = run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(seed=4),
+                           ExperimentConfig(iterations=20, batch_size=16, metrics_every=200,
+                                            method=method), 0)
+        assert [row["iter"] for row in res.history] == iters
 
     def test_history_rows_have_expected_keys(self):
         teacher = tiny_mlp(seed=2)
