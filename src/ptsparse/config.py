@@ -6,6 +6,7 @@ schema. CLI ``--override key=value`` entries are applied on top.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -33,7 +34,7 @@ def _int_list(s: str):
 METHODS = ("unipts", "pot-baseline", "erk+dst", "uniform+dst", "oneshot")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # data
     dataset: str = "synthetic"              # synthetic | idx
@@ -77,7 +78,9 @@ class ExperimentConfig:
     gamma: float = 0.99                     # 1.0: plain KL
     metrics_every: int = 200
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
+        """Every rule that reads only the settings, those of the stages the
+        method runs among them; ConfigError if one fails."""
         if self.method not in METHODS:
             raise ConfigError(f"method {self.method!r} not in {METHODS}")
         if self.dataset not in ("synthetic", "idx"):
@@ -95,26 +98,56 @@ class ExperimentConfig:
                 raise ConfigError(f"bad nm_pattern {self.nm_pattern!r}") from exc
             if not nm.n < nm.m:
                 raise ConfigError(f"bad nm_pattern {self.nm_pattern!r} (need n < m)")
-        elif not 0.0 < self.sparsity < 1.0:
+        elif not 0.0 < self.sparsity < 1.0:  # so the search's P < P_e <= 1 holds
             raise ConfigError(f"sparsity {self.sparsity} outside (0,1)")
-        if self.dataset == "idx":
-            for key in ("idx_train_images", "idx_train_labels",
-                        "idx_eval_images", "idx_eval_labels"):
-                path = getattr(self, key)
-                if not path or not os.path.exists(path):
-                    raise ConfigError(f"{key} missing or not found: {path!r}")
-        else:
+        if self.dataset == "synthetic":
             for key in ("classes", "image_size", "train_size", "eval_size", "data_blobs"):
                 if getattr(self, key) < 1:
                     raise ConfigError(f"{key} must be >= 1")
-        if self.teacher_checkpoint and not os.path.exists(self.teacher_checkpoint):
-            raise ConfigError(f"teacher_checkpoint not found: {self.teacher_checkpoint!r}")
         if self.calib_size < 0 or (self.dataset == "synthetic"
                                    and self.calib_size > self.train_size):
             raise ConfigError(f"calib_size {self.calib_size} outside 0..{self.train_size} "
                               "(the train split)")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if len(set(self.seeds)) < len(self.seeds):  # each seed writes its own seed<k>/
+            raise ConfigError(f"seeds {self.seeds} repeat a seed")
+        if self.searches:
+            if self.population < 2:
+                raise ConfigError("population must be >= 2")
+            if self.elites < 1 or self.elites > self.population:
+                raise ConfigError("elites must be in [1, population]")
+            if self.generations < 0:
+                raise ConfigError("generations must be >= 0")
+            if self.tournament < 1:
+                raise ConfigError("tournament must be >= 1")
+            if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+                raise ConfigError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
+        if self.steps < 0:
+            raise ConfigError("iterations must be >= 0")
+        for key in ("batch_size", "delta_t", "metrics_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        for key in ("alpha", "lr"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be >= 0 and finite, got {value}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma {self.gamma} outside (0,1]")
+        if self.calib_size == 0 and (self.searches or self.steps):
+            raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
+
+    def validate(self) -> "ExperimentConfig":
+        """The checks that read files: the IDX paths, the teacher checkpoint,
+        exclude_layers against the teacher, and out_dir; returns self."""
+        if self.dataset == "idx":
+            for key in ("idx_train_images", "idx_train_labels",
+                        "idx_eval_images", "idx_eval_labels"):
+                path = getattr(self, key)
+                if not path or not os.path.exists(path):
+                    raise ConfigError(f"{key} missing or not found: {path!r}")
+        if self.teacher_checkpoint and not os.path.exists(self.teacher_checkpoint):
+            raise ConfigError(f"teacher_checkpoint not found: {self.teacher_checkpoint!r}")
         if self.exclude_layers:
             self._check_exclude_layers()
         existing = os.path.abspath(self.out_dir)
@@ -122,12 +155,6 @@ class ExperimentConfig:
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise ConfigError(f"out_dir {self.out_dir!r}: {existing!r} is not a directory")
-        from . import search, training  # both import this module
-        if self.searches:  # the settings of the stages this method runs, before any work
-            search.check_settings(self)
-        training.check_settings(self)
-        if self.calib_size == 0 and (self.searches or self.steps):
-            raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
         return self
 
     def _check_exclude_layers(self) -> None:

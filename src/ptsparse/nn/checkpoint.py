@@ -103,11 +103,19 @@ def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
     return header, payload
 
 
+def _uint(value, what: str) -> int:
+    """A header record's integer field: a JSON integer >= 0, never a float,
+    string or bool, which int() would coerce; else CheckpointError."""
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"{what} {value!r} is not an integer >= 0")
+    return value
+
+
 def payload_slice(payload: memoryview, rec: dict) -> memoryview:
     """The bytes one header record points at; raises CheckpointError when
     the payload ends early."""
-    offset, nbytes = int(rec["offset"]), int(rec["nbytes"])
-    if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
+    offset, nbytes = _uint(rec["offset"], "offset"), _uint(rec["nbytes"], "nbytes")
+    if offset + nbytes > len(payload):
         raise CheckpointError(f"record at {offset}+{nbytes} exceeds the "
                               f"{len(payload)}-byte payload")
     return payload[offset:offset + nbytes]
@@ -118,14 +126,14 @@ def load_network(path) -> Network:
     try:
         net = Network([layer_from_spec(s) for s in header["layers"]])
         wanted = {(i, name) for i, layer in enumerate(net.layers) for name in layer.params()}
-        named = [(rec["layer"], rec["name"]) for rec in header["arrays"]]
+        named = [(_uint(rec["layer"], "layer"), rec["name"]) for rec in header["arrays"]]
         if len(named) != len(wanted) or set(named) != wanted:
             raise CheckpointError(f"the array records do not name each of the "
                                   f"{len(wanted)} layer parameters exactly once")
         for rec in header["arrays"]:
             layer = net.layers[rec["layer"]]
             shape = layer.params()[rec["name"]].shape
-            if tuple(rec["shape"]) != shape:
+            if tuple(_uint(d, "shape entry") for d in rec["shape"]) != shape:
                 raise CheckpointError(f"layer {rec['layer']} {rec['name']}: shape "
                                       f"{tuple(rec['shape'])}, spec wants {shape}")
             arr = np.frombuffer(payload_slice(payload, rec), dtype="<f8")
@@ -147,16 +155,16 @@ def save_masks(masks: dict[int, np.ndarray], path) -> None:
 
 
 def load_masks(path) -> dict[int, np.ndarray]:
-    """Masks written by save_masks; a corrupt or truncated file, or a layer
-    that is negative or named twice, raises CheckpointError."""
+    """Masks written by save_masks; a corrupt or truncated file, a record
+    integer that is not an int >= 0, or a layer named twice raises CheckpointError."""
     header, payload = read_container(path, MASK_MAGIC)
     masks = {}
     try:
         for rec in header["masks"]:
-            layer = int(rec["layer"])
-            if layer < 0 or layer in masks:
-                raise CheckpointError(f"mask record for layer {layer}: negative or repeated")
-            shape = tuple(int(d) for d in rec["shape"])
+            layer = _uint(rec["layer"], "layer")
+            if layer in masks:
+                raise CheckpointError(f"mask record for layer {layer}: repeated")
+            shape = tuple(_uint(d, "shape entry") for d in rec["shape"])
             size = math.prod(shape)
             packed = np.frombuffer(payload_slice(payload, rec), dtype=np.uint8)
             if packed.size != -(-size // 8):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .nn.network import Network, predict_distribution
 from .sparsity import (SparsityDistribution, included_layers, regrow_distribution,
                        topk_mask)
@@ -22,24 +22,6 @@ from .sparsity import (SparsityDistribution, included_layers, regrow_distributio
 CROSSOVER_RATE = 0.5   # chance that a child takes uniform crossover
 MUTATION_STD = 0.5     # std of the Gaussian added to every gene of a child
 P_E_OFFSET = 0.05      # the excessive rate P_e is min(P + P_E_OFFSET, 1)
-
-
-def check_settings(cfg: ExperimentConfig) -> None:
-    """The search's settings, P = cfg.sparsity among them; ConfigError if bad."""
-    p_e = min(cfg.sparsity + P_E_OFFSET, 1.0)
-    if not 0.0 <= cfg.sparsity < p_e <= 1.0:
-        raise ConfigError(f"need 0 <= P < P_e <= 1, got P={cfg.sparsity}, P_e={p_e}")
-    if cfg.population < 2:
-        raise ConfigError("population must be >= 2")
-    if cfg.elites < 1 or cfg.elites > cfg.population:
-        raise ConfigError("elites must be in [1, population]")
-    if cfg.generations < 0:
-        raise ConfigError("generations must be >= 0")
-    for name in ("batch_size", "tournament"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    if not (np.isfinite(cfg.noise_std) and cfg.noise_std >= 0):
-        raise ConfigError(f"noise_std must be >= 0 and finite, got {cfg.noise_std}")
 
 
 @dataclass
@@ -115,7 +97,6 @@ def evolve(teacher: Network, calib, cfg: ExperimentConfig,
     """Tournament selection + uniform crossover + Gaussian mutation with
     elitism. Elites carry their records forward unevaluated, so the running
     best is non-decreasing."""
-    check_settings(cfg)
     n_layers = len(included_layers(teacher, set(cfg.exclude_layers)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
     pop = [rng.standard_normal(n_layers) for _ in range(cfg.population)]

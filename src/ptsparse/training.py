@@ -15,25 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .nn.network import Network, predict_distribution
 from .objectives import base_decayed_kl, cross_entropy, layerwise_mse
 from .sparsity import SparsityDistribution, nm_mask, realized_sparsity, topk_mask
-
-
-def check_settings(cfg: ExperimentConfig) -> None:
-    """The settings of run_training and train_step; ConfigError if bad."""
-    if cfg.steps < 0:
-        raise ConfigError("iterations must be >= 0")
-    for name in ("batch_size", "delta_t", "metrics_every"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
-    for name in ("alpha", "lr"):
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
-    if not 0.0 < cfg.gamma <= 1.0:
-        raise ConfigError(f"gamma {cfg.gamma} outside (0,1]")
 
 
 @dataclass
@@ -177,7 +162,6 @@ def run_training(teacher: Network, distribution: SparsityDistribution,
     probability rows are computed once, before the first step, in the
     EVAL_CHUNK-row blocks of Network.predict.
     """
-    check_settings(cfg)
     if cfg.steps and len(calib.inputs) == 0:
         raise ValueError("empty calibration set")
     student = teacher.copy()

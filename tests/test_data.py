@@ -8,8 +8,9 @@ from ptsparse.data import (OFFSET, IdxFormatError, Splits, idx_splits, load_idx,
 
 
 def splits_of(**settings):
-    """The synthetic splits of an ExperimentConfig with these settings."""
-    return synthetic_splits(ExperimentConfig(**settings))
+    """The synthetic splits of an ExperimentConfig with these settings; its
+    calibration size, which the splits do not read, fits each train_size here."""
+    return synthetic_splits(ExperimentConfig(calib_size=16, **settings))
 
 
 class TestIdx:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,8 @@ from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
 from ptsparse.nn import build_preset, load_masks, load_network, save_network
-from ptsparse.nn.checkpoint import MASK_MAGIC, index_blobs, read_container, write_container
+from ptsparse.nn.checkpoint import (MAGIC, MASK_MAGIC, index_blobs, read_container,
+                                    write_container)
 
 BASE = """
 # tiny end-to-end configuration
@@ -566,8 +568,25 @@ class TestEvalCorruptInputs:
         write_container(pruned / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
         code, err = self.eval_exit(cfg_file, pruned, capsys)
         assert code == 2
-        assert err.startswith("stage failure: [eval] ") and "negative or repeated" in err
+        message = ("layer 0: repeated" if layers == [0, 0]
+                   else f"layer {layers[0]} is not an integer >= 0")
+        assert err.startswith("stage failure: [eval] ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", [0.7, "0", False])
+    @pytest.mark.parametrize("name", ["student.ckpt", "masks.bin"])
+    def test_header_integer_of_another_type_exit_two(self, cfg_file, pruned, capsys, name,
+                                                     value):
+        # int() would read each value as layer 0, the layer its record names
+        magic, key = (MAGIC, "arrays") if name == "student.ckpt" else (MASK_MAGIC, "masks")
+        header, payload = read_container(pruned / name, magic)
+        assert header[key][0]["layer"] == 0
+        header[key][0]["layer"] = value
+        write_container(pruned / name, magic, header, [payload])
+        code, err = self.eval_exit(cfg_file, pruned, capsys)
+        assert code == 2
+        assert err.strip().splitlines() == [
+            f"stage failure: [eval] layer {value!r} is not an integer >= 0"]
 
     @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
     @pytest.mark.parametrize("command", ["eval", "run"])
@@ -694,6 +713,7 @@ class TestStageSettingsAtParseTime:
         (("data_seed=-1",), "data_seed must be >= 0"),
         (("method=unipts", "noise_std=nan"), "noise_std must be >= 0 and finite"),
         (("method=unipts", "noise_std=-1"), "noise_std must be >= 0 and finite"),
+        (("seeds=0,0,1",), "seeds (0, 0, 1) repeat a seed"),
     ])
     @pytest.mark.parametrize("command", ["run", "prune"])
     def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
@@ -723,6 +743,13 @@ class TestStageSettingsAtParseTime:
 
     def test_noise_std_checked_only_when_searching(self, cfg_file):
         assert parse_config(cfg_file(), ["noise_std=-1"]).noise_std == -1
+
+    def test_a_made_config_cannot_become_invalid(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.batch_size = 0
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            dataclasses.replace(cfg, batch_size=0)
 
     def test_method_meanings_are_properties_not_fields(self):
         # pot-baseline reconstructs layer outputs, oneshot takes no step and
@@ -782,7 +809,8 @@ class TestCalibrationSize:
         from idx_writer import save_idx
         from ptsparse.data import synthetic_splits
         s = synthetic_splits(ExperimentConfig(classes=3, image_size=8, train_size=30,
-                                              eval_size=20, data_blobs=2, data_seed=0))
+                                              eval_size=20, data_blobs=2, data_seed=0,
+                                              calib_size=30))
         files = []
         for name, arr in [("tx", s.train_x), ("ty", s.train_y.astype(np.uint8)),
                           ("ex", s.eval_x), ("ey", s.eval_y.astype(np.uint8))]:
@@ -813,7 +841,8 @@ class TestBadIdxFiles:
         from idx_writer import save_idx
         from ptsparse.data import synthetic_splits
         s = synthetic_splits(ExperimentConfig(classes=3, image_size=8, train_size=30,
-                                              eval_size=20, data_blobs=2, data_seed=0))
+                                              eval_size=20, data_blobs=2, data_seed=0,
+                                              calib_size=30))
         ty = {"labels": np.append(s.train_y, 0),
               "labels2d": s.train_y[:, None]}.get(fault, s.train_y)
         args = []

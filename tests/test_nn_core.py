@@ -13,9 +13,10 @@ from layer_reference import (BatchNormReference, batch_first, batch_last,
                              full_trace_backward, full_trace_forward, full_trace_logits,
                              reference_layer, reference_network)
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
-                         build_preset, load_network, predict_distribution,
-                         save_network)
-from ptsparse.nn.checkpoint import MAGIC, atomic_write, read_container, write_container
+                         build_preset, load_masks, load_network, predict_distribution,
+                         save_masks, save_network)
+from ptsparse.nn.checkpoint import (MAGIC, MASK_MAGIC, atomic_write, read_container,
+                                    write_container)
 from ptsparse.nn.layers import (AvgPool, BatchNorm, Conv2d, Flatten, ReLU,
                                 layer_from_spec)
 from ptsparse.nn.network import EVAL_CHUNK
@@ -848,6 +849,33 @@ class TestPresetsAndCheckpoint:
         path.write_bytes(raw.replace(b'"shape": [5, 6]', b'"shape": [6, 5]', 1))
         with pytest.raises(CheckpointError, match="spec wants"):
             load_network(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["checkpoint", "masks"]), st.data())
+    def test_header_integer_of_another_type_raises_checkpoint_error(
+            self, tmp_path_factory, kind, data):
+        # int() would load a layer of 0.7 as layer 0 and "1" or true as layer 1
+        path = tmp_path_factory.mktemp("ints") / kind
+        net = tiny_mlp()
+        if kind == "checkpoint":
+            save_network(net, path)
+            magic, load, key = MAGIC, load_network, "arrays"
+        else:
+            save_masks({i: topk_mask(net.layers[i].weight, 0.5)
+                        for i in net.prunable_indices()}, path)
+            magic, load, key = MASK_MAGIC, load_masks, "masks"
+        header, payload = read_container(path, magic)
+        rec = data.draw(st.sampled_from(header[key]))
+        field = data.draw(st.sampled_from(["layer", "offset", "nbytes", "shape"]))
+        bad = data.draw(st.one_of(st.floats(), st.text(), st.booleans(),
+                                  st.integers(max_value=-1)))
+        if field == "shape":
+            rec["shape"][data.draw(st.integers(0, len(rec["shape"]) - 1))] = bad
+        else:
+            rec[field] = bad
+        write_container(path, magic, header, [payload])
+        with pytest.raises(CheckpointError):
+            load(path)
 
     @pytest.mark.parametrize("old", [None, b"old checkpoint"])
     def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, old):

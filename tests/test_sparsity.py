@@ -327,7 +327,9 @@ class TestMaskExport:
         records, blobs = index_blobs(
             ({"layer": i, "shape": [2, 4], "nnz": 8}, bytes([255])) for i in layers)
         write_container(tmp_path / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
-        with pytest.raises(CheckpointError, match="negative or repeated"):
+        message = ("layer -1 is not an integer >= 0" if layers == [-1]
+                   else f"layer {layers[0]}: repeated")
+        with pytest.raises(CheckpointError, match=message):
             load_masks(tmp_path / "masks.bin")
 
     def test_random_bytes_raise_typed_error(self, tmp_path, rng):

@@ -1,7 +1,8 @@
 """Everything a user can set, pinned: the config keys, each subcommand's
 options and arguments, and no environment variable. A change that adds or
 removes a setting edits the lists here, so the diff shows it. The project runs
-no linter, so this file also checks that each source module uses what it imports."""
+no linter, so this file also checks that each source module uses what it imports
+and imports only at module level."""
 
 import argparse
 import ast
@@ -67,3 +68,12 @@ def test_every_imported_name_is_used_or_exported():
         if left := imported - used - exported:
             unused[str(path.relative_to(SRC))] = sorted(left)
     assert unused == {}
+
+
+def test_no_import_inside_a_function():
+    # an import cycle between modules then fails when the package is imported
+    late = [f"{path.relative_to(SRC)}:{fn.name}" for path in sorted(SRC.rglob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn))]
+    assert late == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from conftest import tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
-from ptsparse.config import ExperimentConfig
+from ptsparse.config import ConfigError, ExperimentConfig
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network, build_preset
 from ptsparse.nn.network import EVAL_CHUNK
@@ -18,7 +18,7 @@ from ptsparse.sparsity import NMPattern, nm_distribution, topk_mask, uniform_dis
 from ptsparse.objectives import layerwise_mse
 from ptsparse import training
 from ptsparse.training import (TrainState, _apply_update, _batch_stream, _decay_rates,
-                               build_masks, check_settings, cosine_lr, mask_churn,
+                               build_masks, cosine_lr, mask_churn,
                                _run_layerwise_reconstruction, run_training, train_step)
 
 
@@ -29,16 +29,13 @@ def make_calib(seed=0, n=64, n_in=6, classes=3):
 
 
 class TestCheckSettings:
-    def test_defaults_valid(self):
-        check_settings(ExperimentConfig())
-
     def test_bad_values_rejected(self):
         for values in ({"delta_t": 0}, {"alpha": -1e-3}, {"iterations": -1}):
-            with pytest.raises(ValueError):
-                check_settings(ExperimentConfig(**values))
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**values)
 
     def test_oneshot_takes_no_step_whatever_iterations(self):
-        check_settings(ExperimentConfig(method="oneshot", iterations=-1))
+        assert ExperimentConfig(method="oneshot", iterations=-1).steps == 0
 
     def test_negative_zero_alpha_decays_kept_entries_by_positive_zero(self):
         # -0.0 >= 0, so it is accepted; used as is, the kept entries'
@@ -57,12 +54,9 @@ class TestCheckSettings:
         ({"metrics_every": 0}, "metrics_every must be >= 1"),
     ])
     def test_update_and_schedule_settings_checked(self, values, message):
-        cfg = ExperimentConfig(**values)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            check_settings(cfg)
-        teacher = tiny_mlp()
-        with pytest.raises(ValueError, match=re.escape(message)):  # a direct caller too
-            run_training(teacher, uniform_distribution(teacher, 0.5), make_calib(), cfg, 0)
+        # the training's settings: a config that breaks one cannot be made
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**values)
 
 
 class TestCosineLR:
