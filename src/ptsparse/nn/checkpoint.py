@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .layers import layer_from_spec
+from .layers import LAYER_KINDS, Layer
 from .network import Network
 
 MAGIC = b"PTSNET01"
@@ -103,12 +103,22 @@ def read_container(path, magic: bytes) -> tuple[dict, memoryview]:
     return header, payload
 
 
-def _uint(value, what: str) -> int:
-    """A header record's integer field: a JSON integer >= 0, never a float,
-    string or bool, which int() would coerce; else CheckpointError."""
-    if type(value) is not int or value < 0:
-        raise CheckpointError(f"{what} {value!r} is not an integer >= 0")
+def _uint(value, what: str, least: int = 0) -> int:
+    """A header integer: a JSON integer >= least, never a float, string or
+    bool, which int() would coerce; else CheckpointError."""
+    if type(value) is not int or value < least:
+        raise CheckpointError(f"{what} {value!r} is not an integer >= {least}")
     return value
+
+
+def layer_from_spec(spec: dict) -> Layer:
+    """The layer a spec() describes, parameters zeroed; keys beyond the
+    kind's SPEC are ignored. Each SPEC value is an integer >= 1 (padding >= 0)."""
+    kind = spec["kind"]
+    if kind not in LAYER_KINDS:
+        raise CheckpointError(f"unknown layer kind {kind!r}")
+    cls = LAYER_KINDS[kind]
+    return cls(*(_uint(spec[k], k, least=0 if k == "padding" else 1) for k in cls.SPEC))
 
 
 def payload_slice(payload: memoryview, rec: dict) -> memoryview:
@@ -156,7 +166,8 @@ def save_masks(masks: dict[int, np.ndarray], path) -> None:
 
 def load_masks(path) -> dict[int, np.ndarray]:
     """Masks written by save_masks; a corrupt or truncated file, a record
-    integer that is not an int >= 0, or a layer named twice raises CheckpointError."""
+    integer that is not an int >= 0, a layer named twice, or an nnz that is not
+    the count of set bits raises CheckpointError."""
     header, payload = read_container(path, MASK_MAGIC)
     masks = {}
     try:
@@ -171,6 +182,9 @@ def load_masks(path) -> dict[int, np.ndarray]:
                 raise CheckpointError(f"layer {layer}: {packed.size} packed "
                                       f"bytes for {size} mask bits")
             bits = np.unpackbits(packed)[:size]
+            if _uint(rec["nnz"], "nnz") != np.count_nonzero(bits):
+                raise CheckpointError(f"layer {layer}: nnz {rec['nnz']} is not the mask's "
+                                      f"set-bit count {np.count_nonzero(bits)}")
             masks[layer] = bits.astype(np.float64).reshape(shape)
     except CheckpointError:
         raise

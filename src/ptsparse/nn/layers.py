@@ -313,13 +313,3 @@ class AvgPool(Layer):
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2d, BatchNorm, ReLU, Flatten, AvgPool)}
-
-
-def layer_from_spec(spec: dict) -> Layer:
-    """The layer a spec() describes, parameters zeroed; keys beyond the
-    kind's SPEC are ignored."""
-    kind = spec["kind"]
-    if kind not in LAYER_KINDS:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    cls = LAYER_KINDS[kind]
-    return cls(*(spec[k] for k in cls.SPEC))

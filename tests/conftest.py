@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network, build_preset
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -40,6 +41,13 @@ def tiny_mlp(seed=0, n_in=6, hidden=5, classes=3):
         Dense(n_in, hidden, r), BatchNorm(hidden), ReLU(),
         Dense(hidden, classes, r),
     ])
+
+
+def make_calib(seed=0, n=64, n_in=6, classes=3):
+    """n Gaussian calibration rows of n_in features, tiny_mlp's input by default."""
+    r = np.random.default_rng(seed)
+    return CalibrationSet(inputs=r.standard_normal((n, n_in)),
+                          labels=r.integers(0, classes, n))
 
 
 def tiny_conv(seed=0, size=6, classes=3):

@@ -1,9 +1,9 @@
 """Acceptance suite.
 
 Each test prints one [ACCEPTANCE] pass/fail line for its criterion. The
-directional criteria share one session-scoped bundle of experiment runs:
-convnet-small on the synthetic dataset, 1024-sample calibration sets,
-90% unstructured sparsity, three seeds.
+directional criteria share one session-scoped bundle of jobs: per seed and per
+ARMS entry, one harness.run_single job with the BASE settings and the arm's
+overrides, on one convnet-small teacher trained on the synthetic dataset.
 """
 
 import math
@@ -21,16 +21,32 @@ import conftest
 from conftest import finite_difference_grads, tiny_conv, tiny_mlp
 from ptsparse.cli import main as cli_main
 from ptsparse.config import ExperimentConfig
-from ptsparse.data import sample_calibration
-from ptsparse.harness import load_dataset, prepare_teacher
-from ptsparse.nn import Dense, Network
+from ptsparse.harness import load_dataset, prepare_teacher, run_single
+from ptsparse.nn import Dense, Network, load_masks, load_network
 from ptsparse.objectives import decay_scale, kl_loss
-from ptsparse.search import decode, evolve
-from ptsparse.sparsity import (NMPattern, nm_distribution, nm_mask, realized_sparsity,
-                               topk_mask, uniform_distribution)
+from ptsparse.search import decode
+from ptsparse.sparsity import NMPattern, nm_mask, topk_mask, uniform_distribution
 from ptsparse.training import run_training
 
 SEEDS = (0, 1, 2)
+
+# The settings every directional job shares: 1024-sample calibration sets and
+# 90% unstructured sparsity, unless an arm sets an N:M pattern.
+BASE = dict(teacher_epochs=4, sparsity=0.9, calib_size=1024, iterations=250,
+            metrics_every=10**9)
+
+# Each arm's overrides of BASE; a test compares the median top-1 of two arms.
+ARMS = {
+    "unipts": dict(method="unipts", population=10, generations=5),
+    "uniform": dict(method="uniform+dst"),
+    "pot": dict(method="pot-baseline"),
+    "dt1": dict(method="uniform+dst", alpha=0.0, delta_t=1),
+    "dt1000": dict(method="uniform+dst", alpha=0.0, delta_t=1000),
+    "dkl": dict(method="uniform+dst", iterations=500),
+    "kl": dict(method="uniform+dst", iterations=500, gamma=1.0),
+    "nm_trained": dict(method="uniform+dst", nm_pattern="2:4"),
+    "nm_untrained": dict(method="uniform+dst", nm_pattern="2:4", iterations=0),
+}
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -41,58 +57,25 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="session")
-def bundle():
-    """All directional experiment runs, computed once."""
-    cfg = ExperimentConfig(teacher_epochs=4)
+def bundle_dir(tmp_path_factory):
+    """The jobs' output root: <seed>/<arm>/ holds each job's artifacts."""
+    return tmp_path_factory.mktemp("bundle")
+
+
+@pytest.fixture(scope="session")
+def bundle(bundle_dir):
+    """Every directional job's MetricsRow, by seed and arm, computed once."""
+    cfg = ExperimentConfig(**BASE)
     splits = load_dataset(cfg)
-    teacher = prepare_teacher(cfg, splits, seed=0)
-    uniform = uniform_distribution(teacher, 0.9)
-
-    def top1(res):
-        return res.student.accuracy(splits.eval_x, splits.eval_y,
-                                    masks=res.masks)
-
-    out = {"teacher_top1": teacher.accuracy(splits.eval_x, splits.eval_y),
-           "seeds": {}}
-    for seed in SEEDS:
-        calib = sample_calibration(splits, 1024, seed)
-        best, _ = evolve(teacher, calib,
-                         ExperimentConfig(sparsity=0.9, population=10, generations=5),
-                         seed)
-        base = dict(iterations=250, metrics_every=10**9)
-        row = {}
-        res = run_training(teacher, best.distribution, calib,
-                           ExperimentConfig(**base), seed)
-        row["unipts"] = top1(res)
-        row["unipts_realized"] = realized_sparsity(res.masks)
-        row["uniform"] = top1(run_training(teacher, uniform, calib,
-                                           ExperimentConfig(**base), seed))
-        row["pot"] = top1(run_training(
-            teacher, uniform, calib,
-            ExperimentConfig(method="pot-baseline", **base), seed))
-        row["dt1"] = top1(run_training(
-            teacher, uniform, calib, ExperimentConfig(alpha=0.0, delta_t=1, **base), seed))
-        row["dt1000"] = top1(run_training(
-            teacher, uniform, calib,
-            ExperimentConfig(alpha=0.0, delta_t=1000, **base), seed))
-        long = dict(iterations=500, metrics_every=10**9)
-        row["dkl"] = top1(run_training(teacher, uniform, calib,
-                                       ExperimentConfig(**long), seed))
-        row["kl"] = top1(run_training(teacher, uniform, calib,
-                                      ExperimentConfig(gamma=1.0, **long), seed))
-        nm = nm_distribution(teacher, NMPattern(2, 4))
-        nm_res = run_training(teacher, nm, calib, ExperimentConfig(**base), seed)
-        row["nm_trained"] = top1(nm_res)
-        row["nm_masks"] = nm_res.masks
-        row["nm_student"] = nm_res.student
-        row["nm_untrained"] = top1(run_training(
-            teacher, nm, calib, ExperimentConfig(iterations=0), seed))
-        out["seeds"][seed] = row
-    return out
+    teacher = prepare_teacher(cfg, splits, seed=cfg.data_seed)
+    return {seed: {name: run_single(ExperimentConfig(**{**BASE, **arm}), splits, teacher,
+                                    seed, bundle_dir / str(seed) / name)
+                   for name, arm in ARMS.items()}
+            for seed in SEEDS}
 
 
-def _median(bundle, key):
-    return statistics.median(bundle["seeds"][s][key] for s in SEEDS)
+def _median(bundle, arm):
+    return statistics.median(bundle[s][arm].top1 for s in SEEDS)
 
 
 class TestNumericAnchors:
@@ -265,7 +248,7 @@ class TestDirectional:
 
     def test_c_searched_vs_uniform(self, bundle):
         s, u = _median(bundle, "unipts"), _median(bundle, "uniform")
-        realized = [bundle["seeds"][k]["unipts_realized"] for k in SEEDS]
+        realized = [bundle[k]["unipts"].realized_sparsity for k in SEEDS]
         within = all(abs(r - 0.9) <= 0.005 for r in realized)
         ok = s >= u and within
         _report("directional-C-searched-vs-uniform", ok,
@@ -280,21 +263,20 @@ class TestDirectional:
                 f"base_decayed={d:.4f} plain={k:.4f}")
         assert ok
 
-    def test_nm_2of4(self, bundle):
+    def test_nm_2of4(self, bundle, bundle_dir):
         trained = _median(bundle, "nm_trained")
         untrained = _median(bundle, "nm_untrained")
         ok_gap = trained - untrained >= 0.10
         ok_pattern = True
         for seed in SEEDS:
-            student = bundle["seeds"][seed]["nm_student"]
-            for i in bundle["seeds"][seed]["nm_masks"]:
-                w = student.layers[i].weight
-                rows = w.reshape(w.shape[0], -1)
-                for r in range(rows.shape[0]):
-                    for s in range(0, rows.shape[1], 4):
-                        g = rows[r, s:s + 4]
-                        if np.count_nonzero(g) > min(2, len(g)):
-                            ok_pattern = False
+            job = bundle_dir / str(seed) / "nm_trained"
+            student = load_network(job / "student.ckpt")
+            for i, mask in load_masks(job / "masks.bin").items():
+                for a in (mask, student.layers[i].weight):
+                    # each row in groups of 4, the last padded with zeros
+                    rows = a.reshape(a.shape[0], -1)
+                    groups = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 4))).reshape(-1, 4)
+                    ok_pattern &= bool((np.count_nonzero(groups, axis=1) <= 2).all())
         ok = ok_gap and ok_pattern
         _report("nm-2of4", ok,
                 f"trained={trained:.4f} untrained={untrained:.4f} "

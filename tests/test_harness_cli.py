@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import re
 
 import numpy as np
@@ -587,6 +586,43 @@ class TestEvalCorruptInputs:
         assert code == 2
         assert err.strip().splitlines() == [
             f"stage failure: [eval] layer {value!r} is not an integer >= 0"]
+
+    @pytest.mark.parametrize("nnz", [0, 99, -3, "x", True])
+    def test_mask_nnz_not_its_set_bits_exit_two(self, cfg_file, pruned, capsys, nnz):
+        header, payload = read_container(pruned / "masks.bin", MASK_MAGIC)
+        kept = header["masks"][0]["nnz"]
+        assert kept not in (0, 99)
+        header["masks"][0]["nnz"] = nnz
+        write_container(pruned / "masks.bin", MASK_MAGIC, header, [payload])
+        code, err = self.eval_exit(cfg_file, pruned, capsys)
+        message = (f"layer 0: nnz {nnz} is not the mask's set-bit count {kept}"
+                   if type(nnz) is int and nnz >= 0 else f"nnz {nnz!r} is not an integer >= 0")
+        assert code == 2
+        assert err.strip().splitlines() == [f"stage failure: [eval] {message}"]
+
+    # convnet-small's layer 0 is a Conv2d and its layer 3 an AvgPool; int()
+    # would read stride true as 1, a network that runs
+    @pytest.mark.parametrize("layer,key,value", [
+        (0, "stride", 0), (3, "kernel_size", 0), (0, "stride", 1.0), (3, "kernel_size", "2"),
+        (0, "stride", True), (0, "padding", -1), (0, "padding", 1.0)])
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_layer_spec_value_exit_two(self, cfg_file, tmp_path, capsys, command, layer, key,
+                                       value):
+        path = tmp_path / "net.ckpt"
+        save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
+        header, payload = read_container(path, MAGIC)
+        header["layers"][layer][key] = value
+        write_container(path, MAGIC, header, [payload])
+        out = tmp_path / "out"
+        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       *(["--checkpoint", str(path)] if command == "eval"
+                         else ["-o", f"teacher_checkpoint={path}"]))
+        err = capsys.readouterr().err.strip().splitlines()
+        stage = "eval" if command == "eval" else "teacher"
+        least = 0 if key == "padding" else 1
+        assert code == 2
+        assert err == [f"stage failure: [{stage}] {key} {value!r} is not an integer >= {least}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
     @pytest.mark.parametrize("command", ["eval", "run"])

@@ -13,12 +13,11 @@ from layer_reference import (BatchNormReference, batch_first, batch_last,
                              full_trace_backward, full_trace_forward, full_trace_logits,
                              reference_layer, reference_network)
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
-                         build_preset, load_masks, load_network, predict_distribution,
-                         save_masks, save_network)
+                         build_preset, layer_from_spec, load_masks, load_network,
+                         predict_distribution, save_masks, save_network)
 from ptsparse.nn.checkpoint import (MAGIC, MASK_MAGIC, atomic_write, read_container,
                                     write_container)
-from ptsparse.nn.layers import (AvgPool, BatchNorm, Conv2d, Flatten, ReLU,
-                                layer_from_spec)
+from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d, Flatten, ReLU
 from ptsparse.nn.network import EVAL_CHUNK
 from ptsparse.sparsity import topk_mask
 
@@ -790,7 +789,11 @@ class TestPresetsAndCheckpoint:
     @pytest.mark.parametrize("edit", [
         lambda spec: spec.pop("padding"),
         lambda spec: spec.update(kind="Conv3d"),
-    ], ids=["missing-padding", "unknown-kind"])
+        lambda spec: spec.update(stride=True),
+        lambda spec: spec.update(padding=-1),
+        lambda spec: spec.update(padding=True),
+    ], ids=["missing-padding", "unknown-kind", "stride-true", "padding-negative",
+            "padding-true"])
     def test_bad_conv_spec_raises_checkpoint_error(self, tmp_path, edit):
         path = tmp_path / "net.ckpt"
         save_network(tiny_conv(), path)
@@ -866,7 +869,8 @@ class TestPresetsAndCheckpoint:
             magic, load, key = MASK_MAGIC, load_masks, "masks"
         header, payload = read_container(path, magic)
         rec = data.draw(st.sampled_from(header[key]))
-        field = data.draw(st.sampled_from(["layer", "offset", "nbytes", "shape"]))
+        field = data.draw(st.sampled_from(["layer", "offset", "nbytes", "shape"]
+                                          + (["nnz"] if kind == "masks" else [])))
         bad = data.draw(st.one_of(st.floats(), st.text(), st.booleans(),
                                   st.integers(max_value=-1)))
         if field == "shape":

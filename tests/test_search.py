@@ -6,18 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_mlp
+from conftest import make_calib, tiny_mlp
 from ptsparse.config import ConfigError, ExperimentConfig
 from ptsparse.data import CalibrationSet
 from ptsparse.nn import Dense, Network
 from ptsparse.search import decode, evolve, fitness, noised_batches
 from ptsparse.sparsity import topk_mask
-
-
-def make_calib(seed=0, n=64, n_in=6, classes=3):
-    r = np.random.default_rng(seed)
-    return CalibrationSet(inputs=r.standard_normal((n, n_in)),
-                          labels=r.integers(0, classes, n))
 
 
 def fast_cfg(**kw):

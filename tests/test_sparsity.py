@@ -332,6 +332,16 @@ class TestMaskExport:
         with pytest.raises(CheckpointError, match=message):
             load_masks(tmp_path / "masks.bin")
 
+    @pytest.mark.parametrize("nnz", [0, 99])
+    def test_nnz_not_its_set_bits_raises_typed_error(self, tmp_path, nnz):
+        # one of the eight mask bits is set
+        records, blobs = index_blobs(
+            [({"layer": 0, "shape": [2, 4], "nnz": nnz}, bytes([0b01000000]))])
+        write_container(tmp_path / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
+        with pytest.raises(CheckpointError, match=f"layer 0: nnz {nnz} is not the mask's "
+                                                  "set-bit count 1"):
+            load_masks(tmp_path / "masks.bin")
+
     def test_random_bytes_raise_typed_error(self, tmp_path, rng):
         path = tmp_path / "masks.bin"
         path.write_bytes(rng.bytes(100))

@@ -1,8 +1,8 @@
 """Everything a user can set, pinned: the config keys, each subcommand's
 options and arguments, and no environment variable. A change that adds or
 removes a setting edits the lists here, so the diff shows it. The project runs
-no linter, so this file also checks that each source module uses what it imports
-and imports only at module level."""
+no linter, so this file also checks that each source and test module uses what
+it imports, and that each source module imports only at module level."""
 
 import argparse
 import ast
@@ -12,7 +12,9 @@ from pathlib import Path
 from ptsparse.cli import build_parser
 from ptsparse.config import ExperimentConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ptsparse"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ptsparse"
+TESTS = ROOT / "tests"
 
 CONFIG_KEYS = [
     "dataset", "classes", "image_size", "train_size", "eval_size", "data_blobs",
@@ -55,8 +57,9 @@ def test_no_environment_variable_is_read():
 
 
 def test_every_imported_name_is_used_or_exported():
+    # src and tests/, not bench/, which is kept byte-stable for the benchmark's runs
     unused = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in [*sorted(SRC.rglob("*.py")), *sorted(TESTS.glob("*.py"))]:
         tree = ast.parse(path.read_text())
         imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -66,7 +69,7 @@ def test_every_imported_name_is_used_or_exported():
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                     for name in ast.literal_eval(node.value)}
         if left := imported - used - exported:
-            unused[str(path.relative_to(SRC))] = sorted(left)
+            unused[str(path.relative_to(ROOT))] = sorted(left)
     assert unused == {}
 
 

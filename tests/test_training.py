@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import tiny_conv, tiny_mlp
+from conftest import make_calib, tiny_conv, tiny_mlp
 from layer_reference import full_trace_forward
 from ptsparse.config import ConfigError, ExperimentConfig
 from ptsparse.data import CalibrationSet
@@ -20,12 +20,6 @@ from ptsparse import training
 from ptsparse.training import (TrainState, _apply_update, _batch_stream, _decay_rates,
                                build_masks, cosine_lr, mask_churn,
                                _run_layerwise_reconstruction, run_training, train_step)
-
-
-def make_calib(seed=0, n=64, n_in=6, classes=3):
-    r = np.random.default_rng(seed)
-    return CalibrationSet(inputs=r.standard_normal((n, n_in)),
-                          labels=r.integers(0, classes, n))
 
 
 class TestCheckSettings:
