@@ -87,10 +87,6 @@ class ExperimentConfig:
             raise ConfigError(f"dataset {self.dataset!r} must be synthetic or idx")
         if self.preset not in PRESETS:
             raise ConfigError(f"preset {self.preset!r} not in {PRESETS}")
-        for key, value in (("teacher_epochs", self.teacher_epochs), ("data_seed", self.data_seed),
-                           ("seeds", min(self.seeds, default=0))):
-            if value < 0:
-                raise ConfigError(f"{key} must be >= 0")
         if self.nm_pattern:
             try:
                 nm = NMPattern.parse(self.nm_pattern)
@@ -100,10 +96,24 @@ class ExperimentConfig:
                 raise ConfigError(f"bad nm_pattern {self.nm_pattern!r} (need n < m)")
         elif not 0.0 < self.sparsity < 1.0:  # so the search's P < P_e <= 1 holds
             raise ConfigError(f"sparsity {self.sparsity} outside (0,1)")
+        # each integer setting's least value, the synthetic data's and the
+        # search's only when they are used; oneshot takes 0 steps, whatever
+        # its iterations
+        least = {"teacher_epochs": 0, "data_seed": 0, "seeds": 0, "iterations": 0,
+                 "batch_size": 1, "delta_t": 1, "metrics_every": 1}
         if self.dataset == "synthetic":
-            for key in ("classes", "image_size", "train_size", "eval_size", "data_blobs"):
-                if getattr(self, key) < 1:
-                    raise ConfigError(f"{key} must be >= 1")
+            least.update(classes=1, image_size=1, train_size=1, eval_size=1, data_blobs=1)
+        if self.searches:
+            least.update(population=2, generations=0, tournament=1)
+        for key, bound in least.items():
+            value = (min(self.seeds, default=0) if key == "seeds"
+                     else self.steps if key == "iterations" else getattr(self, key))
+            if value < bound:
+                raise ConfigError(f"{key} must be >= {bound}")
+        for key in ("alpha", "lr", "noise_std") if self.searches else ("alpha", "lr"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be >= 0 and finite, got {value}")
         if self.calib_size < 0 or (self.dataset == "synthetic"
                                    and self.calib_size > self.train_size):
             raise ConfigError(f"calib_size {self.calib_size} outside 0..{self.train_size} "
@@ -112,26 +122,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) < len(self.seeds):  # each seed writes its own seed<k>/
             raise ConfigError(f"seeds {self.seeds} repeat a seed")
-        if self.searches:
-            if self.population < 2:
-                raise ConfigError("population must be >= 2")
-            if self.elites < 1 or self.elites > self.population:
-                raise ConfigError("elites must be in [1, population]")
-            if self.generations < 0:
-                raise ConfigError("generations must be >= 0")
-            if self.tournament < 1:
-                raise ConfigError("tournament must be >= 1")
-            if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-                raise ConfigError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
-        if self.steps < 0:
-            raise ConfigError("iterations must be >= 0")
-        for key in ("batch_size", "delta_t", "metrics_every"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        for key in ("alpha", "lr"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{key} must be >= 0 and finite, got {value}")
+        if self.searches and not 1 <= self.elites <= self.population:
+            raise ConfigError("elites must be in [1, population]")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma {self.gamma} outside (0,1]")
         if self.calib_size == 0 and (self.searches or self.steps):

@@ -56,6 +56,12 @@ class Splits:
     classes: int
 
     def __post_init__(self):
+        for x, k in ((self.train_x, "train"), (self.eval_x, "eval")):
+            if x.ndim == 0:
+                raise ValueError(f"{k} images: a single value, no batch axis")
+        if self.eval_x.shape[1:] != self.train_x.shape[1:]:
+            raise ValueError(f"eval images of shape {self.eval_x.shape[1:]} differ from "
+                             f"the train images' {self.train_x.shape[1:]}")
         for x, y, k in ((self.train_x, self.train_y, "train"),
                         (self.eval_x, self.eval_y, "eval")):
             if len(x) != len(y):
@@ -105,9 +111,7 @@ def idx_splits(cfg: ExperimentConfig) -> Splits:
     ty = load_idx(cfg.idx_train_labels).astype(np.int64)
     ex = load_idx(cfg.idx_eval_images).astype(np.float64)
     ey = load_idx(cfg.idx_eval_labels).astype(np.int64)
-    if tx.ndim == 3:  # H x W images -> single channel
-        tx = tx[:, None]
-        ex = ex[:, None]
+    tx, ex = (x[:, None] if x.ndim == 3 else x for x in (tx, ex))  # H x W -> one channel
     scale = max(tx.max(), 1.0)
     tx, ex = tx / scale, ex / scale
     return Splits(tx, ty, ex, ey, cfg.classes)

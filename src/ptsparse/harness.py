@@ -35,10 +35,12 @@ class StageError(RuntimeError):
 
 @contextmanager
 def stage(name: str):
-    """Re-raise a ValueError or OSError from inside as StageError(name)."""
+    """Re-raise a ValueError, OSError or MemoryError from inside as
+    StageError(name): an allocation that fails, such as a loaded network's
+    first forward, is the stage's failure."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise StageError(name, str(exc)) from exc
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from ptsparse.data import CalibrationSet
-from ptsparse.nn import Dense, Network, build_preset
+from ptsparse.nn import AvgPool, BatchNorm, Conv2d, Dense, Flatten, Network, ReLU
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -35,7 +35,6 @@ def pytest_terminal_summary(terminalreporter):
 
 def tiny_mlp(seed=0, n_in=6, hidden=5, classes=3):
     """Small dense net with BN+ReLU, < 100 params, for gradient checks."""
-    from ptsparse.nn import BatchNorm, ReLU
     r = np.random.default_rng(seed)
     return Network([
         Dense(n_in, hidden, r), BatchNorm(hidden), ReLU(),
@@ -51,7 +50,6 @@ def make_calib(seed=0, n=64, n_in=6, classes=3):
 
 
 def tiny_conv(seed=0, size=6, classes=3):
-    from ptsparse.nn import AvgPool, BatchNorm, Conv2d, Flatten, ReLU
     r = np.random.default_rng(seed)
     return Network([
         Conv2d(1, 2, 3, stride=1, padding=1, rng=r), BatchNorm(2), ReLU(), AvgPool(2),
@@ -63,7 +61,6 @@ def tiny_conv(seed=0, size=6, classes=3):
 def tiny_conv_stride2(seed=0, size=6, classes=3):
     """A padded stride-2 convolution after the first layer, so its input
     gradient is computed too."""
-    from ptsparse.nn import BatchNorm, Conv2d, Flatten, ReLU
     r = np.random.default_rng(seed)
     out = (size + 1) // 2
     return Network([
@@ -71,28 +68,6 @@ def tiny_conv_stride2(seed=0, size=6, classes=3):
         Conv2d(2, 2, 3, stride=2, padding=1, rng=r), Flatten(),
         Dense(2 * out * out, classes, r),
     ])
-
-
-# load_network must reject each: a header that omits a parameter's array
-# record, one that names a record twice, and one whose layer 0 has 10**16
-# weights, beyond the address space, so its allocation fails at once
-MALFORMED_CHECKPOINTS = ("missing", "twice", "oversized")
-
-
-def malformed_checkpoint(path, how):
-    """An mlp3 checkpoint for 64 features and 3 classes (8x8 images) at path,
-    its header edited as how names."""
-    from ptsparse.nn import save_network
-    from ptsparse.nn.checkpoint import MAGIC, read_container, write_container
-    save_network(build_preset("mlp3", (64,), 3), path)
-    header, payload = read_container(path, MAGIC)
-    if how == "missing":
-        header["arrays"].pop()
-    elif how == "twice":
-        header["arrays"].append(header["arrays"][0])
-    else:
-        header["layers"][0] = {"kind": "Dense", "in_features": 10**8, "out_features": 10**8}
-    write_container(path, MAGIC, header, [payload])
 
 
 def finite_difference_grads(loss_fn, arrays, h=1e-5):

@@ -21,12 +21,13 @@ import conftest
 from conftest import finite_difference_grads, tiny_conv, tiny_mlp
 from ptsparse.cli import main as cli_main
 from ptsparse.config import ExperimentConfig
+from ptsparse.data import CalibrationSet
 from ptsparse.harness import load_dataset, prepare_teacher, run_single
 from ptsparse.nn import Dense, Network, load_masks, load_network
-from ptsparse.objectives import decay_scale, kl_loss
+from ptsparse.objectives import base_decayed_kl, decay_scale, kl_loss
 from ptsparse.search import decode
 from ptsparse.sparsity import NMPattern, nm_mask, topk_mask, uniform_distribution
-from ptsparse.training import run_training
+from ptsparse.training import _apply_update, run_training
 
 SEEDS = (0, 1, 2)
 
@@ -90,7 +91,6 @@ class TestNumericAnchors:
         ok_residual = residual == pytest.approx(50.0, abs=1e-9)
 
         # pruned-entry update: w=0.1, g=0.2, lr=0.01, alpha=3e-5
-        from ptsparse.training import _apply_update
         layer = Dense(1, 1)
         layer.weight = np.array([[0.1]])
         _apply_update(Network([layer]), {0: {"weight": np.array([[0.2]])}}, 0.01,
@@ -168,7 +168,6 @@ class TestInvariantSuites:
             p, q = (a / a.sum(axis=1, keepdims=True) for a in (p, q))
             loss, _ = kl_loss(p, q)
             assert loss >= 0.0
-            from ptsparse.objectives import base_decayed_kl
             assert base_decayed_kl(p, q, t, 0.99)[0] == decay_scale(t, 0.99) * loss
 
         @settings(max_examples=200, deadline=None)
@@ -214,7 +213,6 @@ class TestInvariantSuites:
         # teacher immutability and end-to-end determinism
         teacher = tiny_mlp(seed=4)
         r = np.random.default_rng(0)
-        from ptsparse.data import CalibrationSet
         calib = CalibrationSet(inputs=r.standard_normal((48, 6)),
                                labels=r.integers(0, 3, 48))
         before = teacher.param_hash()

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import re
@@ -7,15 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from idx_writer import save_idx
 from ptsparse.cli import main
-from conftest import MALFORMED_CHECKPOINTS, malformed_checkpoint
-from ptsparse.config import METHODS, ConfigError, ExperimentConfig, parse_config
+from ptsparse.config import ConfigError, ExperimentConfig, parse_config
+from ptsparse.data import synthetic_splits
 from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
                               read_metrics, run_single, write_metrics)
 from ptsparse.nn import build_preset, load_masks, load_network, save_network
-from ptsparse.nn.checkpoint import (MAGIC, MASK_MAGIC, index_blobs, read_container,
-                                    write_container)
+from ptsparse.nn.checkpoint import MAGIC, MASK_MAGIC, read_container, write_container
 
 BASE = """
 # tiny end-to-end configuration
@@ -54,70 +53,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-class TestParseConfig:
-    def test_defaults(self):
-        cfg = parse_config()
-        assert cfg.method == "unipts"
-        assert cfg.sparsity == 0.9
-        assert cfg.seeds == (0,)
-
-    def test_file_with_comments(self, cfg_file):
-        cfg = parse_config(cfg_file())
-        assert cfg.preset == "mlp3"
-        assert cfg.iterations == 8
-
-    def test_unknown_key(self, cfg_file):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config(cfg_file(extra="warp_factor = 9\n"))
-
-    # settings that became constants: teacher lr 0.05, mutation std 0.5,
-    # crossover rate 0.5, class-balanced calibration, t in calibration epochs,
-    # the synthetic data's channel count, blob widths, noise and offset, the
-    # DST step's objective (plain KL is gamma = 1), momentum and kept-entry
-    # weight decay, and the 0.05 clamp of the KL scale's denominator
-    @pytest.mark.parametrize("key,value", [
-        ("channels", "1"), ("data_sigma_min", "0.5"), ("data_sigma_max", "1.0"),
-        ("teacher_lr", "0.05"), ("calib_balanced", "true"), ("mutation_std", "0.5"),
-        ("crossover_rate", "0.5"), ("schedule_unit", "epoch"), ("data_noise", "1.5"),
-        ("data_offset", "2.0"), ("objective", "kl"), ("momentum", "0.0"),
-        ("weight_decay", "0.0"), ("clamp_min", "0")])
-    @pytest.mark.parametrize("via", ["file", "override"])
-    def test_removed_key_is_unknown(self, cfg_file, tmp_path, capsys, key, value, via):
-        out = tmp_path / "out"
-        if via == "file":
-            args = ["-c", cfg_file(extra=f"{key} = {value}\n")]
-        else:
-            args = ["-c", cfg_file(), "-o", f"{key}={value}"]
-        assert run_cli("run", *args, "-o", f"out_dir={out}") == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"config error: unknown config key {key!r}"]
-        assert not out.exists()
-
-    def test_bad_value(self, cfg_file):
-        with pytest.raises(ConfigError, match="bad value"):
-            parse_config(cfg_file(extra="iterations = soon\n"))
-
-    def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
-            parse_config("/nonexistent/exp.cfg")
-
-    def test_override_wins(self, cfg_file):
-        cfg = parse_config(cfg_file(), ["iterations=99", "lr=0.5"])
-        assert cfg.iterations == 99 and cfg.lr == 0.5
-
-    def test_malformed_override(self, cfg_file):
-        with pytest.raises(ConfigError):
-            parse_config(cfg_file(), ["iterations"])
-
-    def test_seed_list(self, cfg_file):
-        cfg = parse_config(cfg_file(), ["seeds=3,5,8"])
-        assert cfg.seeds == (3, 5, 8)
-
-    def test_validation_rules(self, cfg_file):
-        for bad in ["method=magic", "sparsity=1.5", "nm_pattern=4:2",
-                    "dataset=imagenet", "seeds="]:
-            with pytest.raises(ConfigError):
-                parse_config(cfg_file(), [bad])
+def conv_checkpoint(tmp_path, **spec):
+    """A convnet-small checkpoint for BASE's 8x8 images and 3 classes, its
+    layer 0, a Conv2d, given the spec values."""
+    path = tmp_path / "conv.ckpt"
+    save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
+    header, payload = read_container(path, MAGIC)
+    header["layers"][0].update(spec)
+    write_container(path, MAGIC, header, [payload])
+    return path
 
 
 class TestExitCodes:
@@ -250,6 +194,16 @@ class TestRunArtifacts:
         assert (run_dir / "teacher.ckpt").exists()
         # the directory it wrote to
         assert json.loads((run_dir / "config.json").read_text())["out_dir"] == str(run_dir)
+
+    def test_recorded_wall_time_is_the_jobs(self, cfg_file, tmp_path):
+        # metrics.csv and timing.txt format the same elapsed time
+        out = tmp_path / "timed"
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", "record_timing=true") == 0
+        (row,) = read_metrics(out / "metrics.csv")
+        timing = (out / "seed0" / "timing.txt").read_text()
+        assert float(row["wall_time_s"]) >= 0.001
+        assert timing == f"wall_time_s={row['wall_time_s']}\n"
 
     def test_config_json_stores_tuples_as_arrays(self, run_dir):
         stored = json.loads((run_dir / "config.json").read_text())
@@ -523,6 +477,9 @@ class TestExcludeLayersNamesNoPrunableLayer:
 
 
 class TestEvalCorruptInputs:
+    """The routes by which a container that does not load reaches exit 2;
+    each rule is a row of tests/test_checkpoint.py."""
+
     @pytest.fixture
     def pruned(self, cfg_file, tmp_path):
         out = tmp_path / "pruned"
@@ -554,96 +511,21 @@ class TestEvalCorruptInputs:
         assert err.startswith("stage failure: [eval] ")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("layers", [[-1], [-100], [0, 0]],
-                             ids=["minus-one", "minus-hundred", "repeated"])
-    def test_mask_layer_negative_or_repeated_exit_two(self, cfg_file, pruned, capsys, layers):
-        # -1 names mlp3's last Dense by Python indexing; a second record for
-        # layer 0 would replace the first
-        shapes = {**{i: m.shape for i, m in load_masks(pruned / "masks.bin").items()},
-                  -1: (3, 128), -100: (3, 128)}
-        records, blobs = index_blobs(
-            ({"layer": i, "shape": list(shapes[i]), "nnz": 0},
-             np.packbits(np.zeros(shapes[i], np.uint8).ravel()).tobytes()) for i in layers)
-        write_container(pruned / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
-        code, err = self.eval_exit(cfg_file, pruned, capsys)
-        assert code == 2
-        message = ("layer 0: repeated" if layers == [0, 0]
-                   else f"layer {layers[0]} is not an integer >= 0")
-        assert err.startswith("stage failure: [eval] ") and message in err
-        assert len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("value", [0.7, "0", False])
-    @pytest.mark.parametrize("name", ["student.ckpt", "masks.bin"])
-    def test_header_integer_of_another_type_exit_two(self, cfg_file, pruned, capsys, name,
-                                                     value):
-        # int() would read each value as layer 0, the layer its record names
-        magic, key = (MAGIC, "arrays") if name == "student.ckpt" else (MASK_MAGIC, "masks")
-        header, payload = read_container(pruned / name, magic)
-        assert header[key][0]["layer"] == 0
-        header[key][0]["layer"] = value
-        write_container(pruned / name, magic, header, [payload])
-        code, err = self.eval_exit(cfg_file, pruned, capsys)
-        assert code == 2
-        assert err.strip().splitlines() == [
-            f"stage failure: [eval] layer {value!r} is not an integer >= 0"]
-
-    @pytest.mark.parametrize("nnz", [0, 99, -3, "x", True])
-    def test_mask_nnz_not_its_set_bits_exit_two(self, cfg_file, pruned, capsys, nnz):
-        header, payload = read_container(pruned / "masks.bin", MASK_MAGIC)
-        kept = header["masks"][0]["nnz"]
-        assert kept not in (0, 99)
-        header["masks"][0]["nnz"] = nnz
-        write_container(pruned / "masks.bin", MASK_MAGIC, header, [payload])
-        code, err = self.eval_exit(cfg_file, pruned, capsys)
-        message = (f"layer 0: nnz {nnz} is not the mask's set-bit count {kept}"
-                   if type(nnz) is int and nnz >= 0 else f"nnz {nnz!r} is not an integer >= 0")
-        assert code == 2
-        assert err.strip().splitlines() == [f"stage failure: [eval] {message}"]
-
-    # convnet-small's layer 0 is a Conv2d and its layer 3 an AvgPool; int()
-    # would read stride true as 1, a network that runs
-    @pytest.mark.parametrize("layer,key,value", [
-        (0, "stride", 0), (3, "kernel_size", 0), (0, "stride", 1.0), (3, "kernel_size", "2"),
-        (0, "stride", True), (0, "padding", -1), (0, "padding", 1.0)])
-    @pytest.mark.parametrize("command", ["eval", "run"])
-    def test_layer_spec_value_exit_two(self, cfg_file, tmp_path, capsys, command, layer, key,
-                                       value):
-        path = tmp_path / "net.ckpt"
-        save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
-        header, payload = read_container(path, MAGIC)
-        header["layers"][layer][key] = value
-        write_container(path, MAGIC, header, [payload])
+    def test_teacher_checkpoint_is_teacher_failure(self, cfg_file, tmp_path, capsys):
+        path = conv_checkpoint(tmp_path, stride=0)
         out = tmp_path / "out"
-        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
-                       *(["--checkpoint", str(path)] if command == "eval"
-                         else ["-o", f"teacher_checkpoint={path}"]))
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"teacher_checkpoint={path}") == 2
         err = capsys.readouterr().err.strip().splitlines()
-        stage = "eval" if command == "eval" else "teacher"
-        least = 0 if key == "padding" else 1
-        assert code == 2
-        assert err == [f"stage failure: [{stage}] {key} {value!r} is not an integer >= {least}"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
-    @pytest.mark.parametrize("command", ["eval", "run"])
-    def test_malformed_header_exit_two(self, cfg_file, tmp_path, capsys, command, how):
-        path = tmp_path / "net.ckpt"
-        malformed_checkpoint(path, how)
-        out = tmp_path / "out"
-        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
-                       *(["--checkpoint", str(path)] if command == "eval"
-                         else ["-o", f"teacher_checkpoint={path}"]))
-        err = capsys.readouterr().err.strip().splitlines()
-        stage = "eval" if command == "eval" else "teacher"
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith(f"stage failure: [{stage}] ")
+        assert err == ["stage failure: [teacher] stride 0 is not an integer >= 1"]
         assert not out.exists()
 
 
 class TestCheckpointThatDoesNotFit:
     """A checkpoint made for other data, here a 3-class mlp3 on BASE's 8x8
-    images, is one stage failure, exit 2, before anything is written: the
-    teacher stage's when a job loads it as its teacher, eval's in eval."""
+    images, or one whose first forward cannot be allocated, is one stage
+    failure, exit 2, before anything is written: the teacher stage's when a
+    job loads it as its teacher, eval's in eval."""
 
     @pytest.fixture
     def loads_ckpt(self, tmp_path):
@@ -666,6 +548,22 @@ class TestCheckpointThatDoesNotFit:
         stage = "eval" if command == "eval" else "teacher"
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"stage failure: [{stage}] ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_allocation_failure_writes_nothing(self, cfg_file, tmp_path, capsys, command):
+        # padding 10**7 asks the first forward for a 2.84 PiB input, which no
+        # allocator grants
+        path = conv_checkpoint(tmp_path, padding=10**7)
+        out = tmp_path / "out"
+        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
+                       *(["--checkpoint", str(path)] if command == "eval"
+                         else ["-o", f"teacher_checkpoint={path}"]))
+        err = capsys.readouterr().err.strip().splitlines()
+        stage = "eval" if command == "eval" else "teacher"
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"stage failure: [{stage}] Unable to allocate 2.84 PiB")
         assert not out.exists()
 
     # the preset names only a teacher to train: the checkpoint's layer 0 decides
@@ -720,46 +618,26 @@ class TestLayoutFollowsTheNetwork:
 
 
 class TestStageSettingsAtParseTime:
-    """Search and training settings the run would reject are config errors:
-    exit 1 before the teacher is trained, with nothing written."""
+    """Each route by which a config error reaches exit 1, before the teacher
+    is trained and with nothing written: a rule on the settings, one on the
+    search's settings, an unknown key, and a file that a setting names."""
 
     @pytest.mark.parametrize("overrides,message", [
-        (("method=unipts", "population=1"), "population must be >= 2"),
-        (("method=unipts", "population=3", "elites=4"), "elites must be in"),
         (("delta_t=0",), "delta_t must be >= 1"),
-        (("alpha=-0.001",), "alpha must be >= 0"),
+        (("method=unipts", "population=1"), "population must be >= 2"),
         (("objective=kl",), "unknown config key 'objective'"),
-        (("gamma=1.5",), "gamma 1.5 outside (0,1]"),
-        (("lr=nan",), "lr must be >= 0 and finite"),
-        (("lr=-0.1",), "lr must be >= 0 and finite"),
-        (("data_blobs=0",), "data_blobs must be >= 1"),
-        (("image_size=0",), "image_size must be >= 1"),
-        (("preset=resnet",), "preset 'resnet' not in"),
-        (("teacher_epochs=-1",), "teacher_epochs must be >= 0"),
-        (("classes=0",), "classes must be >= 1"),
-        (("train_size=0",), "train_size must be >= 1"),
-        (("eval_size=0",), "eval_size must be >= 1"),
-        (("batch_size=0",), "batch_size must be >= 1"),
-        (("method=unipts", "batch_size=0"), "batch_size must be >= 1"),
-        (("metrics_every=0",), "metrics_every must be >= 1"),
-        (("method=unipts", "generations=-1"), "generations must be >= 0"),
-        (("method=unipts", "tournament=0"), "tournament must be >= 1"),
-        (("seeds=-1",), "seeds must be >= 0"),
-        (("seeds=0,-2",), "seeds must be >= 0"),
-        (("data_seed=-1",), "data_seed must be >= 0"),
-        (("method=unipts", "noise_std=nan"), "noise_std must be >= 0 and finite"),
-        (("method=unipts", "noise_std=-1"), "noise_std must be >= 0 and finite"),
-        (("seeds=0,0,1",), "seeds (0, 0, 1) repeat a seed"),
-    ])
+        (("teacher_checkpoint={tmp}/none.ckpt",),
+         "teacher_checkpoint not found: '{tmp}/none.ckpt'"),
+    ], ids=["settings", "search-settings", "unknown-key", "file"])
     @pytest.mark.parametrize("command", ["run", "prune"])
     def test_exit_one_and_no_files(self, cfg_file, tmp_path, capsys, command,
                                    overrides, message):
+        # each rule is a row of tests/test_config.py
         out = tmp_path / "out"
-        args = [arg for ov in overrides for arg in ("-o", ov)]
+        args = [arg for ov in overrides for arg in ("-o", ov.format(tmp=tmp_path))]
         assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}", *args) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:")
-        assert message in err[0]
+        assert err == [f"config error: {message.format(tmp=tmp_path)}"]
         assert not out.exists()
 
     def test_shape_the_preset_rejects_is_teacher_failure(self, cfg_file, tmp_path,
@@ -770,36 +648,6 @@ class TestStageSettingsAtParseTime:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["stage failure: [teacher] convnet-small needs height/width "
                        "divisible by 4"]
-
-    def test_search_settings_checked_only_when_searching(self, cfg_file):
-        # uniform+dst and N:M runs never build the search settings
-        assert parse_config(cfg_file(), ["population=1"]).population == 1
-        assert parse_config(cfg_file(), ["method=unipts", "nm_pattern=2:4",
-                                         "population=1"]).population == 1
-
-    def test_noise_std_checked_only_when_searching(self, cfg_file):
-        assert parse_config(cfg_file(), ["noise_std=-1"]).noise_std == -1
-
-    def test_a_made_config_cannot_become_invalid(self):
-        cfg = ExperimentConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.batch_size = 0
-        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
-            dataclasses.replace(cfg, batch_size=0)
-
-    def test_method_meanings_are_properties_not_fields(self):
-        # pot-baseline reconstructs layer outputs, oneshot takes no step and
-        # unipts searches unless its masks are N:M; none is a settable key nor
-        # a config.json entry
-        meanings = {m: (cfg.reconstructs, cfg.steps, cfg.searches) for m in METHODS
-                    for cfg in [ExperimentConfig(method=m, iterations=8)]}
-        assert meanings == {"unipts": (False, 8, True), "pot-baseline": (True, 8, False),
-                            "erk+dst": (False, 8, False), "uniform+dst": (False, 8, False),
-                            "oneshot": (False, 0, False)}
-        assert not ExperimentConfig(method="unipts", nm_pattern="2:4").searches
-        assert not {"reconstructs", "steps", "searches"} & set(vars(ExperimentConfig()))
-        with pytest.raises(ConfigError, match="unknown config key 'steps'"):
-            parse_config(None, ["steps=3"])
 
 
 class TestCalibrationSize:
@@ -842,8 +690,6 @@ class TestCalibrationSize:
     @pytest.mark.parametrize("command,extra", [("run", ()),
                                                ("search", ("-o", "method=unipts"))])
     def test_idx_is_stage_failure(self, cfg_file, tmp_path, capsys, command, extra):
-        from idx_writer import save_idx
-        from ptsparse.data import synthetic_splits
         s = synthetic_splits(ExperimentConfig(classes=3, image_size=8, train_size=30,
                                               eval_size=20, data_blobs=2, data_seed=0,
                                               calib_size=30))
@@ -872,19 +718,23 @@ class TestBadIdxFiles:
         ("header", "header ends inside its 1 dimensions"),
         ("labels", "train split: 30 images but 31 labels"),
         ("labels2d", "train labels of shape (30, 1): want one label per image"),
+        ("eval10x10", "eval images of shape (1, 10, 10) differ from the train images' "
+                      "(1, 8, 8)"),
+        ("eval0d", "eval images: a single value, no batch axis"),
     ])
     def test_stage_failure_exit_two(self, cfg_file, tmp_path, capsys, fault, message):
-        from idx_writer import save_idx
-        from ptsparse.data import synthetic_splits
+        # 3-D (H x W) image files, as MNIST's, which the reader gives one channel
         s = synthetic_splits(ExperimentConfig(classes=3, image_size=8, train_size=30,
                                               eval_size=20, data_blobs=2, data_seed=0,
                                               calib_size=30))
         ty = {"labels": np.append(s.train_y, 0),
               "labels2d": s.train_y[:, None]}.get(fault, s.train_y)
+        ex = {"eval10x10": np.zeros((20, 10, 10)),
+              "eval0d": np.array(0.5)}.get(fault, s.eval_x[:, 0])
         args = []
-        for key, arr in [("idx_train_images", s.train_x),
+        for key, arr in [("idx_train_images", s.train_x[:, 0]),
                          ("idx_train_labels", ty.astype(np.uint8)),
-                         ("idx_eval_images", s.eval_x),
+                         ("idx_eval_images", ex),
                          ("idx_eval_labels", s.eval_y.astype(np.uint8))]:
             path = tmp_path / f"{key}.idx"
             save_idx(path, arr)

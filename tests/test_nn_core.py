@@ -1,5 +1,4 @@
 import hashlib
-import struct
 import tracemalloc
 
 import numpy as np
@@ -7,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (MALFORMED_CHECKPOINTS, finite_difference_grads, malformed_checkpoint,
-                      tiny_conv, tiny_conv_stride2, tiny_mlp)
+from conftest import finite_difference_grads, tiny_conv, tiny_conv_stride2, tiny_mlp
 from layer_reference import (BatchNormReference, batch_first, batch_last,
                              full_trace_backward, full_trace_forward, full_trace_logits,
                              reference_layer, reference_network)
+from ptsparse.config import ExperimentConfig
+from ptsparse.data import CalibrationSet
 from ptsparse.nn import (CheckpointError, Dense, Network, ShapeMismatchError,
                          build_preset, layer_from_spec, load_masks, load_network,
                          predict_distribution, save_masks, save_network)
@@ -19,7 +19,8 @@ from ptsparse.nn.checkpoint import (MAGIC, MASK_MAGIC, atomic_write, read_contai
                                     write_container)
 from ptsparse.nn.layers import AvgPool, BatchNorm, Conv2d, Flatten, ReLU
 from ptsparse.nn.network import EVAL_CHUNK
-from ptsparse.sparsity import topk_mask
+from ptsparse.sparsity import topk_mask, uniform_distribution
+from ptsparse.training import run_training
 
 
 def one_dense(w, bias=None):
@@ -786,29 +787,6 @@ class TestPresetsAndCheckpoint:
             assert type(back) is type(layer) and back.spec() == spec
             assert layer_from_spec({**spec, "extra": 1}).spec() == spec
 
-    @pytest.mark.parametrize("edit", [
-        lambda spec: spec.pop("padding"),
-        lambda spec: spec.update(kind="Conv3d"),
-        lambda spec: spec.update(stride=True),
-        lambda spec: spec.update(padding=-1),
-        lambda spec: spec.update(padding=True),
-    ], ids=["missing-padding", "unknown-kind", "stride-true", "padding-negative",
-            "padding-true"])
-    def test_bad_conv_spec_raises_checkpoint_error(self, tmp_path, edit):
-        path = tmp_path / "net.ckpt"
-        save_network(tiny_conv(), path)
-        header, payload = read_container(path, MAGIC)
-        edit(header["layers"][0])
-        write_container(path, MAGIC, header, [payload])
-        with pytest.raises(CheckpointError):
-            load_network(path)
-
-    def test_random_bytes_raise_checkpoint_error(self, tmp_path, rng):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(rng.bytes(100))
-        with pytest.raises(CheckpointError):
-            load_network(path)
-
     @given(st.data())
     def test_any_truncation_raises_checkpoint_error(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("trunc") / "net.ckpt"
@@ -816,41 +794,6 @@ class TestPresetsAndCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
         with pytest.raises(CheckpointError):
-            load_network(path)
-
-    def test_header_length_past_the_end_raises_checkpoint_error(self, tmp_path):
-        path = tmp_path / "net.ckpt"
-        path.write_bytes(b"PTSNET01" + struct.pack("<Q", 2**62) + b"{}")
-        with pytest.raises(CheckpointError, match=f"truncated header: 2 of {2**62} bytes"):
-            load_network(path)
-
-    def test_no_layers_raise_checkpoint_error(self, tmp_path):
-        path = tmp_path / "net.ckpt"
-        save_network(tiny_mlp(), path)
-        raw = path.read_bytes()
-        start = raw.index(b'"layers": [') + len(b'"layers": [')
-        end = raw.index(b"]}", start)  # the layer list closes the header
-        # the same header length, so only the layer list is wrong
-        path.write_bytes(raw[:start] + b" " * (end - start) + raw[end:])
-        with pytest.raises(CheckpointError, match="at least one layer"):
-            load_network(path)
-
-    @pytest.mark.parametrize("how", MALFORMED_CHECKPOINTS)
-    def test_arrays_are_exactly_the_parameters(self, tmp_path, how):
-        path = tmp_path / "net.ckpt"
-        malformed_checkpoint(path, how)
-        with pytest.raises(CheckpointError, match=("malformed checkpoint header"
-                                                   if how == "oversized" else "exactly once")):
-            load_network(path)
-
-    def test_array_shape_checked_against_layer_spec(self, tmp_path):
-        path = tmp_path / "net.ckpt"
-        save_network(tiny_mlp(), path)
-        raw = path.read_bytes()
-        # the 5x6 Dense weight recorded as 6x5: same byte count and header
-        # length, so only the check against the layer spec can catch it
-        path.write_bytes(raw.replace(b'"shape": [5, 6]', b'"shape": [6, 5]', 1))
-        with pytest.raises(CheckpointError, match="spec wants"):
             load_network(path)
 
     @settings(max_examples=200, deadline=None)
@@ -912,10 +855,6 @@ class TestPresetsAndCheckpoint:
         assert [p.name for p in path.parent.iterdir()] == ["masks.txt"]
 
     def test_teacher_immutable_under_student_training(self, rng):
-        from ptsparse.data import CalibrationSet
-        from ptsparse.sparsity import uniform_distribution
-        from ptsparse.config import ExperimentConfig
-        from ptsparse.training import run_training
         teacher = tiny_mlp(seed=4)
         before = teacher.param_hash()
         calib = CalibrationSet(inputs=rng.standard_normal((32, 6)),

@@ -10,8 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import tiny_conv, tiny_mlp
 from mask_reference import nm_mask_reference, topk_mask_reference
-from ptsparse.nn import CheckpointError, build_preset, load_masks, save_masks
-from ptsparse.nn.checkpoint import MASK_MAGIC, index_blobs, write_container
+from ptsparse.nn import CheckpointError, Dense, Network, build_preset, load_masks, save_masks
 from ptsparse.sparsity import (NMPattern, SparsityDistribution, erk_distribution,
                                included_layers, mask_summary, nm_mask,
                                realized_sparsity, regrow_distribution,
@@ -215,7 +214,6 @@ class TestDistributions:
         assert dist.rates == [pytest.approx(0.7)]
 
     def test_identical_layers_equal_rates(self):
-        from ptsparse.nn import Dense, Network
         r = np.random.default_rng(0)
         net = Network([Dense(8, 8, r), Dense(8, 8, r)])
         dist = erk_distribution(net, 0.6)
@@ -321,32 +319,6 @@ class TestMaskExport:
         text = mask_summary(masks)
         for i in masks:
             assert str(i) in text
-
-    @pytest.mark.parametrize("layers", [[-1], [0, 0], [3, 0, 3]])
-    def test_negative_or_repeated_layer_raises_typed_error(self, tmp_path, layers):
-        records, blobs = index_blobs(
-            ({"layer": i, "shape": [2, 4], "nnz": 8}, bytes([255])) for i in layers)
-        write_container(tmp_path / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
-        message = ("layer -1 is not an integer >= 0" if layers == [-1]
-                   else f"layer {layers[0]}: repeated")
-        with pytest.raises(CheckpointError, match=message):
-            load_masks(tmp_path / "masks.bin")
-
-    @pytest.mark.parametrize("nnz", [0, 99])
-    def test_nnz_not_its_set_bits_raises_typed_error(self, tmp_path, nnz):
-        # one of the eight mask bits is set
-        records, blobs = index_blobs(
-            [({"layer": 0, "shape": [2, 4], "nnz": nnz}, bytes([0b01000000]))])
-        write_container(tmp_path / "masks.bin", MASK_MAGIC, {"masks": records}, blobs)
-        with pytest.raises(CheckpointError, match=f"layer 0: nnz {nnz} is not the mask's "
-                                                  "set-bit count 1"):
-            load_masks(tmp_path / "masks.bin")
-
-    def test_random_bytes_raise_typed_error(self, tmp_path, rng):
-        path = tmp_path / "masks.bin"
-        path.write_bytes(rng.bytes(100))
-        with pytest.raises(CheckpointError):
-            load_masks(path)
 
     @given(st.data())
     def test_any_truncation_raises_typed_error(self, tmp_path_factory, data):
