@@ -15,6 +15,8 @@ from ptsparse.config import ExperimentConfig
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ptsparse"
 TESTS = ROOT / "tests"
+# src and tests/, not bench/, which is kept byte-stable for the benchmark's runs
+MODULES = [*sorted(SRC.rglob("*.py")), *sorted(TESTS.glob("*.py"))]
 
 CONFIG_KEYS = [
     "dataset", "classes", "image_size", "train_size", "eval_size", "data_blobs",
@@ -57,9 +59,8 @@ def test_no_environment_variable_is_read():
 
 
 def test_every_imported_name_is_used_or_exported():
-    # src and tests/, not bench/, which is kept byte-stable for the benchmark's runs
     unused = {}
-    for path in [*sorted(SRC.rglob("*.py")), *sorted(TESTS.glob("*.py"))]:
+    for path in MODULES:
         tree = ast.parse(path.read_text())
         imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -76,8 +77,7 @@ def test_every_imported_name_is_used_or_exported():
 def test_no_import_inside_a_function():
     # an import cycle between modules then fails when the package is imported,
     # and a module's imports are read in one place
-    late = [f"{path.relative_to(ROOT)}:{fn.name}"
-            for path in [*sorted(SRC.rglob("*.py")), *sorted(TESTS.glob("*.py"))]
+    late = [f"{path.relative_to(ROOT)}:{fn.name}" for path in MODULES
             for fn in ast.walk(ast.parse(path.read_text()))
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn))]
