@@ -3,6 +3,7 @@ each in RULES: a valid file, one edit, and the exact CheckpointError message
 that load_network or load_masks then raises. A new rule adds a row here; the
 CLI tests check only the route by which such an error reaches exit code 2."""
 
+import json
 import re
 import struct
 
@@ -133,3 +134,46 @@ def test_rule(tmp_path, container, edit, message):
     edit(path, magic)
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load(path)
+
+
+def contents(loaded):
+    """What a load returns, comparable across loads."""
+    if isinstance(loaded, dict):
+        return {layer: (m.shape, m.tobytes()) for layer, m in loaded.items()}
+    return [layer.spec() for layer in loaded.layers], loaded.param_hash()
+
+
+def pretty(path, magic):
+    """The header rewritten as indented JSON, the payload kept."""
+    header = read_container(path, magic)[0]
+    text(json.dumps(header, indent=2).encode())(path, magic)
+
+
+# edits that every rule lets pass: the loaded contents are those of the
+# unedited file (check None) or pass the row's check
+EDGES = [
+    ("checkpoint", head(lambda h: h["arrays"].reverse()), None),
+    ("checkpoint", head(lambda h: h.update(note="trained")), None),
+    ("checkpoint", raw(lambda b: b + bytes(7)), None),
+    ("checkpoint", pretty, None),
+    ("checkpoint", spec(0, padding=0), lambda net: net.layers[0].padding == 0),
+    ("checkpoint", spec(0, stride=3), lambda net: net.layers[0].stride == 3),
+    ("checkpoint", spec(3, kernel_size=1), lambda net: net.layers[3].kernel_size == 1),
+    ("masks", head(lambda h: h["masks"].reverse()), None),
+    ("masks", head(lambda h: h["masks"][0].update(note="pruned")), None),
+    ("masks", raw(lambda b: b + bytes(7)), None),
+    ("masks", record("masks", 2, shape=[0], nbytes=0),
+     lambda masks: masks[5].shape == (0,) and sorted(masks) == [0, 3, 5]),
+    ("masks", head(lambda h: h.update(masks=[])), lambda masks: masks == {}),
+]
+
+
+@pytest.mark.parametrize("container,edit,check", EDGES)
+def test_edge_loads(tmp_path, container, edit, check):
+    magic, write, load = CONTAINERS[container]
+    path = tmp_path / container
+    write(path)
+    before = contents(load(path))
+    edit(path, magic)
+    loaded = load(path)
+    assert contents(loaded) == before if check is None else check(loaded)

@@ -31,6 +31,7 @@ RULES = [
     (("nm_pattern=4:4",), "bad nm_pattern '4:4' (need n < m)"),
     (("sparsity=1.5",), "sparsity 1.5 outside (0,1)"),
     (("sparsity=1.0",), "sparsity 1.0 outside (0,1)"),
+    (("sparsity=0",), "sparsity 0.0 outside (0,1)"),
     (("sparsity=-0.1",), "sparsity -0.1 outside (0,1)"),
     (("teacher_epochs=-1",), "teacher_epochs must be >= 0"),
     (("data_seed=-1",), "data_seed must be >= 0"),
@@ -91,6 +92,67 @@ def test_rule(tmp_path, source, message):
     tmp = str(tmp_path)
     with pytest.raises(ConfigError, match=re.escape(message.replace("{tmp}", tmp))):
         parse_config(str(path), [ov.replace("{tmp}", tmp) for ov in overrides])
+
+
+# the value at the edge of each rule, which parses: each integer setting's
+# least value, the closed ends of the float ranges and the largest n of an
+# N:M pattern; {tmp} stands for the test's temporary directory
+EDGES = [
+    (("teacher_epochs=0",), {"teacher_epochs": 0}),
+    (("data_seed=0",), {"data_seed": 0}),
+    (("seeds=0",), {"seeds": (0,)}),
+    (("iterations=0",), {"iterations": 0, "steps": 0}),
+    (("batch_size=1",), {"batch_size": 1}),
+    (("delta_t=1",), {"delta_t": 1}),
+    (("metrics_every=1",), {"metrics_every": 1}),
+    (("classes=1",), {"classes": 1}),
+    (("image_size=1",), {"image_size": 1}),
+    (("train_size=1", "calib_size=1"), {"train_size": 1, "calib_size": 1}),
+    (("eval_size=1",), {"eval_size": 1}),
+    (("data_blobs=1",), {"data_blobs": 1}),
+    (("population=2",), {"population": 2, "elites": 2}),
+    (("generations=0",), {"generations": 0}),
+    (("tournament=1",), {"tournament": 1}),
+    (("alpha=0",), {"alpha": 0.0}),
+    (("lr=0",), {"lr": 0.0}),
+    (("noise_std=0",), {"noise_std": 0.0}),
+    (("sparsity=0.001",), {"sparsity": 0.001}),
+    (("sparsity=0.999",), {"sparsity": 0.999}),
+    (("gamma=1.0",), {"gamma": 1.0}),
+    (("nm_pattern=3:4",), {"nm_pattern": "3:4", "searches": False}),
+    (("calib_size=4096",), {"calib_size": 4096}),
+    (("method=oneshot", "calib_size=0"), {"calib_size": 0, "steps": 0}),
+    (("elites=1",), {"elites": 1}),
+    (("population=3", "elites=3"), {"elites": 3}),
+    (("seeds=2,0,1",), {"seeds": (2, 0, 1)}),
+    (("dataset=idx", "idx_train_images={tmp}", "idx_train_labels={tmp}",
+      "idx_eval_images={tmp}", "idx_eval_labels={tmp}", "calib_size=5000"),
+     {"dataset": "idx", "calib_size": 5000}),
+    (("preset=mlp3", "exclude_layers=0,3"), {"exclude_layers": (0, 3)}),
+    (("out_dir={tmp}/a/b/c",), {"record_timing": False}),
+]
+
+
+@pytest.mark.parametrize("overrides,values", EDGES)
+def test_edge_parses(tmp_path, overrides, values):
+    cfg = parse_config(None, [ov.replace("{tmp}", str(tmp_path)) for ov in overrides])
+    assert {key: getattr(cfg, key) for key in values} == values
+
+
+@pytest.mark.parametrize("value,parsed", [("1", True), ("true", True), ("yes", True),
+                                          ("on", True), ("TRUE", True), ("0", False),
+                                          ("false", False), ("no", False), ("off", False),
+                                          ("Off", False)])
+def test_boolean_spellings(value, parsed):
+    assert parse_config(None, [f"record_timing={value}"]).record_timing is parsed
+
+
+@pytest.mark.parametrize("key", ["classes", "image_size", "train_size", "eval_size",
+                                 "data_blobs"])
+def test_data_settings_checked_only_for_synthetic_data(key):
+    # IDX files bring their own sizes and classes; RULES rejects each for
+    # synthetic data
+    assert getattr(ExperimentConfig(dataset="idx", **{key: 0}), key) == 0
 
 
 def test_defaults():
