@@ -10,9 +10,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .nn.checkpoint import load_network
-from .nn.presets import PRESETS, STAND_IN_SHAPE, build_preset
-from .sparsity import NMPattern, included_layers
+from .nn.presets import PRESETS
+from .sparsity import NMPattern
 
 
 class ConfigError(ValueError):
@@ -130,8 +129,8 @@ class ExperimentConfig:
             raise ConfigError("calib_size 0: the search and DST steps need calibration rows")
 
     def validate(self) -> "ExperimentConfig":
-        """The checks that read files: the IDX paths, the teacher checkpoint,
-        exclude_layers against the teacher, and out_dir; returns self."""
+        """The checks that files exist: the IDX paths, the teacher checkpoint
+        and out_dir; returns self."""
         if self.dataset == "idx":
             for key in ("idx_train_images", "idx_train_labels",
                         "idx_eval_images", "idx_eval_labels"):
@@ -140,31 +139,12 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} missing or not found: {path!r}")
         if self.teacher_checkpoint and not os.path.exists(self.teacher_checkpoint):
             raise ConfigError(f"teacher_checkpoint not found: {self.teacher_checkpoint!r}")
-        if self.exclude_layers:
-            self._check_exclude_layers()
         existing = os.path.abspath(self.out_dir)
         while not os.path.exists(existing):  # a file's first write makes the rest
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise ConfigError(f"out_dir {self.out_dir!r}: {existing!r} is not a directory")
         return self
-
-    def _check_exclude_layers(self) -> None:
-        """exclude_layers against the teacher's prunable layers, before any
-        training: those of the checkpoint, or of the preset, whose layer kinds
-        do not depend on the input shape. A checkpoint that does not load is
-        the teacher stage's failure."""
-        if self.teacher_checkpoint:
-            try:
-                teacher = load_network(self.teacher_checkpoint)
-            except (OSError, ValueError):
-                return
-        else:
-            teacher = build_preset(self.preset, STAND_IN_SHAPE, classes=1)
-        try:
-            included_layers(teacher, set(self.exclude_layers))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @property
     def reconstructs(self) -> bool:

@@ -22,8 +22,8 @@ from .data import CalibrationSet, Splits, idx_splits, sample_calibration, synthe
 from .nn import Network, build_preset, load_network, save_masks, save_network
 from .nn.checkpoint import atomic_write
 from .search import GenerationStats, evolve
-from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, mask_summary,
-                       nm_distribution, realized_sparsity, uniform_distribution)
+from .sparsity import (NMPattern, SparsityDistribution, erk_distribution, included_layers,
+                       mask_summary, nm_distribution, realized_sparsity, uniform_distribution)
 from .training import RunResult, run_training, train_teacher
 
 
@@ -80,23 +80,25 @@ def check_fits(net: Network, splits: Splits) -> None:
 
 def prepare_teacher(cfg: ExperimentConfig, splits: Splits, seed: int) -> Network:
     """The checkpoint, if it fits the splits, or the preset trained on the train
-    split by train_teacher; a failure, such as a shape the preset rejects or a
-    checkpoint made for other data, raises StageError("teacher")."""
+    split by train_teacher, once exclude_layers is checked against its layers; a
+    failure, such as an excluded index that names no prunable layer, a shape the
+    preset rejects or a checkpoint made for other data, raises StageError("teacher")."""
     with stage("teacher"):
-        if cfg.teacher_checkpoint:
-            net = load_network(cfg.teacher_checkpoint)
-            check_fits(net, splits)
-            return net
-        net = build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed)
-        return train_teacher(net, splits.train_x, splits.train_y, cfg.teacher_epochs, seed)
+        net = (load_network(cfg.teacher_checkpoint) if cfg.teacher_checkpoint else
+               build_preset(cfg.preset, splits.train_x.shape[1:], splits.classes, seed=seed))
+        included_layers(net, set(cfg.exclude_layers))
+        if not cfg.teacher_checkpoint:
+            return train_teacher(net, splits.train_x, splits.train_y, cfg.teacher_epochs, seed)
+        check_fits(net, splits)
+        return net
 
 
 def select_distribution(cfg: ExperimentConfig, teacher: Network, calib: CalibrationSet,
                         seed: int) -> tuple[SparsityDistribution, list[GenerationStats]]:
     """Which layers are pruned, how, and at what rate (the N:M pattern when
     one is set, else the method's distribution), and the search's generation
-    stats, empty unless the method searched. A ValueError, such as an
-    excluded index that names no prunable layer, raises StageError("search")."""
+    stats, empty unless the method searched. A ValueError raises
+    StageError("search")."""
     exclude = set(cfg.exclude_layers)
     with stage("search"):
         if cfg.nm_pattern:

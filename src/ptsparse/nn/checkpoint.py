@@ -150,7 +150,9 @@ def load_network(path) -> Network:
             setattr(layer, rec["name"], arr.reshape(shape).copy())
     except CheckpointError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, MemoryError) as exc:
+    except MemoryError as exc:
+        raise CheckpointError(f"checkpoint too large to load: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     return net
 

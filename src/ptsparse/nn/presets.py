@@ -10,8 +10,6 @@ from .layers import AvgPool, BatchNorm, Conv2d, Dense, Flatten, ReLU
 from .network import Network
 
 PRESETS = ("mlp3", "convnet-small")
-# an input shape every preset accepts: their layer kinds do not depend on the shape
-STAND_IN_SHAPE = (1, 4, 4)
 
 
 def build_preset(name: str, in_shape, classes: int, seed: int = 0) -> Network:

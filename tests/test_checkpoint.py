@@ -111,7 +111,8 @@ RULES = [
      "malformed checkpoint header: ValueError('a network needs at least one layer')"),
     # 10**16 weights, beyond the address space, so the allocation fails at once
     ("checkpoint", spec(0, kind="Dense", in_features=10**8, out_features=10**8),
-     "malformed checkpoint header: MemoryError((100000000, 100000000), dtype('float64'))"),
+     "checkpoint too large to load: Unable to allocate 71.1 PiB for an array with shape "
+     "(100000000, 100000000) and data type float64"),
     # load_masks
     ("masks", record("masks", 1, layer=0), "mask record for layer 0: repeated"),
     ("masks", record("masks", 2, layer=3), "mask record for layer 3: repeated"),

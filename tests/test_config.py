@@ -65,6 +65,8 @@ RULES = [
     (("elites=0",), "elites must be in [1, population]"),
     (("gamma=1.5",), "gamma 1.5 outside (0,1]"),
     (("calib_size=0",), "calib_size 0: the search and DST steps need calibration rows"),
+    (("method=uniform+dst", "calib_size=0"),
+     "calib_size 0: the search and DST steps need calibration rows"),
     # ExperimentConfig.validate: the files the settings name
     (("dataset=idx",), "idx_train_images missing or not found: ''"),
     (("dataset=idx", "idx_train_images={tmp}"), "idx_train_labels missing or not found: ''"),
@@ -76,9 +78,6 @@ RULES = [
     (("dataset=idx", "idx_train_images={tmp}", "idx_train_labels={tmp}",
       "idx_eval_images={tmp}"), "idx_eval_labels missing or not found: ''"),
     (("teacher_checkpoint={tmp}/none.ckpt",), "teacher_checkpoint not found: '{tmp}/none.ckpt'"),
-    (("preset=mlp3", "exclude_layers=0,3,6"), "no prunable layers left after exclusion"),
-    (("preset=mlp3", "exclude_layers=99"),
-     "exclude_layers [99] name no prunable layer (prunable: [0, 3, 6])"),
     (("out_dir={tmp}/exp.cfg/out",), "out_dir '{tmp}/exp.cfg/out': '{tmp}/exp.cfg' is not "
                                      "a directory"),
 ]
@@ -128,7 +127,6 @@ EDGES = [
     (("dataset=idx", "idx_train_images={tmp}", "idx_train_labels={tmp}",
       "idx_eval_images={tmp}", "idx_eval_labels={tmp}", "calib_size=5000"),
      {"dataset": "idx", "calib_size": 5000}),
-    (("preset=mlp3", "exclude_layers=0,3"), {"exclude_layers": (0, 3)}),
     (("out_dir={tmp}/a/b/c",), {"record_timing": False}),
 ]
 

@@ -8,7 +8,7 @@ import pytest
 
 from idx_writer import save_idx
 from ptsparse.cli import main
-from ptsparse.config import ConfigError, ExperimentConfig, parse_config
+from ptsparse.config import ExperimentConfig, parse_config
 from ptsparse.data import synthetic_splits
 from ptsparse import harness
 from ptsparse.harness import (METRICS_HEADER, StageError, load_dataset, prepare_teacher,
@@ -116,14 +116,12 @@ class TestOutDirThatCannotHoldFiles:
     """An out_dir under a regular file is a config error before any work; a
     write that fails later is one [artifacts] stage failure, exit 2."""
 
-    @pytest.mark.parametrize("command", ["run", "teacher", "search", "prune"])
-    def test_file_on_the_path_is_config_error(self, cfg_file, tmp_path, capsys,
-                                              command):
+    def test_file_on_the_path_is_config_error(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file()
         blocker = tmp_path / "file"
         blocker.write_text("x")
         out = f"{blocker}/sub"
-        assert run_cli(command, "-c", cfg, "-o", f"out_dir={out}") == 1
+        assert run_cli("run", "-c", cfg, "-o", f"out_dir={out}") == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"config error: out_dir {out!r}: {str(blocker)!r} "
                        "is not a directory"]
@@ -409,57 +407,49 @@ class TestNonFiniteTeacher:
         assert not (out / "student.ckpt").exists()
 
 
-class TestEveryLayerExcluded:
-    """Excluding every prunable layer of mlp3 is one config error, exit 1,
-    before the teacher trains: nothing is written."""
+class TestExcludeLayersAgainstTheTeacher:
+    """exclude_layers is checked against the teacher that the teacher stage
+    holds: a list that names no prunable layer of it, or leaves none, is one
+    [teacher] stage failure, exit 2, before the teacher trains, with nothing
+    written."""
 
-    @pytest.mark.parametrize("command,extra", [
-        ("prune", ()), ("prune", ("-o", "nm_pattern=2:4")), ("search", ()),
-        ("run", ()), ("run", ("-o", "method=unipts")),
-        ("search", ("-o", "method=unipts"))])
-    def test_one_config_error_line(self, cfg_file, tmp_path, capsys, command, extra):
-        out = tmp_path / command
-        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
-                       "-o", "exclude_layers=0,3,6", *extra)
+    @pytest.mark.parametrize("exclude,message", [
+        ("99", "exclude_layers [99] name no prunable layer (prunable: [0, 3, 6])"),
+        ("0,3,6", "no prunable layers left after exclusion")])
+    def test_one_teacher_failure_line(self, cfg_file, tmp_path, capsys, monkeypatch,
+                                      exclude, message):
+        def train_teacher(*args):
+            raise AssertionError("the teacher was trained")
+        monkeypatch.setattr(harness, "train_teacher", train_teacher)
+        out = tmp_path / "out"
+        code = run_cli("run", "-c", cfg_file(), "-o", f"out_dir={out}",
+                       "-o", f"exclude_layers={exclude}")
         err = capsys.readouterr().err.strip().splitlines()
-        assert code == 1
-        assert err == ["config error: no prunable layers left after exclusion"]
+        assert code == 2
+        assert err == [f"stage failure: [teacher] {message}"]
         assert not out.exists()
 
-
-class TestExcludeLayersNamesNoPrunableLayer:
-    """An exclude_layers index that names no prunable layer of mlp3 (layer 1
-    is a BatchNorm, 99 does not exist) is one config error, exit 1, naming
-    the index and the prunable layers, before the teacher trains: nothing,
-    teacher.ckpt included, is written."""
-
-    @pytest.mark.parametrize("exclude", ["99", "1", "0,1"])
-    @pytest.mark.parametrize("command,extra", [
-        ("run", ()), ("run", ("-o", "nm_pattern=2:4")), ("prune", ()),
-        ("search", ("-o", "method=unipts"))])
-    def test_one_config_error_line(self, cfg_file, tmp_path, capsys, command, extra,
-                                   exclude):
-        out = tmp_path / command
-        code = run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
-                       "-o", f"exclude_layers={exclude}", *extra)
-        err = capsys.readouterr().err.strip().splitlines()
-        stray = [int(exclude.split(",")[-1])]
-        assert code == 1
-        assert err == [f"config error: exclude_layers {stray} name no prunable "
-                       "layer (prunable: [0, 3, 6])"]
-        assert not (out / "teacher.ckpt").exists()
-        assert not out.exists()
-
-    def test_prunable_layers_come_from_the_checkpoint(self, cfg_file, tmp_path):
+    def test_prunable_layers_come_from_the_checkpoint(self, cfg_file, tmp_path, capsys,
+                                                      monkeypatch):
         # a convnet-small teacher under the mlp3 config: its layer 3 is an
-        # AvgPool and its layer 4 a Conv2d
-        path = tmp_path / "teacher.ckpt"
+        # AvgPool and its layer 4 a Conv2d; a run reads the checkpoint once
+        path = str(tmp_path / "teacher.ckpt")
         save_network(build_preset("convnet-small", (1, 8, 8), 3), path)
-        with pytest.raises(ConfigError, match=re.escape(
-                "exclude_layers [3] name no prunable layer (prunable: [0, 4, 9])")):
-            parse_config(cfg_file(), [f"teacher_checkpoint={path}", "exclude_layers=3"])
-        cfg = parse_config(cfg_file(), [f"teacher_checkpoint={path}", "exclude_layers=4"])
-        assert cfg.exclude_layers == (4,)
+        reads = []
+        def counted(file, magic):
+            reads.append(str(file))
+            return read_container(file, magic)
+        monkeypatch.setattr("ptsparse.nn.checkpoint.read_container", counted)
+        code = run_cli("run", "-c", cfg_file(), "-o", f"out_dir={tmp_path}/bad",
+                       "-o", f"teacher_checkpoint={path}", "-o", "exclude_layers=3")
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "stage failure: [teacher] exclude_layers [3] name no prunable layer "
+            "(prunable: [0, 4, 9])"]
+        reads.clear()
+        assert run_cli("run", "-c", cfg_file(), "-o", f"out_dir={tmp_path}/good",
+                       "-o", f"teacher_checkpoint={path}", "-o", "exclude_layers=4") == 0
+        assert reads.count(path) == 1
 
     def test_checkpoint_that_does_not_load_fails_the_teacher_stage(self, cfg_file, tmp_path,
                                                                    capsys):
@@ -651,32 +641,10 @@ class TestStageSettingsAtParseTime:
 
 
 class TestCalibrationSize:
-    """A calibration set larger than the train split fails before any
-    training: a config error for synthetic data, a stage failure once
-    loaded IDX data shows it. An empty one is a config error when the job
-    searches or takes DST steps."""
-
-    @pytest.mark.parametrize("size", ["500", "-1"])
-    @pytest.mark.parametrize("command", ["run", "search", "prune"])
-    def test_synthetic_is_config_error(self, cfg_file, tmp_path, capsys, command, size):
-        out = tmp_path / "out"
-        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
-                       "-o", f"calib_size={size}") == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: calib_size")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command,method", [
-        ("run", "unipts"), ("search", "unipts"), ("prune", "unipts"),
-        ("run", "uniform+dst"), ("run", "pot-baseline")])
-    def test_no_rows_for_search_or_steps_is_config_error(self, cfg_file, tmp_path,
-                                                         capsys, command, method):
-        out = tmp_path / "out"
-        assert run_cli(command, "-c", cfg_file(), "-o", f"out_dir={out}",
-                       "-o", f"method={method}", "-o", "calib_size=0") == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: calib_size 0")
-        assert not out.exists()
+    """An empty calibration set is taken by a job that neither searches nor
+    takes DST steps; one larger than the train split is a stage failure once
+    loaded IDX data shows it. The config errors for synthetic data and for an
+    empty set that a job needs are rows of tests/test_config.py."""
 
     @pytest.mark.parametrize("command,method", [("run", "oneshot"),
                                                 ("prune", "uniform+dst")])

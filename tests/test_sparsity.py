@@ -267,12 +267,14 @@ class TestDistributions:
         assert first not in dist.layer_indices
 
     @pytest.mark.parametrize("exclude,stray", [({99}, [99]), ({1}, [1]),
-                                               ({0, 2, 1}, [1, 2])])
+                                               ({0, 2, 1}, [1, 2]), ({0, 3, 6}, [])])
     def test_exclusion_of_no_prunable_layer_rejected(self, exclude, stray):
-        # mlp3: Dense at 0, 3, 6; layer 1 is a BatchNorm, 99 does not exist
+        # mlp3: Dense at 0, 3, 6; layer 1 is a BatchNorm, 99 does not exist;
+        # with no stray index, every prunable layer is excluded
         net = build_preset("mlp3", (784,), 10, seed=0)
         message = re.escape(f"exclude_layers {stray} name no prunable layer "
-                            "(prunable: [0, 3, 6])")
+                            "(prunable: [0, 3, 6])" if stray
+                            else "no prunable layers left after exclusion")
         with pytest.raises(ValueError, match=message):
             included_layers(net, exclude)
         assert included_layers(net, {0, 6}) == [3]

@@ -2,7 +2,8 @@
 options and arguments, and no environment variable. A change that adds or
 removes a setting edits the lists here, so the diff shows it. The project runs
 no linter, so this file also checks that each source and test module uses what
-it imports, and imports only at module level."""
+it imports, and imports only at module level, and that config imports no stage
+and nothing that builds or reads a network."""
 
 import argparse
 import ast
@@ -82,3 +83,12 @@ def test_no_import_inside_a_function():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(fn))]
     assert late == []
+
+
+def test_config_reads_no_network():
+    # config checks the settings and that the files they name exist; the
+    # teacher stage checks exclude_layers against the network it holds
+    tree = ast.parse((SRC / "config.py").read_text())
+    imports = {(node.module, a.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level for a in node.names}
+    assert imports == {("nn.presets", "PRESETS"), ("sparsity", "NMPattern")}
